@@ -3,6 +3,18 @@
 Everything here works on image rows: an (m, n) int64 array whose rows are
 permutation image arrays.  Used by the elusivity checkers and the subgroup
 search for groups whose full element list fits in the exhaustive budget.
+
+`order_r_rows` scans each enumerated batch in three stages and still
+returns int64 rows.  It first casts the batch to the smallest unsigned
+dtype that holds a point (uint8 up to 256 points, uint16 up to 65536,
+uint32 beyond), so the prefilters move a fraction of the bytes.  It then drops
+rows that fail one of two necessary conditions for prime order r.  An
+element x of prime order r has only cycles of length 1 and r, so the
+points it moves number a positive multiple of r.  For the same reason
+x^r fixes every point, in particular the first point x moves, and the
+trajectory of that one point costs r one-dimensional gathers.  The exact
+test x^r = 1 then runs on the int64 survivors only; each moves at least r
+points, so none is the identity.
 """
 
 from __future__ import annotations
@@ -49,15 +61,29 @@ def fixed_point_counts(rows: np.ndarray) -> np.ndarray:
 def order_r_rows(G, r: int, budget: int = DEFAULT_BUDGETS.exhaustive) -> np.ndarray:
     """All image rows of elements of exact order r (r prime) in G."""
     n = G.degree
+    compact = np.min_scalar_type(n - 1)
+    ident = np.arange(n, dtype=compact)
     kept = []
     total = 0
     for batch in G.element_batches():
         total += len(batch)
         if total > budget:
             raise _budget_error(G, budget)
-        mask = identity_mask(batch_power(batch, r)) & ~identity_mask(batch)
-        if mask.any():
-            kept.append(batch[mask])
+        small = batch.astype(compact)
+        moved = small != ident
+        counts = np.count_nonzero(moved, axis=1)
+        idx = np.flatnonzero((counts > 0) & (counts % r == 0))
+        if len(idx):
+            small = small[idx]
+            start = moved[idx].argmax(axis=1)
+            pts = start
+            at = np.arange(len(idx))
+            for _ in range(r):
+                pts = small[at, pts]
+            idx = idx[pts == start]
+        if len(idx):
+            rows = batch[idx]
+            kept.append(rows[identity_mask(batch_power(rows, r))])
     if not kept:
         return np.empty((0, n), dtype=np.int64)
     return np.concatenate(kept, axis=0)

@@ -10,10 +10,11 @@ import dataclasses
 import json
 import sys
 
-from .config import DEFAULT_BUDGETS, DEFAULT_SEED
+from .config import DEFAULT_BUDGETS, DEFAULT_SEED, BudgetExceeded
 from .zoo import (GENERATOR_FILE_DOC, GeneratorFileError, coset_action,
                   load_generators, natural_action)
 from .elusive import is_2prime_elusive, is_elusive, is_r_elusive
+from .numbers import is_prime
 from .orbital import suborbits
 from .harness import (SCENARIOS, ScenarioEnv, all_passed, format_table,
                       reports_to_json, run_all, run_scenario)
@@ -79,6 +80,9 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.prime is not None and not is_prime(args.prime):
+        print(f"--prime {args.prime} is not a prime", file=sys.stderr)
+        return USAGE_ERROR
     env = _env_from(args)
     try:
         G = load_generators(args.group)
@@ -90,7 +94,8 @@ def _cmd_check(args) -> int:
         try:
             H = load_generators(args.stab)
             A = coset_action(A, H, budgets=env.budgets)
-        except (OSError, GeneratorFileError, ValueError) as e:
+        except (OSError, GeneratorFileError, ValueError,
+                BudgetExceeded) as e:
             print(f"cannot build the coset action: {e}", file=sys.stderr)
             return USAGE_ERROR
     print(f"degree {A.degree}, order {A.order()}")
@@ -98,6 +103,15 @@ def _cmd_check(args) -> int:
         print("action is not transitive; elusivity verdicts need a "
               "transitive action", file=sys.stderr)
         return USAGE_ERROR
+    try:
+        _print_verdicts(A, args, env)
+    except BudgetExceeded as e:
+        print(f"budget exceeded: {e}", file=sys.stderr)
+        return USAGE_ERROR
+    return 0
+
+
+def _print_verdicts(A, args, env) -> None:
     tab = suborbits(A, 0)
     print(f"subdegrees {list(tab.multiset())}")
     if args.prime is not None:
@@ -108,7 +122,7 @@ def _cmd_check(args) -> int:
               + (f" [method {v.method}]" if v.method else ""))
         if v.witness is not None:
             print(f"  witness: {v.witness_cycles()}")
-        return 0
+        return
     rep = is_2prime_elusive(A, budgets=env.budgets,
                             determinism=args.determinism)
     if rep.aggregate is None:
@@ -119,7 +133,6 @@ def _cmd_check(args) -> int:
             print(f"  r={v.prime}: {v.status} [method {v.method}]")
     full = is_elusive(A, budgets=env.budgets, determinism=args.determinism)
     print(f"elusive: {bool(full)}")
-    return 0
 
 
 def main(argv=None) -> int:

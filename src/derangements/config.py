@@ -67,3 +67,10 @@ DEFAULT_SETTINGS = Settings()
 
 class BudgetExceeded(RuntimeError):
     """An exhaustive operation refused to run past its configured budget."""
+
+
+class CertificateError(RuntimeError):
+    """A computed certificate failed the check that backs it.
+
+    Raised instead of ``assert`` so the check survives ``python -O``.
+    """

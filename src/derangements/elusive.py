@@ -159,10 +159,7 @@ def count_order_r_elements(G: PermGroup, r: int, budgets: Budgets = DEFAULT_BUDG
 
 
 def _order_r_rows_cached(G: PermGroup, r: int, budgets: Budgets) -> np.ndarray:
-    cache = getattr(G, "_order_r_rows_cache", None)
-    if cache is None:
-        cache = {}
-        G._order_r_rows_cache = cache
+    cache = G._order_r_rows_cache
     if r not in cache:
         cache[r] = order_r_rows(G, r, budgets.exhaustive)
     return cache[r]
@@ -171,6 +168,7 @@ def _order_r_rows_cached(G: PermGroup, r: int, budgets: Budgets) -> np.ndarray:
 def prime_order_class_reps(
     G: PermGroup,
     r: int,
+    *,
     mode: str = "exhaustive",
     budgets: Budgets = DEFAULT_BUDGETS,
     seed: int = DEFAULT_SEED,
@@ -187,10 +185,7 @@ def prime_order_class_reps(
     """
     if not is_prime(r):
         raise ValueError(f"r={r} is not prime")
-    cache = getattr(G, "_class_reps_cache", None)
-    if cache is None:
-        cache = {}
-        G._class_reps_cache = cache
+    cache = G._class_reps_cache
     key = (r, mode)
     if key in cache:
         return cache[key]
@@ -286,7 +281,7 @@ def _sampled_class_reps(
 
 
 def action_prime_order_class_reps(
-    A: GroupAction, r: int, mode: str = "exhaustive",
+    A: GroupAction, r: int, *, mode: str = "exhaustive",
     budgets: Budgets = DEFAULT_BUDGETS, seed: int = DEFAULT_SEED
 ) -> list:
     """Order-r ClassInfo records for an action group, computed the cheapest
@@ -307,12 +302,13 @@ def action_prime_order_class_reps(
             return [_push_class_info(A, ci) for ci in parent_infos]
         P = A.parent.parent_group
         if P.order() <= budgets.exhaustive:
-            parent_infos = prime_order_class_reps(P, r, "exhaustive", budgets)
+            parent_infos = prime_order_class_reps(P, r, budgets=budgets)
             return [_push_class_info(A, ci) for ci in parent_infos]
     if G.order() <= budgets.exhaustive:
-        return prime_order_class_reps(G, r, "exhaustive", budgets)
+        return prime_order_class_reps(G, r, budgets=budgets)
     if mode == "sampled":
-        return prime_order_class_reps(G, r, "sampled", budgets, seed=seed)
+        return prime_order_class_reps(G, r, mode="sampled", budgets=budgets,
+                                      seed=seed)
     raise BudgetExceeded(
         f"no exact class-representative route for order {G.order()} at degree {G.degree}"
     )
@@ -341,7 +337,8 @@ def _base_class_labels(spec: WreathSpec, r: int, budgets: Budgets) -> list:
     identity class, the rest are the order-r classes."""
     ident = Permutation.identity(spec.base_degree)
     labels = [(ident, 1)]
-    for ci in action_prime_order_class_reps(spec.base_action, r, budgets):
+    for ci in action_prime_order_class_reps(spec.base_action, r,
+                                            budgets=budgets):
         rep = ci.representative
         if isinstance(rep, WreathElement):
             rep = rep.to_permutation()
@@ -517,7 +514,7 @@ def _direct_exhaustive(A: GroupAction, r: int, budgets: Budgets) -> ElusivityVer
 
 
 def _class_coverage(A: GroupAction, r: int, budgets: Budgets) -> ElusivityVerdict:
-    infos = action_prime_order_class_reps(A, r, budgets)
+    infos = action_prime_order_class_reps(A, r, budgets=budgets)
     exact = all(ci.exact for ci in infos)
     bad = [ci for ci in infos if ci.min_fixed_points == 0]
     if bad:

@@ -477,6 +477,8 @@ class PermGroup:
         self._max_chain_degree = max_chain_degree
         self._lock = threading.Lock()
         self._stab_cache: dict = {}
+        self._order_r_rows_cache: dict = {}  # r -> order_r_rows result
+        self._class_reps_cache: dict = {}  # (r, mode) -> ClassInfo list
         self._transitive: Optional[bool] = None
 
     # -- chain -------------------------------------------------------------

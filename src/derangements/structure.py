@@ -19,7 +19,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .config import Budgets, DEFAULT_BUDGETS, DEFAULT_SEED, BudgetExceeded
+from .config import (Budgets, DEFAULT_BUDGETS, DEFAULT_SEED, BudgetExceeded,
+                     CertificateError)
 from .perm import Permutation, PermGroup
 from .zoo import GroupAction
 from .elusive import action_prime_order_class_reps
@@ -74,7 +75,7 @@ class NormalStructureReport:
         return d
 
 
-def normal_structure(A: GroupAction, mode: str = "exhaustive",
+def normal_structure(A: GroupAction, *, mode: str = "exhaustive",
                      budgets: Budgets = DEFAULT_BUDGETS,
                      seed: int = DEFAULT_SEED) -> NormalStructureReport:
     """Classify a transitive action via closures of prime-order class reps.
@@ -110,7 +111,8 @@ def normal_structure(A: GroupAction, mode: str = "exhaustive",
             if not isinstance(rep, Permutation):
                 rep = rep.to_permutation(budgets)
             closure = G.normal_closure([rep])
-            assert G.is_normal(closure)
+            if not G.is_normal(closure):
+                raise CertificateError("normal closure is not normal in G")
             oc = len(closure.orbits())
             closures.append((rep, closure.order(), oc))
             if oc == 2 and (two_orbit_order is None
@@ -175,7 +177,8 @@ def g_plus(A: GroupAction, N: PermGroup):
     gens += [s * g * sinv for g in preserving]
     gens += [s * g for g in swapping]
     gp = PermGroup(gens, degree=A.degree)
-    assert 2 * gp.order() == G.order(), "half-preserving subgroup has wrong index"
+    if 2 * gp.order() != G.order():
+        raise CertificateError("half-preserving subgroup has wrong index")
     return gp, tuple(o1), tuple(o2)
 
 

@@ -1,0 +1,59 @@
+"""The prefiltered order-r scan against the plain power test.
+
+`order_r_rows` casts batches to a compact dtype and drops rows by two
+necessary conditions before the exact x^r = 1 test.  The reference below is
+that exact test over every enumerated row; the two must agree row for row.
+"""
+
+import numpy as np
+import pytest
+
+from derangements.classes import batch_power, identity_mask, order_r_rows
+from derangements.numbers import prime_divisors
+
+from tests.conftest import alternating, cyclic, symmetric
+
+
+def reference_order_r_rows(G, r):
+    kept = [b[identity_mask(batch_power(b, r)) & ~identity_mask(b)]
+            for b in G.element_batches()]
+    return np.concatenate(kept, axis=0)
+
+
+def assert_agrees_at_every_prime(G):
+    for r in prime_divisors(G.order()):
+        got = order_r_rows(G, r)
+        want = reference_order_r_rows(G, r)
+        assert got.dtype == np.int64
+        assert len(want) > 0
+        assert np.array_equal(got, want), (G.degree, r)
+
+
+@pytest.mark.parametrize("factory", [
+    lambda: symmetric(5),
+    lambda: alternating(6),
+    lambda: cyclic(256),   # largest degree on the uint8 path
+    lambda: cyclic(257),   # smallest degree on the uint16 path
+    lambda: cyclic(300),
+], ids=["S5", "A6", "C256", "C257", "C300"])
+def test_scan_matches_reference(factory):
+    assert_agrees_at_every_prime(factory())
+
+
+def test_scan_matches_reference_on_m11_12(m11_12):
+    assert_agrees_at_every_prime(m11_12.group)
+
+
+def test_scan_matches_reference_on_psl2_9_line(line9):
+    assert_agrees_at_every_prime(line9.subgroups["PSL"])
+
+
+@pytest.mark.parametrize("G,r", [
+    (symmetric(4), 5),
+    (cyclic(300), 7),
+    (cyclic(1), 2),
+], ids=["S4 r=5", "C300 r=7", "trivial"])
+def test_empty_result_keeps_its_shape(G, r):
+    got = order_r_rows(G, r)
+    assert got.shape == (0, G.degree)
+    assert got.dtype == np.int64

@@ -5,11 +5,13 @@ installed console script for real.
 """
 
 import json
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+from derangements import BudgetExceeded
 from derangements.cli import main
 from derangements.harness import RunReport
 
@@ -142,6 +144,35 @@ def test_check_stab_not_subgroup(c6_file, tmp_path, capsys):
     stab = write(tmp_path, "notsub.gens", "degree 6\ngen (1 2)\n")
     assert main(["check", "--group", c6_file, "--stab", stab]) == 2
     assert "cannot build the coset action" in capsys.readouterr().err
+
+
+def test_check_non_prime_is_a_usage_error(capsys):
+    m11 = pathlib.Path(__file__).parents[1] / "demos" / "data" / "m11.gens"
+    assert main(["check", "--group", str(m11), "--prime", "4"]) == 2
+    err = capsys.readouterr().err
+    assert err.strip() == "--prime 4 is not a prime"
+
+
+def test_check_degree_budget_is_a_usage_error(s4_file, tmp_path, capsys):
+    stab = write(tmp_path, "t.gens", "degree 4\ngen (1 2)\n")
+    assert main(["check", "--group", s4_file, "--stab", stab,
+                 "--budget-degree", "5"]) == 2
+    err = capsys.readouterr().err
+    assert "cannot build the coset action" in err
+    assert "degree budget 5" in err
+
+
+def test_check_budget_exceeded_in_verdict_is_a_usage_error(
+        c6_file, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise BudgetExceeded("group of order 6 exceeds the exhaustive "
+                             "budget 1")
+
+    monkeypatch.setattr("derangements.cli.is_r_elusive", refuse)
+    assert main(["check", "--group", c6_file, "--prime", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.strip() == ("budget exceeded: group of order 6 exceeds the "
+                           "exhaustive budget 1")
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ from derangements import (Budgets, BudgetExceeded, DEFAULT_BUDGETS,
                           structural_wreath_elusivity, wreath,
                           wreath_fixed_point_check,
                           wreath_prime_order_class_reps)
+from derangements import elusive
 from derangements.elusive import ClassInfo
+from derangements.harness import ScenarioEnv
 
 from tests.conftest import alternating, cyclic, symmetric
 
@@ -299,3 +301,20 @@ def test_semiregular_none_on_m11_12(m11_12):
     res = semiregular_search(m11_12)
     assert res.witness is None
     assert res.exact
+
+
+def test_class_coverage_passes_caller_budget_to_the_scan(monkeypatch):
+    received = []
+    real = elusive.order_r_rows
+
+    def recording(G, r, budget):
+        received.append(budget)
+        return real(G, r, budget)
+
+    monkeypatch.setattr("derangements.elusive.order_r_rows", recording)
+    budgets = Budgets(exhaustive=9_000, scan=10)
+    # a fresh env, so the parent M11 has no cached rows and must be scanned
+    v = is_r_elusive(ScenarioEnv().m11_on_12(), 3, budgets=budgets)
+    assert v.method == "class-coverage"
+    assert v.budgets["exhaustive"] == 9_000
+    assert received == [9_000]

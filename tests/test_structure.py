@@ -6,11 +6,16 @@ closures gives.
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
 from derangements import (BIQUASIPRIMITIVE, NEITHER, PRIMITIVE,
-                          QUASIPRIMITIVE, BudgetExceeded, DEFAULT_BUDGETS,
+                          QUASIPRIMITIVE, BudgetExceeded, CertificateError,
+                          DEFAULT_BUDGETS,
                           PermGroup, Permutation, WreathSpec, coset_action,
                           g_plus, natural_action, normal_structure,
                           verify_minimal_normal, wreath)
@@ -102,6 +107,54 @@ def test_normal_structure_requires_transitive():
     G = PermGroup([Permutation.from_cycles(4, [(0, 1)])])
     with pytest.raises(ValueError):
         normal_structure(natural_action(G, "C2 x fix"))
+
+
+# ---------------------------------------------------------------------------
+# certificate checks raise, also under python -O
+
+
+def test_non_normal_closure_raises(monkeypatch):
+    monkeypatch.setattr(PermGroup, "is_normal", lambda self, sub: False)
+    with pytest.raises(CertificateError, match="not normal"):
+        normal_structure(natural_action(cyclic(4), "C4"))
+
+
+def test_wrong_g_plus_index_raises(monkeypatch):
+    class TooSmall(PermGroup):
+        def order(self):
+            return 1
+
+    monkeypatch.setattr("derangements.structure.PermGroup", TooSmall)
+    with pytest.raises(CertificateError, match="wrong index"):
+        normal_structure(natural_action(cyclic(4), "C4"))
+
+
+OPTIMIZED_RUN = textwrap.dedent("""
+    from derangements import (CertificateError, PermGroup, Permutation,
+                              natural_action, normal_structure)
+    assert False, "asserts must be stripped in this run"
+    c4 = PermGroup([Permutation.from_cycles(4, [(0, 1, 2, 3)])])
+    A = natural_action(c4, "C4")
+    print(normal_structure(A).verdict)
+    PermGroup.is_normal = lambda self, sub: False
+    try:
+        normal_structure(A)
+    except CertificateError as e:
+        print("raised:", e)
+""")
+
+
+def test_certificate_checks_survive_python_O():
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_RUN],
+                          capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "biquasiprimitive", "raised: normal closure is not normal in G"]
 
 
 # ---------------------------------------------------------------------------
