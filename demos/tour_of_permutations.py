@@ -9,8 +9,7 @@ and block systems -- everything the higher layers are built on.
 import numpy as np
 
 from derangements import (
-    Permutation, PermGroup, compose, conjugate, parse_cycles,
-    point_stabilizer, minimal_block_system, load_generators,
+    Permutation, PermGroup, conjugate, parse_cycles, load_generators,
     format_generator_file,
 )
 
@@ -27,8 +26,8 @@ print("b =", b.cycle_string())
 print("a has order", a.order(), "and cycle type", a.cycle_type())
 
 # Composition reads left to right: (a*b) means "apply a, then b".
-print("a then b =", compose(a, b).cycle_string())
-print("b then a =", compose(b, a).cycle_string())
+print("a then b =", (a * b).cycle_string())
+print("b then a =", (b * a).cycle_string())
 
 # Conjugation relabels the cycles of a by b.
 print("a^b      =", conjugate(a, b).cycle_string())
@@ -56,7 +55,7 @@ print("transitive:", M11.is_transitive())
 print("primitive: ", M11.is_primitive())
 
 # The stabilizer of a point has index 11.
-stab = point_stabilizer(M11, 0)
+stab = M11.point_stabilizer(0)
 print("|M11_alpha| =", stab.order(), "; index", M11.order() // stab.order())
 
 # Random elements come from the chain as well.
@@ -71,12 +70,12 @@ assert M11.contains(x)
 
 # C6 acting regularly on 6 points is transitive but far from primitive.
 c6 = PermGroup([Permutation.from_cycles(6, [tuple(range(6))])])
-blocks = minimal_block_system(c6, 0, 2)
+blocks = c6.minimal_block_system(0, 2)
 print("\nC6: minimal blocks through {0, 2}:", blocks.cells)
-blocks = minimal_block_system(c6, 0, 3)
+blocks = c6.minimal_block_system(0, 3)
 print("C6: minimal blocks through {0, 3}:", blocks.cells)
 # M11 is primitive, so every minimal system is the universal one (None).
-print("M11: blocks through {0, 1}:", minimal_block_system(M11, 0, 1))
+print("M11: blocks through {0, 1}:", M11.minimal_block_system(0, 1))
 
 # ----------------------------------------------------------------------
 # Generator files

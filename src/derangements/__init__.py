@@ -11,32 +11,16 @@ those verdicts reach arc-transitive graphs of prime valency.
 
 __version__ = "0.1.0"
 
-from .config import (Budgets, Settings, BudgetExceeded, CertificateError,
+from .config import (Budgets, BudgetExceeded, CertificateError,
                      DEFAULT_BUDGETS, DEFAULT_SEED)
 from .perm import (
     Permutation,
     PermGroup,
     StabilizerChain,
     BlockSystem,
-    compose,
     conjugate,
     commutator,
-    order_of,
-    fixed_points,
     parse_cycles,
-    orbit,
-    orbits,
-    is_transitive,
-    build_chain,
-    group_order,
-    contains,
-    point_stabilizer,
-    normal_closure,
-    derived_subgroup,
-    is_normal,
-    minimal_block_system,
-    is_primitive,
-    enumerate_elements,
     derangement_backtrack,
 )
 
@@ -115,101 +99,3 @@ from .harness import (
     format_table,
     all_passed,
 )
-
-__all__ = [
-    "Budgets",
-    "Settings",
-    "BudgetExceeded",
-    "CertificateError",
-    "DEFAULT_BUDGETS",
-    "DEFAULT_SEED",
-    "Permutation",
-    "PermGroup",
-    "StabilizerChain",
-    "BlockSystem",
-    "compose",
-    "conjugate",
-    "commutator",
-    "order_of",
-    "fixed_points",
-    "parse_cycles",
-    "orbit",
-    "orbits",
-    "is_transitive",
-    "build_chain",
-    "group_order",
-    "contains",
-    "point_stabilizer",
-    "normal_closure",
-    "derived_subgroup",
-    "is_normal",
-    "minimal_block_system",
-    "is_primitive",
-    "enumerate_elements",
-    "derangement_backtrack",
-    "GroupAction",
-    "SocleDecl",
-    "WreathSpec",
-    "WreathElement",
-    "CosetConstruction",
-    "MersenneScenario",
-    "GeneratorFileError",
-    "GENERATOR_FILE_DOC",
-    "natural_action",
-    "load_generators",
-    "format_generator_file",
-    "projective_line_action",
-    "mersenne_scenario",
-    "borel_subgroup",
-    "m11",
-    "subgroup_search",
-    "coset_action",
-    "wreath",
-    "direct_product",
-    "assemble_stabilizer",
-    "ClassInfo",
-    "ElusivityVerdict",
-    "ElusivityReport",
-    "SemiregularResult",
-    "count_order_r_elements",
-    "prime_order_class_reps",
-    "action_prime_order_class_reps",
-    "wreath_prime_order_class_reps",
-    "wreath_fixed_point_check",
-    "is_r_elusive",
-    "is_2prime_elusive",
-    "is_elusive",
-    "structural_wreath_elusivity",
-    "semiregular_search",
-    "NormalStructureReport",
-    "MinimalNormalReport",
-    "normal_structure",
-    "g_plus",
-    "verify_minimal_normal",
-    "PRIMITIVE",
-    "QUASIPRIMITIVE",
-    "BIQUASIPRIMITIVE",
-    "NEITHER",
-    "SuborbitTable",
-    "Graph",
-    "OrbitalGraph",
-    "DoubleCoverReport",
-    "suborbits",
-    "paired_suborbit",
-    "orbital_graph",
-    "is_connected",
-    "connectivity_by_generation",
-    "block_divisibility_check",
-    "standard_double_cover",
-    "verify_double_cover_scenario",
-    "Expectation",
-    "Scenario",
-    "RunReport",
-    "ScenarioEnv",
-    "SCENARIOS",
-    "run_scenario",
-    "run_all",
-    "reports_to_json",
-    "format_table",
-    "all_passed",
-]

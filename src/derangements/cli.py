@@ -25,7 +25,8 @@ FAILURE = 1
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                   help="seed for the randomized subroutines (default 0)")
+                   help="seed for subgroup search and the random wreath "
+                        "sample (default 0)")
     p.add_argument("--budget-exhaustive", type=int, default=None,
                    metavar="N", help="max group order for full enumeration")
     p.add_argument("--budget-degree", type=int, default=None,

@@ -11,7 +11,7 @@ re-verified at construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -20,9 +20,10 @@ from .classes import (
     fixed_point_counts,
     order_r_rows,
     partition_rows_by_conjugacy,
+    _budget_error,
     _conjugacy_class,
 )
-from .config import DEFAULT_BUDGETS, DEFAULT_SEED, Budgets, BudgetExceeded
+from .config import DEFAULT_BUDGETS, Budgets, BudgetExceeded
 from .numbers import is_prime, prime_divisors
 from .perm import Permutation, PermGroup, derangement_backtrack
 from .zoo import GroupAction, WreathElement, WreathSpec
@@ -31,7 +32,6 @@ __all__ = [
     "ELUSIVE",
     "NOT_ELUSIVE",
     "NOT_APPLICABLE",
-    "PROBABILISTIC",
     "ClassInfo",
     "ElusivityVerdict",
     "ElusivityReport",
@@ -51,7 +51,6 @@ __all__ = [
 ELUSIVE = "Elusive"
 NOT_ELUSIVE = "NotElusive"
 NOT_APPLICABLE = "NotApplicable"
-PROBABILISTIC = "Probabilistic"
 
 METHOD_ENUM = "exhaustive-enumeration"
 METHOD_COVER = "class-coverage"
@@ -67,7 +66,6 @@ class ClassInfo:
     order: int
     class_size: int
     min_fixed_points: int
-    exact: bool
 
     def __post_init__(self):
         if self.representative.order() != self.order:
@@ -159,6 +157,9 @@ def count_order_r_elements(G: PermGroup, r: int, budgets: Budgets = DEFAULT_BUDG
 
 
 def _order_r_rows_cached(G: PermGroup, r: int, budgets: Budgets) -> np.ndarray:
+    # The budget check comes first, so a warm cache cannot skip it.
+    if G.order() > budgets.exhaustive:
+        raise _budget_error(G, budgets.exhaustive)
     cache = G._order_r_rows_cache
     if r not in cache:
         cache[r] = order_r_rows(G, r, budgets.exhaustive)
@@ -166,40 +167,19 @@ def _order_r_rows_cached(G: PermGroup, r: int, budgets: Budgets) -> np.ndarray:
 
 
 def prime_order_class_reps(
-    G: PermGroup,
-    r: int,
-    *,
-    mode: str = "exhaustive",
-    budgets: Budgets = DEFAULT_BUDGETS,
-    seed: int = DEFAULT_SEED,
-    expected_count: Optional[int] = None,
+    G: PermGroup, r: int, *, budgets: Budgets = DEFAULT_BUDGETS
 ) -> list:
     """Conjugacy classes of order-r elements of G, as ClassInfo records.
 
-    Exhaustive mode streams every element (order must fit the exhaustive
-    budget) and buckets the order-r ones by conjugation BFS.  Sampled mode
-    powers random elements down to order r and closes each new find under
-    conjugation, stopping after budgets.sampled_misses consecutive draws
-    that land in known classes; results are exact only when the summed
-    class sizes match an independently supplied expected_count.
+    Streams every element (the order must fit the exhaustive budget) and
+    buckets the order-r ones by conjugation BFS.
     """
     if not is_prime(r):
         raise ValueError(f"r={r} is not prime")
+    rows = _order_r_rows_cached(G, r, budgets)
     cache = G._class_reps_cache
-    key = (r, mode)
-    if key in cache:
-        return cache[key]
-    if mode == "exhaustive":
-        infos = _exhaustive_class_reps(G, r, budgets)
-    elif mode == "sampled":
-        infos = _sampled_class_reps(G, r, budgets, seed, expected_count)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    cache[key] = infos
-    return infos
-
-
-def _class_infos_from_rows(G: PermGroup, r: int, rows: np.ndarray, exact: bool) -> list:
+    if r in cache:
+        return cache[r]
     order = G.order()
     counts = fixed_point_counts(rows)
     infos = []
@@ -216,80 +196,19 @@ def _class_infos_from_rows(G: PermGroup, r: int, rows: np.ndarray, exact: bool) 
                 order=r,
                 class_size=size,
                 min_fixed_points=int(cls_counts[0]),
-                exact=exact,
             )
         )
-    return infos
-
-
-def _exhaustive_class_reps(G: PermGroup, r: int, budgets: Budgets) -> list:
-    rows = _order_r_rows_cached(G, r, budgets)
-    return _class_infos_from_rows(G, r, rows, exact=True)
-
-
-def _sampled_class_reps(
-    G: PermGroup,
-    r: int,
-    budgets: Budgets,
-    seed: int,
-    expected_count: Optional[int],
-) -> list:
-    rng = np.random.default_rng(seed)
-    order = G.order()
-    if order % r != 0:
-        return []
-    known: dict = {}
-    classes = []  # (rep_row, size)
-    misses = 0
-    while misses < budgets.sampled_misses:
-        x = G.random_element(rng)
-        o = x.order()
-        if o % r != 0:
-            misses += 1
-            continue
-        y = x ** (o // r)
-        if y.key() in known:
-            misses += 1
-            continue
-        cls = _conjugacy_class(G, y.images)
-        if len(cls) > budgets.materialize:
-            raise BudgetExceeded(
-                f"class of size {len(cls)}+ exceeds the materialize budget"
-            )
-        known.update(cls)
-        block = np.stack(list(cls.values()))
-        rep = block[np.lexsort(block.T[::-1])[0]]
-        classes.append((rep, len(cls)))
-        misses = 0
-    total = sum(size for _, size in classes)
-    exact = expected_count is not None and total == expected_count
-    infos = []
-    for rep_row, size in sorted(classes, key=lambda t: tuple(t[0])):
-        rep = Permutation._raw(rep_row.copy())
-        if order % size != 0:
-            raise AssertionError("class size does not divide the group order")
-        infos.append(
-            ClassInfo(
-                representative=rep,
-                order=r,
-                class_size=size,
-                min_fixed_points=rep.num_fixed(),
-                exact=exact,
-            )
-        )
+    cache[r] = infos
     return infos
 
 
 def action_prime_order_class_reps(
-    A: GroupAction, r: int, *, mode: str = "exhaustive",
-    budgets: Budgets = DEFAULT_BUDGETS, seed: int = DEFAULT_SEED
+    A: GroupAction, r: int, *, budgets: Budgets = DEFAULT_BUDGETS
 ) -> list:
     """Order-r ClassInfo records for an action group, computed the cheapest
     exact way available: wreath decomposition when the action was built as a
     wreath product, a scan of the smaller faithful parent pushed through the
-    coset homomorphism, or a direct scan.  mode="sampled" permits a
-    random-search fallback (exact=False on its records) when no exact route
-    fits the budgets."""
+    coset homomorphism, or a direct scan."""
     if not is_prime(r):
         raise ValueError(f"r={r} is not prime")
     if A.wreath is not None:
@@ -306,9 +225,6 @@ def action_prime_order_class_reps(
             return [_push_class_info(A, ci) for ci in parent_infos]
     if G.order() <= budgets.exhaustive:
         return prime_order_class_reps(G, r, budgets=budgets)
-    if mode == "sampled":
-        return prime_order_class_reps(G, r, mode="sampled", budgets=budgets,
-                                      seed=seed)
     raise BudgetExceeded(
         f"no exact class-representative route for order {G.order()} at degree {G.degree}"
     )
@@ -324,7 +240,6 @@ def _push_class_info(A: GroupAction, ci: ClassInfo) -> ClassInfo:
         order=ci.order,
         class_size=ci.class_size,
         min_fixed_points=pushed.num_fixed(),
-        exact=ci.exact,
     )
 
 
@@ -454,7 +369,6 @@ def _wreath_class_info(
         order=r,
         class_size=size,
         min_fixed_points=mat.num_fixed(),
-        exact=True,
     )
 
 
@@ -494,10 +408,6 @@ def wreath_fixed_point_check(spec: WreathSpec, x) -> bool:
 # elusivity verdicts
 
 
-def _budget_snapshot(budgets: Budgets) -> dict:
-    return budgets.as_dict()
-
-
 def _direct_exhaustive(A: GroupAction, r: int, budgets: Budgets) -> ElusivityVerdict:
     rows = _order_r_rows_cached(A.group, r, budgets)
     counts = fixed_point_counts(rows)
@@ -506,16 +416,15 @@ def _direct_exhaustive(A: GroupAction, r: int, budgets: Budgets) -> ElusivityVer
         w = Permutation._raw(bad[np.lexsort(bad.T[::-1])[0]].copy())
         return ElusivityVerdict(
             r, NOT_ELUSIVE, witness=w, method=METHOD_ENUM,
-            budgets=_budget_snapshot(budgets),
+            budgets=asdict(budgets),
         )
     return ElusivityVerdict(
-        r, ELUSIVE, method=METHOD_ENUM, budgets=_budget_snapshot(budgets)
+        r, ELUSIVE, method=METHOD_ENUM, budgets=asdict(budgets)
     )
 
 
 def _class_coverage(A: GroupAction, r: int, budgets: Budgets) -> ElusivityVerdict:
     infos = action_prime_order_class_reps(A, r, budgets=budgets)
-    exact = all(ci.exact for ci in infos)
     bad = [ci for ci in infos if ci.min_fixed_points == 0]
     if bad:
         w = min(
@@ -523,10 +432,10 @@ def _class_coverage(A: GroupAction, r: int, budgets: Budgets) -> ElusivityVerdic
         )
         return ElusivityVerdict(
             r, NOT_ELUSIVE, witness=w, method=METHOD_COVER,
-            budgets=_budget_snapshot(budgets), exact=exact,
+            budgets=asdict(budgets),
         )
     return ElusivityVerdict(
-        r, ELUSIVE, method=METHOD_COVER, budgets=_budget_snapshot(budgets), exact=exact
+        r, ELUSIVE, method=METHOD_COVER, budgets=asdict(budgets)
     )
 
 
@@ -536,11 +445,11 @@ def _backtrack_verdict(
     w = derangement_backtrack(A.group, r, determinism=determinism)
     if w is None:
         return ElusivityVerdict(
-            r, ELUSIVE, method=METHOD_BACKTRACK, budgets=_budget_snapshot(budgets)
+            r, ELUSIVE, method=METHOD_BACKTRACK, budgets=asdict(budgets)
         )
     return ElusivityVerdict(
         r, NOT_ELUSIVE, witness=w, method=METHOD_BACKTRACK,
-        budgets=_budget_snapshot(budgets),
+        budgets=asdict(budgets),
     )
 
 
@@ -576,7 +485,7 @@ def is_r_elusive(
         return ElusivityVerdict(
             r, NOT_APPLICABLE,
             reason=f"{r} does not divide the group order {worder}",
-            budgets=_budget_snapshot(budgets),
+            budgets=asdict(budgets),
         )
     if worder <= budgets.scan:
         return _direct_exhaustive(A, r, budgets)
@@ -631,7 +540,7 @@ def _structural_verdict(spec: WreathSpec, r: int, budgets: Budgets) -> Elusivity
     K = spec.top
     r_in_base = L.order() % r == 0
     r_in_top = K.order() % r == 0
-    snapshot = _budget_snapshot(budgets)
+    snapshot = asdict(budgets)
     if not r_in_base and not r_in_top:
         return ElusivityVerdict(
             r, NOT_APPLICABLE,
@@ -640,10 +549,8 @@ def _structural_verdict(spec: WreathSpec, r: int, budgets: Budgets) -> Elusivity
         )
 
     base_witness = None
-    base_exact = True
     if r_in_base:
         v = is_r_elusive(spec.base_action, r, budgets)
-        base_exact = v.exact
         if v.status == NOT_ELUSIVE:
             base_witness = v.witness
 
@@ -654,8 +561,7 @@ def _structural_verdict(spec: WreathSpec, r: int, budgets: Budgets) -> Elusivity
             w = WreathElement(spec, base, Permutation.identity(spec.k))
             return _structural_not_elusive(spec, r, w, snapshot, budgets)
         return ElusivityVerdict(
-            r, ELUSIVE, method=METHOD_WREATH, budgets=snapshot,
-            exact=base_exact, spec=spec,
+            r, ELUSIVE, method=METHOD_WREATH, budgets=snapshot, spec=spec,
         )
 
     # imprimitive flavor: the top can contribute block-swapping derangements
@@ -668,8 +574,7 @@ def _structural_verdict(spec: WreathSpec, r: int, budgets: Budgets) -> Elusivity
             w = WreathElement(spec, (ident,) * spec.k, pi)
             return _structural_not_elusive(spec, r, w, snapshot, budgets)
     return ElusivityVerdict(
-        r, ELUSIVE, method=METHOD_WREATH, budgets=snapshot,
-        exact=base_exact, spec=spec,
+        r, ELUSIVE, method=METHOD_WREATH, budgets=snapshot, spec=spec,
     )
 
 
@@ -725,13 +630,11 @@ def semiregular_search(
 ) -> SemiregularResult:
     """Look for a semiregular element: a prime-order derangement.
 
-    Tries each prime dividing the group order in increasing order.  Exact
-    ("none" is a certificate) whenever every per-prime check ran an exact
-    method, which holds for the whole shipped corpus.
+    Tries each prime dividing the group order in increasing order.  Every
+    per-prime check is exact, so "none" is a certificate.
     """
     G = A.group
     order = A.wreath.order() if A.wreath is not None else G.order()
-    exact = True
     for p in prime_divisors(order):
         if G.is_transitive():
             v = is_r_elusive(A, p, budgets, determinism)
@@ -739,11 +642,9 @@ def semiregular_search(
                 w = v.witness
                 if isinstance(w, WreathElement):
                     w = w.to_permutation(budgets)
-                return SemiregularResult(w, p, v.exact, f"order-{p} derangement")
-            if not v.exact or v.status == PROBABILISTIC:
-                exact = False
+                return SemiregularResult(w, p, True, f"order-{p} derangement")
         else:
             w = derangement_backtrack(G, p, determinism=determinism)
             if w is not None:
                 return SemiregularResult(w, p, True, f"order-{p} derangement")
-    return SemiregularResult(None, None, exact, "none found" + ("" if exact else " (bounded)"))
+    return SemiregularResult(None, None, True, "none found")

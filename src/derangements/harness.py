@@ -12,7 +12,6 @@ byte-identical across runs.
 """
 
 import dataclasses
-import json
 import os
 import time
 from dataclasses import dataclass, field
@@ -21,7 +20,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from . import __version__
-from .config import Budgets, DEFAULT_BUDGETS, DEFAULT_SEED, BudgetExceeded
+from .config import (Budgets, DEFAULT_BUDGETS, DEFAULT_SEED, BudgetExceeded,
+                     CertificateError)
 from .numbers import factorize, prime_divisors
 from .perm import Permutation, PermGroup
 from .zoo import (GroupAction, SocleDecl, WreathSpec, assemble_stabilizer,
@@ -975,7 +975,8 @@ def _build_wr4_c4(env: ScenarioEnv):
     w_order = spec.order()
     h_order = stab.order() ** 4
     n_order = L.order() ** 4
-    assert w_order % h_order == 0 and n_order % h_order == 0
+    if w_order % h_order or n_order % h_order:
+        raise CertificateError("stabilizer order does not divide the group order")
     values["group_order"] = w_order
     values["stabilizer_order"] = h_order
     values["degree"] = w_order // h_order
@@ -1088,9 +1089,11 @@ SCENARIOS: Dict[str, Scenario] = {}
 
 
 def _register(s: Scenario):
-    assert s.id not in SCENARIOS, f"duplicate scenario {s.id}"
+    if s.id in SCENARIOS:
+        raise ValueError(f"duplicate scenario {s.id}")
     for e in s.expected:
-        assert e.citation.strip(), f"uncited expectation {e.key} in {s.id}"
+        if not e.citation.strip():
+            raise ValueError(f"uncited expectation {e.key} in {s.id}")
     SCENARIOS[s.id] = s
 
 

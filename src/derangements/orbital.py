@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .config import Budgets, DEFAULT_BUDGETS
+from .config import Budgets, DEFAULT_BUDGETS, CertificateError
 from .numbers import is_prime
 from .perm import PermGroup, BlockSystem
 from .zoo import (GroupAction, MersenneScenario, borel_subgroup, coset_action,
@@ -37,7 +37,8 @@ class SuborbitTable:
     degree: int
 
     def __post_init__(self):
-        assert sum(length for _, length in self.entries) == self.degree
+        if sum(length for _, length in self.entries) != self.degree:
+            raise CertificateError("subdegrees do not sum to the degree")
 
     def multiset(self) -> tuple:
         return tuple(sorted(length for _, length in self.entries))
@@ -167,21 +168,23 @@ def orbital_graph(A: GroupAction, alpha: int, beta: int) -> OrbitalGraph:
     # exhaustive arc-set invariance check under every generator
     for img in gens:
         for u, v in arcs:
-            assert int(img[u]) * n + int(img[v]) in seen, \
-                "arc set is not invariant"
+            if int(img[u]) * n + int(img[v]) not in seen:
+                raise CertificateError("arc set is not invariant")
 
     valencies = {len(a) for a in adj}
-    assert len(valencies) == 1, "orbital digraph has non-uniform out-valency"
+    if len(valencies) != 1:
+        raise CertificateError("orbital digraph has non-uniform out-valency")
     valency = valencies.pop()
 
     stab = G.point_stabilizer(alpha)
     beta_suborbit = stab.orbit(beta)
-    assert len(beta_suborbit) == valency
+    if len(beta_suborbit) != valency:
+        raise CertificateError("suborbit length differs from the out-valency")
     rep = paired_suborbit(A, alpha, beta)
     self_paired = rep in beta_suborbit
-    if self_paired:
-        assert all((v * n + u) in seen for u, v in arcs), \
-            "self-paired orbital must have a symmetric arc set"
+    if self_paired and not all((v * n + u) in seen for u, v in arcs):
+        raise CertificateError(
+            "self-paired orbital must have a symmetric arc set")
     return OrbitalGraph(n=n, adj=adj, self_paired=self_paired,
                         valency=valency, action=A, base_arc=(alpha, beta))
 
@@ -228,7 +231,8 @@ def connectivity_by_generation(A: GroupAction, alpha: int, beta: int) -> bool:
         raise ValueError("suborbit of beta is not self-paired; "
                          "no element interchanges alpha and beta")
     g = sub_trans[delta] * u_beta
-    assert int(g.images[alpha]) == beta and int(g.images[beta]) == alpha
+    if int(g.images[alpha]) != beta or int(g.images[beta]) != alpha:
+        raise CertificateError("element does not interchange alpha and beta")
     generated = PermGroup(list(stab.generators) + [g], degree=A.degree)
     return generated.order() == G.order()
 
@@ -284,7 +288,8 @@ def standard_double_cover(graph) -> Graph:
     n = graph.n
     for u in range(n):
         for v in graph.adj[u]:
-            assert u in graph.adj[v], "double cover needs an undirected graph"
+            if u not in graph.adj[v]:
+                raise CertificateError("double cover needs an undirected graph")
     adj = [[] for _ in range(2 * n)]
     for u in range(n):
         for v in graph.adj[u]:
@@ -352,18 +357,21 @@ def verify_double_cover_scenario(scn: MersenneScenario,
                                           line.provenance), H,
                               budgets=budgets)
     n_half = a_half.degree
-    assert a_full.degree == 2 * n_half
+    if a_full.degree != 2 * n_half:
+        raise CertificateError("the PGL coset space does not double the PSL one")
 
     # Sigma: a self-paired connected valency-p orbital graph of the PSL action.
     table = suborbits(a_half, 0)
     sigma = None
     for rep, length in table.entries:
         if length == p:
-            candidate = orbital_graph(a_half, 0, rep)
-            assert candidate.self_paired and is_connected(candidate)
-            sigma = candidate
+            sigma = orbital_graph(a_half, 0, rep)
+            if not (sigma.self_paired and is_connected(sigma)):
+                raise CertificateError(
+                    "valency-p orbital graph is not self-paired and connected")
             break
-    assert sigma is not None, "no valency-p suborbit found"
+    if sigma is None:
+        raise CertificateError("no valency-p suborbit found")
 
     # iota: PSL cosets -> PGL cosets through the shared canonical reps.
     cc_half, cc_full = a_half.parent, a_full.parent
@@ -377,16 +385,18 @@ def verify_double_cover_scenario(scn: MersenneScenario,
     g_mult = line.subgroups["PGL"].generators[1]
     H_sub = cc_full.stabilizer
     ginv = g_mult.inverse()
-    for h in H_sub.generators:
-        assert H_sub.contains(ginv * h * g_mult), \
-            "multiplier map must normalize the point stabilizer"
-    assert not line.subgroups["PSL"].contains(g_mult)
+    if not all(H_sub.contains(ginv * h * g_mult) for h in H_sub.generators):
+        raise CertificateError(
+            "multiplier map must normalize the point stabilizer")
+    if line.subgroups["PSL"].contains(g_mult):
+        raise CertificateError("multiplier map lies inside PSL")
 
     psi = np.empty(2 * n_half, dtype=np.int64)
     psi[:n_half] = iota
     psi[n_half:] = [cc_full.index_of(g_mult * cc_half.coset_reps[i])
                     for i in range(n_half)]
-    assert len(set(int(x) for x in psi)) == 2 * n_half, "psi is not a bijection"
+    if len(set(int(x) for x in psi)) != 2 * n_half:
+        raise CertificateError("psi is not a bijection")
 
     cover = standard_double_cover(sigma)
     mapped = {(int(psi[u]), int(psi[v]))

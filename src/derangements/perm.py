@@ -9,10 +9,11 @@ which is the way exponent notation reads in the group-theory literature.
 Points are 0-indexed internally and 1-indexed in cycle notation, file
 formats and reports.
 
-Groups carry a lazily built stabilizer chain.  Construction is randomized
-(seeded, default 0) for speed, followed by a deterministic verification
-sweep in which every Schreier generator of every level is sifted; the
-result is therefore exact, not Monte Carlo, and independent of the seed.
+Groups carry a lazily built stabilizer chain.  Construction sifts random
+words (from a generator seeded with the constant DEFAULT_SEED) for speed,
+followed by a deterministic verification sweep in which every Schreier
+generator of every level is sifted; the result is therefore exact, not
+Monte Carlo.  Chains are refused above DEFAULT_BUDGETS.chain_degree points.
 The chain supplies order, membership, uniform random elements, transversal
 enumeration, and the pruned backtrack search for fixed-point-free elements
 of prime order.
@@ -27,7 +28,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_BUDGETS, DEFAULT_SEED, BudgetExceeded
+from .config import (DEFAULT_BUDGETS, DEFAULT_SEED, BudgetExceeded,
+                     CertificateError)
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +187,6 @@ class Permutation:
         return f"Permutation({self.cycle_string()}, degree={self.degree})"
 
 
-def compose(a: Permutation, b: Permutation) -> Permutation:
-    """Left-to-right product: compose(a, b)(x) = b(a(x))."""
-    return a * b
-
-
 def conjugate(x: Permutation, g: Permutation) -> Permutation:
     """x^g = g^-1 * x * g (left-to-right)."""
     ginv = g.inverse()
@@ -199,14 +196,6 @@ def conjugate(x: Permutation, g: Permutation) -> Permutation:
 def commutator(a: Permutation, b: Permutation) -> Permutation:
     """[a, b] = a^-1 b^-1 a b."""
     return a.inverse() * b.inverse() * a * b
-
-
-def order_of(x: Permutation) -> int:
-    return x.order()
-
-
-def fixed_points(x: Permutation) -> set:
-    return x.fixed_points()
 
 
 # ---------------------------------------------------------------------------
@@ -274,21 +263,19 @@ class StabilizerChain:
     """
 
     def __init__(self, degree: int, generators: Sequence[Permutation],
-                 base_prefix: Sequence[int] = (), seed: int = DEFAULT_SEED,
-                 max_degree: Optional[int] = None):
-        if max_degree is None:
-            max_degree = DEFAULT_BUDGETS.chain_degree
-        if degree > max_degree:
+                 base_prefix: Sequence[int] = ()):
+        limit = DEFAULT_BUDGETS.chain_degree
+        if degree > limit:
             raise BudgetExceeded(
                 f"refusing to build a stabilizer chain at degree {degree} "
-                f"(limit {max_degree}); use the structural checkers instead")
+                f"(limit {limit}); use the structural checkers instead")
         self.degree = degree
         self.base: list = []
         self.levels: list = []
         self.strong: list = []  # (perm, depth)
         self._identity = Permutation.identity(degree)
         gens = [g for g in generators if not g.is_identity()]
-        self._build(gens, list(base_prefix), seed)
+        self._build(gens, list(base_prefix))
 
     # -- construction ------------------------------------------------------
 
@@ -347,7 +334,7 @@ class StabilizerChain:
             g = g * u.inverse()
         return g, len(self.levels)
 
-    def _build(self, gens: list, base_prefix: list, seed: int):
+    def _build(self, gens: list, base_prefix: list):
         for b in base_prefix:
             self._new_level(b)
         for g in gens:
@@ -360,7 +347,7 @@ class StabilizerChain:
 
         # randomized seeding: sift random words, add residues
         if self.strong:
-            rng = np.random.default_rng(seed)
+            rng = np.random.default_rng(DEFAULT_SEED)
             base_gens = [g for g, _ in self.strong]
             misses = 0
             while misses < 8:
@@ -457,9 +444,7 @@ def _dedup(perms: Iterable[Permutation]) -> list:
 class PermGroup:
     """A finite permutation group on {0, ..., degree-1} given by generators."""
 
-    def __init__(self, generators: Sequence[Permutation], degree: Optional[int] = None,
-                 chain_seed: int = DEFAULT_SEED,
-                 max_chain_degree: Optional[int] = None):
+    def __init__(self, generators: Sequence[Permutation], degree: Optional[int] = None):
         gens = list(generators)
         if not gens:
             if degree is None:
@@ -473,12 +458,10 @@ class PermGroup:
         self.degree = d
         self.generators = tuple(gens)
         self._chain: Optional[StabilizerChain] = None
-        self._chain_seed = chain_seed
-        self._max_chain_degree = max_chain_degree
         self._lock = threading.Lock()
         self._stab_cache: dict = {}
         self._order_r_rows_cache: dict = {}  # r -> order_r_rows result
-        self._class_reps_cache: dict = {}  # (r, mode) -> ClassInfo list
+        self._class_reps_cache: dict = {}  # r -> ClassInfo list
         self._transitive: Optional[bool] = None
 
     # -- chain -------------------------------------------------------------
@@ -488,9 +471,7 @@ class PermGroup:
         if self._chain is None:
             with self._lock:
                 if self._chain is None:
-                    self._chain = StabilizerChain(
-                        self.degree, self.generators, seed=self._chain_seed,
-                        max_degree=self._max_chain_degree)
+                    self._chain = StabilizerChain(self.degree, self.generators)
         return self._chain
 
     def order(self) -> int:
@@ -558,13 +539,12 @@ class PermGroup:
             raise ValueError(f"point {point} out of range")
         if point not in self._stab_cache:
             chain = StabilizerChain(self.degree, self.generators,
-                                    base_prefix=[point], seed=self._chain_seed,
-                                    max_degree=self._max_chain_degree)
-            gens = chain.stabilizer_gens(1)
-            sub = PermGroup(gens, degree=self.degree, chain_seed=self._chain_seed,
-                            max_chain_degree=self._max_chain_degree)
+                                    base_prefix=[point])
+            sub = PermGroup(chain.stabilizer_gens(1), degree=self.degree)
             # orbit-stabilizer cross-check comes for free
-            assert chain.order() == sub.order() * len(chain.levels[0].transversal)
+            if chain.order() != sub.order() * len(chain.levels[0].transversal):
+                raise CertificateError(
+                    "point stabilizer fails the orbit-stabilizer check")
             self._stab_cache[point] = sub
         return self._stab_cache[point]
 
@@ -581,9 +561,7 @@ class PermGroup:
         if not gens:
             return PermGroup([], degree=self.degree)
         while True:
-            candidate = PermGroup(gens, degree=self.degree,
-                                  chain_seed=self._chain_seed,
-                                  max_chain_degree=self._max_chain_degree)
+            candidate = PermGroup(gens, degree=self.degree)
             new = []
             for x in gens:
                 for g in self.generators:
@@ -611,8 +589,7 @@ class PermGroup:
         if other.degree != self.degree:
             raise ValueError("degree mismatch")
         return PermGroup(_dedup(self.generators + other.generators),
-                         degree=self.degree, chain_seed=self._chain_seed,
-                         max_chain_degree=self._max_chain_degree)
+                         degree=self.degree)
 
     # -- blocks -------------------------------------------------------------
 
@@ -775,62 +752,6 @@ class BlockSystem:
 
     def __repr__(self) -> str:
         return f"BlockSystem({self.cell_count} cells of size {self.cell_size})"
-
-
-# ---------------------------------------------------------------------------
-# spec-named module-level operations
-
-
-def orbit(G: PermGroup, point: int) -> set:
-    return G.orbit(point)
-
-
-def orbits(G: PermGroup) -> list:
-    return G.orbits()
-
-
-def is_transitive(G: PermGroup) -> bool:
-    return G.is_transitive()
-
-
-def build_chain(G: PermGroup) -> StabilizerChain:
-    return G.chain
-
-
-def group_order(G: PermGroup) -> int:
-    return G.order()
-
-
-def contains(G: PermGroup, x: Permutation) -> bool:
-    return G.contains(x)
-
-
-def point_stabilizer(G: PermGroup, point: int) -> PermGroup:
-    return G.point_stabilizer(point)
-
-
-def normal_closure(G: PermGroup, elements: Sequence[Permutation]) -> PermGroup:
-    return G.normal_closure(elements)
-
-
-def derived_subgroup(G: PermGroup) -> PermGroup:
-    return G.derived_subgroup()
-
-
-def is_normal(G: PermGroup, N: PermGroup) -> bool:
-    return G.is_normal(N)
-
-
-def minimal_block_system(G: PermGroup, alpha: int, beta: int):
-    return G.minimal_block_system(alpha, beta)
-
-
-def is_primitive(G: PermGroup) -> bool:
-    return G.is_primitive()
-
-
-def enumerate_elements(G: PermGroup, budget: Optional[int] = None) -> Iterator[Permutation]:
-    return G.enumerate_elements(budget=budget)
 
 
 # ---------------------------------------------------------------------------

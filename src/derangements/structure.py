@@ -75,8 +75,7 @@ class NormalStructureReport:
         return d
 
 
-def normal_structure(A: GroupAction, *, mode: str = "exhaustive",
-                     budgets: Budgets = DEFAULT_BUDGETS,
+def normal_structure(A: GroupAction, *, budgets: Budgets = DEFAULT_BUDGETS,
                      seed: int = DEFAULT_SEED) -> NormalStructureReport:
     """Classify a transitive action via closures of prime-order class reps.
 
@@ -92,21 +91,21 @@ def normal_structure(A: GroupAction, *, mode: str = "exhaustive",
     In the biquasiprimitive case the report also carries the index-two
     subgroup preserving the two orbits of a 2-orbit closure, together with
     the two halves.
+
+    No step draws on a caller's seed (stabilizer chains use the fixed
+    DEFAULT_SEED and are verified exactly), so ``seed`` reaches nothing;
+    it is accepted so that callers can pass a run's seed to every entry
+    point alike.
     """
     G = A.group
     if not G.is_transitive():
         raise ValueError("normal_structure requires a transitive action")
     order = G.order()
-    exact = True
     closures = []
     two_orbit_group = None
     two_orbit_order = None
     for r in prime_divisors(order):
-        infos = action_prime_order_class_reps(A, r, mode=mode,
-                                              budgets=budgets, seed=seed)
-        for ci in infos:
-            if not ci.exact:
-                exact = False
+        for ci in action_prime_order_class_reps(A, r, budgets=budgets):
             rep = ci.representative
             if not isinstance(rep, Permutation):
                 rep = rep.to_permutation(budgets)
@@ -132,8 +131,7 @@ def normal_structure(A: GroupAction, *, mode: str = "exhaustive",
         verdict = NEITHER
         gp, halves = None, None
     return NormalStructureReport(degree=A.degree, closures=closures,
-                                 verdict=verdict, g_plus=gp, halves=halves,
-                                 exact=exact)
+                                 verdict=verdict, g_plus=gp, halves=halves)
 
 
 def g_plus(A: GroupAction, N: PermGroup):
@@ -223,7 +221,7 @@ def _prime_order_reps_of_subgroup(A: GroupAction, N: PermGroup,
             from .numbers import is_prime
             if is_prime(rep.order()):
                 reps.append(rep)
-        return reps, True
+        return reps
 
     socle = A.declared_socle
     if socle is not None and socle.subgroup.order() == N.order() \
@@ -248,7 +246,7 @@ def _prime_order_reps_of_subgroup(A: GroupAction, N: PermGroup,
                 for j in range(k):
                     x = x * choice_lists[j][combo[j]]
                 reps.append(x)
-        return reps, True
+        return reps
 
     raise BudgetExceeded(
         "subgroup of order %d exceeds the scan budget and is not a declared "
@@ -266,6 +264,8 @@ def verify_minimal_normal(A: GroupAction, N: PermGroup,
     representatives y of G outside N; if some closure M = <y^G> satisfies
     |<M, N>| = |M| * |N| then M meets N trivially, so M contains a minimal
     normal subgroup different from N.
+
+    As in `normal_structure`, ``seed`` is accepted but reaches nothing.
     """
     G = A.group
     if not G.is_normal(N):
@@ -274,7 +274,7 @@ def verify_minimal_normal(A: GroupAction, N: PermGroup,
     if n_order == 1:
         raise ValueError("N must be nontrivial")
 
-    reps, exact = _prime_order_reps_of_subgroup(A, N, budgets)
+    reps = _prime_order_reps_of_subgroup(A, N, budgets)
     minimal = True
     closure_orders = []
     for x in reps:
@@ -286,10 +286,7 @@ def verify_minimal_normal(A: GroupAction, N: PermGroup,
     unique = True
     independent = None
     for r in prime_divisors(G.order()):
-        for ci in action_prime_order_class_reps(A, r, budgets=budgets,
-                                                seed=seed):
-            if not ci.exact:
-                exact = False
+        for ci in action_prime_order_class_reps(A, r, budgets=budgets):
             y = ci.representative
             if not isinstance(y, Permutation):
                 y = y.to_permutation(budgets)
@@ -306,5 +303,4 @@ def verify_minimal_normal(A: GroupAction, N: PermGroup,
     return MinimalNormalReport(minimal=minimal, unique=unique,
                                n_order=n_order,
                                closure_orders=closure_orders,
-                               independent_witness=independent,
-                               exact=exact)
+                               independent_witness=independent)

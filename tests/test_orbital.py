@@ -9,8 +9,8 @@ argument and the two answers must agree everywhere.
 import numpy as np
 import pytest
 
-from derangements import (BlockSystem, Graph, PermGroup, Permutation,
-                          WreathSpec, block_divisibility_check,
+from derangements import (BlockSystem, CertificateError, Graph, PermGroup,
+                          Permutation, WreathSpec, block_divisibility_check,
                           connectivity_by_generation, is_connected,
                           mersenne_scenario, natural_action, orbital_graph,
                           paired_suborbit, standard_double_cover, suborbits,
@@ -100,6 +100,15 @@ def test_orbital_graph_k4():
     assert is_connected(g)
     assert g.to_edge_list_text() == \
         "1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"
+
+
+def test_orbital_graph_certificate_failure_raises(monkeypatch):
+    # a wrong point stabilizer gives a suborbit shorter than the valency
+    trivial = PermGroup([], degree=4)
+    monkeypatch.setattr(PermGroup, "point_stabilizer",
+                        lambda self, point: trivial)
+    with pytest.raises(CertificateError, match="suborbit length"):
+        orbital_graph(natural_action(symmetric(4), "S4"), 0, 1)
 
 
 def test_orbital_graph_directed_4_cycle():

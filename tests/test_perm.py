@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from derangements import (BlockSystem, PermGroup, Permutation, compose,
-                          conjugate, commutator, derangement_backtrack,
+from derangements import (BlockSystem, PermGroup, Permutation, conjugate,
+                          commutator, derangement_backtrack,
                           parse_cycles)
 from derangements.perm import permutation_from_cycles_1indexed
 
@@ -17,7 +17,7 @@ def test_composition_is_left_to_right():
     b = Permutation(np.array([0, 2, 1]))  # (1 2)
     ab = a * b
     assert ab(0) == b(a(0)) == 2
-    assert compose(a, b) == ab
+    assert a * b == ab
     assert (a * b) * a == a * (b * a)
 
 

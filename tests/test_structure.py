@@ -5,7 +5,9 @@ the classifier's verdicts must match what direct enumeration of normal
 closures gives.
 """
 
+import ast
 import dataclasses
+import glob
 import os
 import subprocess
 import sys
@@ -142,6 +144,21 @@ OPTIMIZED_RUN = textwrap.dedent("""
     except CertificateError as e:
         print("raised:", e)
 """)
+
+
+def test_no_assert_statements_in_the_library():
+    # python -O strips assert; library checks must raise instead
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src",
+                       "derangements", "*.py")
+    paths = sorted(glob.glob(src))
+    assert paths
+    found = []
+    for path in paths:
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        found += [f"{os.path.basename(path)}:{node.lineno}"
+                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_certificate_checks_survive_python_O():
