@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import DEFAULT_BUDGETS
-from .perm import Permutation
+from .config import DEFAULT_BUDGETS, CertificateError
+from .perm import Permutation, batch_power
 
 __all__ = [
     "batch_power",
@@ -32,20 +32,6 @@ __all__ = [
     "exhaustive_class_partition",
     "partition_rows_by_conjugacy",
 ]
-
-
-def batch_power(rows: np.ndarray, e: int) -> np.ndarray:
-    """Row-wise e-th power of a batch of image rows (square and multiply)."""
-    m, n = rows.shape
-    acc = np.tile(np.arange(n, dtype=np.int64), (m, 1))
-    base = rows
-    while e:
-        if e & 1:
-            acc = np.take_along_axis(base, acc, axis=1)
-        e >>= 1
-        if e:
-            base = np.take_along_axis(base, base, axis=1)
-    return acc
 
 
 def identity_mask(rows: np.ndarray) -> np.ndarray:
@@ -133,7 +119,7 @@ def partition_rows_by_conjugacy(G, rows: np.ndarray) -> list:
         for key in cls:
             j = index.get(key)
             if j is None:
-                raise AssertionError("conjugation left the scanned row set")
+                raise CertificateError("conjugation left the scanned row set")
             members.append(j)
         members = np.array(sorted(members), dtype=np.int64)
         done[members] = True
@@ -166,6 +152,6 @@ def exhaustive_class_partition(G, budget: int = DEFAULT_BUDGETS.exhaustive) -> l
             rep = block[np.lexsort(block.T[::-1])[0]]
             reps.append((Permutation._raw(rep.copy()), len(cls)))
     if sum(size for _, size in reps) != order:
-        raise AssertionError("class sizes do not sum to the group order")
+        raise CertificateError("class sizes do not sum to the group order")
     reps.sort(key=lambda t: (t[0].order(), tuple(t[0].images)))
     return reps

@@ -23,7 +23,7 @@ from .classes import (
     _budget_error,
     _conjugacy_class,
 )
-from .config import DEFAULT_BUDGETS, Budgets, BudgetExceeded
+from .config import DEFAULT_BUDGETS, Budgets, BudgetExceeded, CertificateError
 from .numbers import is_prime, prime_divisors
 from .perm import Permutation, PermGroup, derangement_backtrack
 from .zoo import GroupAction, WreathElement, WreathSpec
@@ -62,7 +62,7 @@ METHOD_WREATH = "wreath-structural"
 class ClassInfo:
     """One conjugacy class of prime-order elements."""
 
-    representative: Union[Permutation, WreathElement]
+    representative: Permutation
     order: int
     class_size: int
     min_fixed_points: int
@@ -186,10 +186,10 @@ def prime_order_class_reps(
     for rep_row, members in partition_rows_by_conjugacy(G, rows):
         cls_counts = counts[members]
         if cls_counts.min() != cls_counts.max():
-            raise AssertionError("fixed-point count varies inside a conjugacy class")
+            raise CertificateError("fixed-point count varies inside a conjugacy class")
         size = len(members)
         if order % size != 0:
-            raise AssertionError("class size does not divide the group order")
+            raise CertificateError("class size does not divide the group order")
         infos.append(
             ClassInfo(
                 representative=Permutation._raw(rep_row.copy()),
@@ -231,10 +231,7 @@ def action_prime_order_class_reps(
 
 
 def _push_class_info(A: GroupAction, ci: ClassInfo) -> ClassInfo:
-    rep = ci.representative
-    if isinstance(rep, WreathElement):
-        rep = rep.to_permutation()
-    pushed = A.parent.push(rep, check_membership=False)
+    pushed = A.parent.push(ci.representative, check_membership=False)
     return ClassInfo(
         representative=pushed,
         order=ci.order,
@@ -254,10 +251,7 @@ def _base_class_labels(spec: WreathSpec, r: int, budgets: Budgets) -> list:
     labels = [(ident, 1)]
     for ci in action_prime_order_class_reps(spec.base_action, r,
                                             budgets=budgets):
-        rep = ci.representative
-        if isinstance(rep, WreathElement):
-            rep = rep.to_permutation()
-        labels.append((rep, ci.class_size))
+        labels.append((ci.representative, ci.class_size))
     return labels
 
 
@@ -320,7 +314,7 @@ def wreath_prime_order_class_reps(
         fixed = [c[0] for c in cycles if len(c) == 1]
         m = sum(1 for c in cycles if len(c) == r)
         if len(fixed) + m * r != k:
-            raise AssertionError("order-r top element with a bad cycle type")
+            raise CertificateError("order-r top element with a bad cycle type")
         free = lorder ** ((r - 1) * m)
         n_labels = len(labels)
         seen_f = set()
@@ -346,7 +340,7 @@ def wreath_prime_order_class_reps(
     worder = spec.order()
     for ci in infos:
         if worder % ci.class_size != 0:
-            raise AssertionError("wreath class size does not divide the group order")
+            raise CertificateError("wreath class size does not divide the group order")
     infos.sort(key=lambda ci: (ci.class_size, ci.min_fixed_points))
     return infos
 
@@ -362,7 +356,7 @@ def _wreath_class_info(
     spec: WreathSpec, rep: WreathElement, r: int, size: int, budgets: Budgets
 ) -> ClassInfo:
     if rep.order() != r:
-        raise AssertionError("wreath class representative has the wrong order")
+        raise CertificateError("wreath class representative has the wrong order")
     mat = rep.to_permutation(budgets)
     return ClassInfo(
         representative=mat,

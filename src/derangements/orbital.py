@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import Budgets, DEFAULT_BUDGETS, CertificateError
 from .numbers import is_prime
-from .perm import PermGroup, BlockSystem
+from .perm import BlockSystem, PermGroup, Permutation
 from .zoo import (GroupAction, MersenneScenario, borel_subgroup, coset_action,
                   projective_line_action)
 
@@ -119,6 +119,21 @@ class OrbitalGraph:
                 f"self_paired={self.self_paired})")
 
 
+def _transversal_row(G: PermGroup, alpha: int, beta: int):
+    """Image row of an element of G sending alpha to beta, or None when
+    beta lies outside the orbit of alpha."""
+    points, rows = G.orbit_with_transversal(alpha)
+    k = int(np.searchsorted(points, beta))
+    if k == len(points) or points[k] != beta:
+        return None
+    return rows[k].copy()
+
+
+def _preimage(row: np.ndarray, point: int) -> int:
+    """The point that the image row sends to `point`."""
+    return int(np.flatnonzero(row == point)[0])
+
+
 def paired_suborbit(A: GroupAction, alpha: int, beta: int) -> int:
     """Representative of the suborbit paired to that of beta.
 
@@ -128,65 +143,57 @@ def paired_suborbit(A: GroupAction, alpha: int, beta: int) -> int:
     """
     if alpha == beta:
         raise ValueError("paired_suborbit needs two distinct points")
-    G = A.group
-    trans = G.orbit_with_transversal(alpha)
-    if beta not in trans:
+    u = _transversal_row(A.group, alpha, beta)
+    if u is None:
         raise ValueError("alpha and beta lie in different orbits")
-    g0 = trans[beta].inverse()
-    return int(g0.images[alpha])
+    return _preimage(u, alpha)
 
 
 def orbital_graph(A: GroupAction, alpha: int, beta: int) -> OrbitalGraph:
-    """Orbital digraph with arc set (alpha, beta)^G, built by BFS on pairs."""
+    """Orbital digraph with arc set (alpha, beta)^G, built by one gather.
+
+    With rows[u] a group element sending alpha to u and S the G_alpha-orbit
+    of beta, the arcs leaving u are S^{rows[u]}: the gather rows[:, S].
+    Certificates, each raising CertificateError:
+    * alpha's orbit is every point, so all out-valencies equal |S|;
+    * the stabilizer's generators fix alpha, so S lies in the suborbit of
+      beta and every gathered arc in (alpha, beta)^G;
+    * the arcs are invariant under G's generators, so they contain, hence
+      equal, (alpha, beta)^G; an S shorter than the out-valency fails here;
+    * a self-paired orbital (alpha's paired point in S) is symmetric.
+    """
     if alpha == beta:
         raise ValueError("orbital graphs need two distinct points")
     G = A.group
     n = A.degree
-    gens = [g.images for g in G.generators]
-    seen = set()
-    start = alpha * n + beta
-    seen.add(start)
-    frontier = [(alpha, beta)]
-    arcs = [(alpha, beta)]
-    while frontier:
-        nxt = []
-        for u, v in frontier:
-            for img in gens:
-                a, b = int(img[u]), int(img[v])
-                key = a * n + b
-                if key not in seen:
-                    seen.add(key)
-                    nxt.append((a, b))
-                    arcs.append((a, b))
-        frontier = nxt
-
-    adj = [[] for _ in range(n)]
-    for u, v in arcs:
-        adj[u].append(v)
-    adj = tuple(tuple(sorted(a)) for a in adj)
-
-    # exhaustive arc-set invariance check under every generator
-    for img in gens:
-        for u, v in arcs:
-            if int(img[u]) * n + int(img[v]) not in seen:
-                raise CertificateError("arc set is not invariant")
-
-    valencies = {len(a) for a in adj}
-    if len(valencies) != 1:
+    points, rows = G.orbit_with_transversal(alpha)
+    if len(points) != n:
         raise CertificateError("orbital digraph has non-uniform out-valency")
-    valency = valencies.pop()
-
     stab = G.point_stabilizer(alpha)
-    beta_suborbit = stab.orbit(beta)
-    if len(beta_suborbit) != valency:
-        raise CertificateError("suborbit length differs from the out-valency")
-    rep = paired_suborbit(A, alpha, beta)
-    self_paired = rep in beta_suborbit
-    if self_paired and not all((v * n + u) in seen for u, v in arcs):
-        raise CertificateError(
-            "self-paired orbital must have a symmetric arc set")
-    return OrbitalGraph(n=n, adj=adj, self_paired=self_paired,
-                        valency=valency, action=A, base_arc=(alpha, beta))
+    if any(g.images[alpha] != alpha for g in stab.generators):
+        raise CertificateError("point stabilizer moves alpha")
+    suborbit = np.array(sorted(stab.orbit(beta)), dtype=np.int64)
+    adj = np.sort(rows[:, suborbit], axis=1)  # points == range(n)
+    rep = _preimage(rows[beta], alpha)
+    del rows  # drop the n x n transversal before the checks and tuples
+
+    for g in G.generators:
+        img = g.images
+        if not (np.sort(img[adj], axis=1) == adj[img]).all():
+            raise CertificateError(
+                "arc set is not invariant: the suborbit length differs "
+                "from the out-valency of the orbital")
+
+    self_paired = rep in suborbit
+    if self_paired:
+        tails = np.arange(n, dtype=np.int64)[:, None]
+        arcs = (tails * n + adj).ravel()  # sorted: rows and tails ascend
+        if not np.array_equal(np.sort((adj * n + tails).ravel()), arcs):
+            raise CertificateError(
+                "self-paired orbital must have a symmetric arc set")
+    return OrbitalGraph(n=n, adj=tuple(map(tuple, adj.tolist())),
+                        self_paired=self_paired, valency=len(suborbit),
+                        action=A, base_arc=(alpha, beta))
 
 
 def is_connected(graph) -> bool:
@@ -221,16 +228,14 @@ def connectivity_by_generation(A: GroupAction, alpha: int, beta: int) -> bool:
         raise ValueError("need two distinct points")
     G = A.group
     stab = G.point_stabilizer(alpha)
-    trans = G.orbit_with_transversal(alpha)
-    if beta not in trans:
+    u_beta = _transversal_row(G, alpha, beta)
+    if u_beta is None:
         raise ValueError("alpha and beta lie in different orbits")
-    u_beta = trans[beta]
-    delta = int(u_beta.inverse().images[alpha])
-    sub_trans = stab.orbit_with_transversal(beta)
-    if delta not in sub_trans:
+    v = _transversal_row(stab, beta, _preimage(u_beta, alpha))
+    if v is None:
         raise ValueError("suborbit of beta is not self-paired; "
                          "no element interchanges alpha and beta")
-    g = sub_trans[delta] * u_beta
+    g = Permutation._raw(u_beta[v])  # v * u_beta
     if int(g.images[alpha]) != beta or int(g.images[beta]) != alpha:
         raise CertificateError("element does not interchange alpha and beta")
     generated = PermGroup(list(stab.generators) + [g], degree=A.degree)
@@ -289,7 +294,7 @@ def standard_double_cover(graph) -> Graph:
     for u in range(n):
         for v in graph.adj[u]:
             if u not in graph.adj[v]:
-                raise CertificateError("double cover needs an undirected graph")
+                raise ValueError("double cover needs an undirected graph")
     adj = [[] for _ in range(2 * n)]
     for u in range(n):
         for v in graph.adj[u]:

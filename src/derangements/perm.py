@@ -15,8 +15,15 @@ followed by a deterministic verification sweep in which every Schreier
 generator of every level is sifted; the result is therefore exact, not
 Monte Carlo.  Chains are refused above DEFAULT_BUDGETS.chain_degree points.
 The chain supplies order, membership, uniform random elements, transversal
-enumeration, and the pruned backtrack search for fixed-point-free elements
-of prime order.
+enumeration, canonical right-coset representatives, and the pruned
+backtrack search for fixed-point-free elements of prime order.
+
+The chain alone decides the transversal format (see _Orbit): per level, an
+int64 matrix of representative image rows, one per orbit point in sorted
+order.  Strong generators are image rows too, so building and sifting make
+no Permutation objects.  Inverse rows are not stored: a sift step computes
+the one it needs with one scatter, whereas a stored inverse would double
+the matrices, the part of a chain whose size grows with the degree.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from __future__ import annotations
 import math
 import re
 import threading
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -101,9 +108,7 @@ class Permutation:
         return int(self.images[point])
 
     def inverse(self) -> "Permutation":
-        inv = np.empty_like(self.images)
-        inv[self.images] = np.arange(self.images.size, dtype=np.int64)
-        return Permutation._raw(inv)
+        return Permutation._raw(_inverse_row(self.images))
 
     def __pow__(self, k: int) -> "Permutation":
         n = self.images.size
@@ -187,6 +192,20 @@ class Permutation:
         return f"Permutation({self.cycle_string()}, degree={self.degree})"
 
 
+def batch_power(rows: np.ndarray, e: int) -> np.ndarray:
+    """Row-wise e-th power of a batch of image rows (square and multiply)."""
+    m, n = rows.shape
+    acc = np.tile(np.arange(n, dtype=np.int64), (m, 1))
+    base = rows
+    while e:
+        if e & 1:
+            acc = np.take_along_axis(base, acc, axis=1)
+        e >>= 1
+        if e:
+            base = np.take_along_axis(base, base, axis=1)
+    return acc
+
+
 def conjugate(x: Permutation, g: Permutation) -> Permutation:
     """x^g = g^-1 * x * g (left-to-right)."""
     ginv = g.inverse()
@@ -245,21 +264,61 @@ def permutation_from_cycles_1indexed(degree: int, cycles: Iterable[Sequence[int]
 # stabilizer chains
 
 
-class _Level:
-    __slots__ = ("point", "transversal", "order_pts")
+def _inverse_row(row: np.ndarray) -> np.ndarray:
+    inv = np.empty_like(row)
+    inv[row] = np.arange(row.size, dtype=np.int64)
+    return inv
 
-    def __init__(self, point: int):
-        self.point = point
-        self.transversal: dict = {}
-        self.order_pts: list = []  # orbit points in discovery order
+
+class _Orbit(NamedTuple):
+    """An orbit with a transversal, the format of every chain level.
+
+    Row k of `rows` is the image array of an element taking `point` to
+    points[k] (sorted); `index` maps a point to its row (-1 off the orbit);
+    `discovered` lists the points in breadth-first order.
+    """
+
+    point: int
+    points: np.ndarray
+    rows: np.ndarray
+    index: np.ndarray
+    discovered: np.ndarray
+
+
+def _orbit(point: int, gens: np.ndarray) -> _Orbit:
+    """Breadth-first orbit of `point` under the image rows `gens`.
+
+    A new point q is first reached as p^g; its representative rep(p) * g
+    is written after the search straight into the one rows matrix.
+    """
+    n = gens.shape[1]
+    images = gens.tolist()
+    reached = {point: None}  # q -> (p, generator index)
+    discovered = [point]
+    for p in discovered:  # grows while it is walked
+        for j, img in enumerate(images):
+            q = img[p]
+            if q not in reached:
+                reached[q] = (p, j)
+                discovered.append(q)
+    points = np.array(sorted(reached), dtype=np.int64)
+    index = np.full(n, -1, dtype=np.int64)
+    index[points] = np.arange(points.size)
+    rows = np.empty((points.size, n), dtype=np.int64)
+    rows[index[point]] = np.arange(n)
+    for q in discovered[1:]:
+        p, j = reached[q]
+        rows[index[q]] = gens[j][rows[index[p]]]
+    return _Orbit(point, points, rows, index, np.array(discovered))
 
 
 class StabilizerChain:
     """Base, transversals and strong generators for a permutation group.
 
-    ``strong`` holds all strong generators; a generator belongs to level i
-    when it fixes base[0..i-1] pointwise.  Transversal representatives u
-    satisfy base[i]^u = orbit point.
+    ``strong`` holds all strong generators as (image row, depth) pairs; a
+    generator belongs to level i when it fixes base[0..i-1] pointwise.
+    Level i's row for an orbit point q is a representative u with
+    base[i]^u = q.
     """
 
     def __init__(self, degree: int, generators: Sequence[Permutation],
@@ -272,66 +331,46 @@ class StabilizerChain:
         self.degree = degree
         self.base: list = []
         self.levels: list = []
-        self.strong: list = []  # (perm, depth)
-        self._identity = Permutation.identity(degree)
-        gens = [g for g in generators if not g.is_identity()]
+        self.strong: list = []  # (image row, depth)
+        self._identity = np.arange(degree, dtype=np.int64)
+        gens = [g.images for g in generators if not g.is_identity()]
         self._build(gens, list(base_prefix))
 
     # -- construction ------------------------------------------------------
 
-    def _depth(self, g: Permutation) -> int:
+    def _depth(self, g: np.ndarray) -> int:
         """Number of leading base points fixed by g."""
-        d = 0
-        for b in self.base:
-            if g.images[b] != b:
-                break
-            d += 1
-        return d
+        moved = np.flatnonzero(g[self.base] != self.base)
+        return int(moved[0]) if moved.size else len(self.base)
 
-    def _level_gens(self, i: int) -> list:
-        return [g for g, depth in self.strong if depth >= i]
+    def _level_gens(self, i: int) -> np.ndarray:
+        gens = [g for g, depth in self.strong if depth >= i]
+        return np.array(gens, dtype=np.int64).reshape(len(gens), self.degree)
 
     def _new_level(self, point: int):
         self.base.append(point)
-        self.levels.append(_Level(point))
+        self.levels.append(_orbit(point, self._level_gens(len(self.base) - 1)))
 
     def _recompute_transversal(self, i: int):
-        lvl = self.levels[i]
-        gens = self._level_gens(i)
-        b = lvl.point
-        trans = {b: self._identity}
-        order_pts = [b]
-        qi = 0
-        while qi < len(order_pts):
-            pt = order_pts[qi]
-            qi += 1
-            u = trans[pt]
-            for g in gens:
-                q = int(g.images[pt])
-                if q not in trans:
-                    trans[q] = u * g
-                    order_pts.append(q)
-        lvl.transversal = trans
-        lvl.order_pts = order_pts
+        self.levels[i] = _orbit(self.base[i], self._level_gens(i))
 
-    def _add_strong(self, g: Permutation):
+    def _add_strong(self, g: np.ndarray):
         depth = self._depth(g)
         if depth == len(self.base):
             # g fixes the whole base: extend it with g's first moved point
-            moved = int(np.nonzero(g.images != np.arange(self.degree))[0][0])
-            self._new_level(moved)
+            self._new_level(int(np.flatnonzero(g != self._identity)[0]))
         self.strong.append((g, depth))
         return depth
 
-    def sift(self, g: Permutation, from_level: int = 0):
-        """Strip g through transversals; return (residue, stuck_level)."""
+    def _sift(self, g: np.ndarray, from_level: int = 0):
+        """Strip the image row g through the levels; return (residue,
+        stuck_level)."""
         for i in range(from_level, len(self.levels)):
             lvl = self.levels[i]
-            pt = int(g.images[lvl.point])
-            u = lvl.transversal.get(pt)
-            if u is None:
+            k = lvl.index[g[lvl.point]]
+            if k < 0:
                 return g, i
-            g = g * u.inverse()
+            g = _inverse_row(lvl.rows[k])[g]  # g * u^-1
         return g, len(self.levels)
 
     def _build(self, gens: list, base_prefix: list):
@@ -339,9 +378,6 @@ class StabilizerChain:
             self._new_level(b)
         for g in gens:
             self._add_strong(g)
-        if not self.base and self.strong:
-            # ensured by _add_strong, but keep the invariant explicit
-            raise AssertionError("base setup failed")
         for i in range(len(self.levels)):
             self._recompute_transversal(i)
 
@@ -354,9 +390,9 @@ class StabilizerChain:
                 word = rng.integers(0, len(base_gens), size=int(rng.integers(2, 8)))
                 w = base_gens[word[0]]
                 for idx in word[1:]:
-                    w = w * base_gens[idx]
-                residue, _ = self.sift(w)
-                if residue.is_identity():
+                    w = base_gens[idx][w]  # w * g
+                residue, _ = self._sift(w)
+                if (residue == self._identity).all():
                     misses += 1
                 else:
                     misses = 0
@@ -372,14 +408,13 @@ class StabilizerChain:
             lvl = self.levels[i]
             gens_i = self._level_gens(i)
             restart = False
-            for pt in list(lvl.order_pts):
-                u = lvl.transversal[pt]
+            for pt in lvl.discovered.tolist():
+                u = lvl.rows[lvl.index[pt]]
                 for s in gens_i:
-                    q = int(s.images[pt])
-                    u2 = lvl.transversal[q]
-                    schreier = u * s * u2.inverse()
-                    residue, j = self.sift(schreier, i + 1)
-                    if not residue.is_identity():
+                    u2 = lvl.rows[lvl.index[s[pt]]]
+                    schreier = _inverse_row(u2)[s[u]]  # u * s * u2^-1
+                    residue, j = self._sift(schreier, i + 1)
+                    if not (residue == self._identity).all():
                         d = self._add_strong(residue)
                         for lev in range(min(d, j), len(self.levels)):
                             self._recompute_transversal(lev)
@@ -396,38 +431,39 @@ class StabilizerChain:
     def order(self) -> int:
         n = 1
         for lvl in self.levels:
-            n *= len(lvl.transversal)
+            n *= len(lvl.points)
         return n
 
     def contains(self, g: Permutation) -> bool:
         if g.degree != self.degree:
             return False
-        residue, _ = self.sift(g)
-        return residue.is_identity()
+        residue, _ = self._sift(g.images)
+        return bool((residue == self._identity).all())
 
     def stabilizer_gens(self, level: int = 1) -> list:
         """Strong generators fixing base[0..level-1] pointwise."""
-        return self._level_gens(level)
+        return [Permutation._raw(g) for g, depth in self.strong if depth >= level]
 
     def random_element(self, rng: np.random.Generator) -> Permutation:
         img = np.arange(self.degree, dtype=np.int64)
         for lvl in reversed(self.levels):
-            pts = lvl.order_pts
-            u = lvl.transversal[pts[int(rng.integers(0, len(pts)))]]
-            img = u.images[img]  # img := img * u, building t_{k-1}...t_0
+            pts = lvl.discovered
+            u = lvl.rows[lvl.index[pts[int(rng.integers(0, len(pts)))]]]
+            img = u[img]  # img := img * u, building t_{k-1}...t_0
         return Permutation._raw(img)
 
-    def transversal_matrices(self) -> list:
-        """Per level, the image rows of transversal reps (orbit-point order)."""
-        out = []
+    def canonical_row(self, img: np.ndarray) -> np.ndarray:
+        """Image row of the element of the right coset H*x (x given by its
+        image row, H this chain's group) whose base images are least."""
         for lvl in self.levels:
-            rows = np.stack([lvl.transversal[pt].images for pt in sorted(lvl.transversal)])
-            out.append(rows)
-        return out
+            img = img[lvl.rows[int(np.argmin(img[lvl.points]))]]
+        return img
 
 
 # ---------------------------------------------------------------------------
 # groups
+
+_BATCH_ROWS = 65536  # rows per element_batches block
 
 
 def _dedup(perms: Iterable[Permutation]) -> list:
@@ -518,19 +554,12 @@ class PermGroup:
             self._transitive = len(self.orbit(0)) == self.degree
         return self._transitive
 
-    def orbit_with_transversal(self, point: int) -> dict:
-        """Map orbit point -> group element sending `point` there."""
-        reps = {point: Permutation.identity(self.degree)}
-        queue = [point]
-        while queue:
-            pt = queue.pop(0)
-            u = reps[pt]
-            for g in self.generators:
-                q = int(g.images[pt])
-                if q not in reps:
-                    reps[q] = u * g
-                    queue.append(q)
-        return reps
+    def orbit_with_transversal(self, point: int) -> tuple:
+        """The orbit of `point`, sorted, and an image-row matrix whose row k
+        is a group element sending `point` to points[k], as a chain level."""
+        gens = np.stack([g.images for g in self.generators])
+        orbit = _orbit(point, gens)
+        return orbit.points, orbit.rows
 
     # -- derived subgroups, closures ----------------------------------------
 
@@ -542,7 +571,7 @@ class PermGroup:
                                     base_prefix=[point])
             sub = PermGroup(chain.stabilizer_gens(1), degree=self.degree)
             # orbit-stabilizer cross-check comes for free
-            if chain.order() != sub.order() * len(chain.levels[0].transversal):
+            if chain.order() != sub.order() * len(chain.levels[0].points):
                 raise CertificateError(
                     "point stabilizer fails the orbit-stabilizer check")
             self._stab_cache[point] = sub
@@ -657,20 +686,21 @@ class PermGroup:
 
     # -- enumeration ---------------------------------------------------------
 
-    def element_batches(self, max_rows: int = 65536) -> Iterator[np.ndarray]:
+    def element_batches(self) -> Iterator[np.ndarray]:
         """Yield image matrices whose rows enumerate the group exactly once.
 
         Rows are products t_{k-1}...t_0 of transversal representatives, so
-        uniqueness follows from the chain's unique factorization.
+        uniqueness follows from the chain's unique factorization.  Batches
+        hold at most _BATCH_ROWS rows unless one level alone is larger.
         """
-        mats = self.chain.transversal_matrices()
+        mats = [lvl.rows for lvl in self.chain.levels]
         n = self.degree
         if not mats:
             yield np.arange(n, dtype=np.int64)[None, :]
             return
         suffix = np.arange(n, dtype=np.int64)[None, :]
         j = len(mats)
-        while j > 0 and suffix.shape[0] * mats[j - 1].shape[0] <= max_rows:
+        while j > 0 and suffix.shape[0] * mats[j - 1].shape[0] <= _BATCH_ROWS:
             T = mats[j - 1]
             # products of levels >= j-1: rows T[t][suffix[s]]
             suffix = T[:, suffix].reshape(-1, n)
@@ -768,7 +798,6 @@ def derangement_backtrack(G: PermGroup, r: int, determinism: bool = False) -> Op
     was exhausted.  In determinism mode the lexicographically least witness
     is returned (full exploration); otherwise the first one found.
     """
-    n = G.degree
     if G.order() % r != 0:
         return None  # no elements of that order exist
     chain = G.chain
@@ -776,56 +805,31 @@ def derangement_backtrack(G: PermGroup, r: int, determinism: bool = False) -> Op
     if not levels:
         return None
     base = chain.base
-    ident = np.arange(n, dtype=np.int64)
+    ident = np.arange(G.degree, dtype=np.int64)
+    best: Optional[Permutation] = None
 
-    best: Optional[np.ndarray] = None
-
-    # iterative DFS; stack holds (level_index, partial_images)
-    # partial at depth i is t_i * ... * t_0 (the factors applied last)
-    level_rows = []
-    for lvl in levels:
-        pts = sorted(lvl.transversal)
-        level_rows.append([lvl.transversal[p].images for p in pts])
-
+    # iterative DFS; stack holds (level_index, partial_images), partial
+    # being t_{i-1} * ... * t_0 (the factors applied last)
     stack = [(0, None)]
     while stack:
         i, partial = stack.pop()
-        if i == len(levels):
-            g = partial if partial is not None else ident
-            if (g == ident).any():  # fixed point (or the identity itself)
-                continue
-            # order test: r prime, so order r <=> g^r = id and g != id
-            res = ident
-            e = r
-            sq = g
-            while e:
-                if e & 1:
-                    res = sq[res]
-                sq = sq[sq]
-                e >>= 1
-            if not (res == ident).all():
-                continue
-            if determinism:
-                cand = g
-                if best is None or tuple(cand) < tuple(best):
-                    best = cand.copy()
-            else:
-                return Permutation._raw(g.copy())
-            continue
-        rows = level_rows[i]
+        rows = levels[i].rows
+        new = rows if partial is None else partial[rows]
+        # prune: some base point b_j (j <= i) already fixed by the leaf
         bases = base[: i + 1]
-        children = []
-        for t in rows:
-            new = t if partial is None else partial[t]
-            # prune: some base point b_j (j <= i) already fixed by the leaf
-            ok = True
-            for b in bases:
-                if new[b] == b:
-                    ok = False
-                    break
-            if ok:
-                children.append((i + 1, new))
-        stack.extend(reversed(children))
-    if best is not None:
-        return Permutation._raw(best)
-    return None
+        new = new[(new[:, bases] != bases).all(axis=1)]
+        if i + 1 < len(levels):
+            stack.extend((i + 1, child) for child in new[::-1])
+            continue
+        # leaves: no fixed point rules out the identity; r is prime, so
+        # the order is r exactly when g^r = id
+        new = new[~(new == ident).any(axis=1)]
+        new = new[(batch_power(new, r) == ident).all(axis=1)]
+        if not len(new):
+            continue
+        if not determinism:
+            return Permutation._raw(new[0].copy())
+        least = new[np.lexsort(new.T[::-1])[0]]
+        if best is None or tuple(least) < tuple(best.images):
+            best = Permutation._raw(least.copy())
+    return best

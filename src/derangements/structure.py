@@ -107,8 +107,6 @@ def normal_structure(A: GroupAction, *, budgets: Budgets = DEFAULT_BUDGETS,
     for r in prime_divisors(order):
         for ci in action_prime_order_class_reps(A, r, budgets=budgets):
             rep = ci.representative
-            if not isinstance(rep, Permutation):
-                rep = rep.to_permutation(budgets)
             closure = G.normal_closure([rep])
             if not G.is_normal(closure):
                 raise CertificateError("normal closure is not normal in G")
@@ -288,8 +286,6 @@ def verify_minimal_normal(A: GroupAction, N: PermGroup,
     for r in prime_divisors(G.order()):
         for ci in action_prime_order_class_reps(A, r, budgets=budgets):
             y = ci.representative
-            if not isinstance(y, Permutation):
-                y = y.to_permutation(budgets)
             if N.contains(y):
                 continue
             M = G.normal_closure([y])

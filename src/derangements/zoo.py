@@ -16,7 +16,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .classes import exhaustive_class_partition
-from .config import DEFAULT_BUDGETS, DEFAULT_SEED, Budgets, BudgetExceeded
+from .config import (DEFAULT_BUDGETS, DEFAULT_SEED, Budgets, BudgetExceeded,
+                     CertificateError)
 from .numbers import is_prime, prime_divisors, primitive_root_mod, radical
 from .perm import (
     Permutation,
@@ -262,7 +263,7 @@ def projective_line_action(q: int, budgets: Budgets = DEFAULT_BUDGETS) -> GroupA
             x = int(mul[x, lam])
             ordl += 1
         if ordl != 8:
-            raise AssertionError("1+t should generate the units of F9")
+            raise CertificateError("1+t should generate the units of F9")
         trans = np.array([int(add[x, 1]) for x in range(9)] + [infinity])
         scale = np.array([int(mul[lam, x]) for x in range(9)] + [infinity])
         invm = np.array([infinity] + [int(inv[x]) for x in range(1, 9)] + [0])
@@ -272,12 +273,12 @@ def projective_line_action(q: int, budgets: Budgets = DEFAULT_BUDGETS) -> GroupA
         pgl = PermGroup([t, m, w], degree=n)
         full = PermGroup([t, m, w, frobp], degree=n)
         if pgl.order() != 720 or full.order() != 1440:
-            raise AssertionError("PGL2(9)/PGammaL2(9) orders came out wrong")
+            raise CertificateError("PGL2(9)/PGammaL2(9) orders came out wrong")
         psl = pgl.derived_subgroup()
         if psl.order() != 360:
-            raise AssertionError("PSL2(9) order came out wrong")
+            raise CertificateError("PSL2(9) order came out wrong")
         if pgl.contains(frobp):
-            raise AssertionError("the field automorphism should lie outside PGL2(9)")
+            raise CertificateError("the field automorphism should lie outside PGL2(9)")
         overgroups = {
             "PGL2(9)": pgl,
             "S6": PermGroup([*psl.generators, frobp], degree=n),
@@ -286,7 +287,7 @@ def projective_line_action(q: int, budgets: Budgets = DEFAULT_BUDGETS) -> GroupA
         fingerprints = {}
         for name, H in overgroups.items():
             if H.order() != 720:
-                raise AssertionError(f"index-2 overgroup {name} has order {H.order()}")
+                raise CertificateError(f"index-2 overgroup {name} has order {H.order()}")
             fingerprints[name] = _element_order_set(H, budgets.exhaustive)
         expected = {
             "PGL2(9)": lambda s: 10 in s,
@@ -296,7 +297,7 @@ def projective_line_action(q: int, budgets: Budgets = DEFAULT_BUDGETS) -> GroupA
         for name, pred in expected.items():
             hits = [k for k, s in fingerprints.items() if pred(s)]
             if hits != [name]:
-                raise AssertionError(f"fingerprint for {name} matched {hits}")
+                raise CertificateError(f"fingerprint for {name} matched {hits}")
         labels = tuple(
             f"{a}+{b}t" if b else str(a)
             for b in range(3)
@@ -323,10 +324,10 @@ def projective_line_action(q: int, budgets: Budgets = DEFAULT_BUDGETS) -> GroupA
     t, m, w = (Permutation(v) for v in (trans, scale, invm))
     pgl = PermGroup([t, m, w], degree=n)
     if pgl.order() != p * (p - 1) * (p + 1):
-        raise AssertionError(f"PGL2({p}) order came out wrong")
+        raise CertificateError(f"PGL2({p}) order came out wrong")
     psl = pgl.derived_subgroup()
     if psl.order() != p * (p - 1) * (p + 1) // 2:
-        raise AssertionError(f"PSL2({p}) order came out wrong")
+        raise CertificateError(f"PSL2({p}) order came out wrong")
     labels = tuple(str(x) for x in range(p)) + ("inf",)
     return GroupAction(
         pgl, labels, f"PGL2({p}) on the projective line over F{p}",
@@ -389,7 +390,7 @@ def borel_subgroup(scn: MersenneScenario, flavor: str, t: int) -> PermGroup:
     scale = Permutation(np.concatenate([(c * xs) % p, [infinity]]))
     H = PermGroup([trans, scale], degree=n)
     if H.order() != p * t:
-        raise AssertionError(f"Borel subgroup order {H.order()}, expected {p * t}")
+        raise CertificateError(f"Borel subgroup order {H.order()}, expected {p * t}")
     return H
 
 
@@ -403,7 +404,7 @@ def m11() -> GroupAction:
     b = Permutation.from_cycles(11, [(2, 6, 10, 7), (3, 9, 4, 5)])
     G = PermGroup([a, b], degree=11)
     if G.order() != 7920:
-        raise AssertionError(f"M11 order {G.order()}, expected 7920")
+        raise CertificateError(f"M11 order {G.order()}, expected 7920")
     return GroupAction(
         G, tuple(range(1, 12)), "M11 on 11 points", faithful=True
     )
@@ -493,19 +494,9 @@ class CosetConstruction:
         self.parent_group = G
         self.stabilizer = H
         self.parent_action = parent_action
-        levels = []
-        for lvl in H.chain.levels:
-            pts = np.array(sorted(lvl.transversal), dtype=np.int64)
-            trans = {p: lvl.transversal[p].images for p in lvl.transversal}
-            levels.append((pts, trans))
-        self._levels = levels
 
     def canonical(self, x: Permutation) -> Permutation:
-        img = x.images
-        for pts, trans in self._levels:
-            best = pts[int(np.argmin(img[pts]))]
-            img = img[trans[int(best)]]
-        return Permutation._raw(img)
+        return Permutation._raw(self.stabilizer.chain.canonical_row(x.images))
 
     def _build_table(self, budgets: Budgets):
         G, H = self.parent_group, self.stabilizer
@@ -527,13 +518,13 @@ class CosetConstruction:
                 if j is None:
                     j = len(reps)
                     if j >= index:
-                        raise AssertionError("coset walk left the coset space")
+                        raise CertificateError("coset walk left the coset space")
                     reps.append(y)
                     lookup[y.key()] = j
                 rows[gi][i] = j
             i += 1
         if len(reps) != index:
-            raise AssertionError(
+            raise CertificateError(
                 f"coset walk found {len(reps)} cosets, index is {index}"
             )
         self.coset_reps = reps
@@ -754,7 +745,6 @@ def wreath(
     spec: WreathSpec,
     budgets: Budgets = DEFAULT_BUDGETS,
     declare_socle: bool = False,
-    check_order: Optional[bool] = None,
 ) -> GroupAction:
     """Materialize L wr K in the flavor given by the spec.
 
@@ -770,10 +760,8 @@ def wreath(
     for pi in spec.top.generators:
         gens.append(top_embedding(spec, pi, budgets))
     group = PermGroup(gens, degree=spec.degree)
-    if check_order is None:
-        check_order = spec.degree <= budgets.chain_degree
-    if check_order and group.order() != spec.order():
-        raise AssertionError(
+    if spec.degree <= budgets.chain_degree and group.order() != spec.order():
+        raise CertificateError(
             f"wreath product order {group.order()}, expected {spec.order()}"
         )
     base_labels = spec.base_action.point_labels

@@ -249,7 +249,7 @@ def test_double_cover_of_square_splits():
 
 def test_double_cover_rejects_directed_input():
     directed = Graph(n=2, adj=((1,), ()))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         standard_double_cover(directed)
 
 
@@ -275,3 +275,49 @@ def test_double_cover_at_127(env):
     assert report.sigma.valency == 127 == report.gamma.valency
     assert report.edge_count == 768 * 127 // 2
     assert sorted(report.psi) == list(range(768))
+
+
+# ---------------------------------------------------------------------------
+# the gathered orbital graph against a pair-BFS oracle
+
+
+def pair_bfs_adjacency(A, alpha, beta):
+    """Adjacency of the orbit of (alpha, beta) on ordered pairs, by BFS."""
+    n = A.degree
+    gens = [g.images for g in A.group.generators]
+    seen = {(alpha, beta)}
+    frontier = [(alpha, beta)]
+    while frontier:
+        nxt = []
+        for u, v in frontier:
+            for img in gens:
+                arc = (int(img[u]), int(img[v]))
+                if arc not in seen:
+                    seen.add(arc)
+                    nxt.append(arc)
+        frontier = nxt
+    adj = [[] for _ in range(n)]
+    for u, v in seen:
+        adj[u].append(v)
+    return tuple(tuple(sorted(a)) for a in adj), seen
+
+
+def check_against_pair_bfs(A):
+    for rep, length in suborbits(A, 0).entries:
+        if rep == 0:
+            continue
+        graph = orbital_graph(A, 0, rep)
+        adj, arcs = pair_bfs_adjacency(A, 0, rep)
+        assert graph.adj == adj
+        assert graph.valency == length
+        assert graph.self_paired == all((v, u) in arcs for u, v in arcs)
+
+
+def test_orbital_graph_matches_pair_bfs_on_corpus(corpus):
+    for _name, A in corpus:
+        check_against_pair_bfs(A)
+
+
+def test_orbital_graph_matches_pair_bfs_on_coset_actions(psl2_31_on_96, env):
+    check_against_pair_bfs(psl2_31_on_96)
+    check_against_pair_bfs(env.m10_on_12())

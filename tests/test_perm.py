@@ -237,3 +237,32 @@ def test_identity_group_order():
     G = PermGroup([], degree=3)
     assert G.order() == 1
     assert sorted(sorted(o) for o in G.orbits()) == [[0], [1], [2]]
+
+
+def test_chain_level_rows_are_transversals(corpus):
+    for name, A in corpus:
+        chain = A.group.chain
+        for i, lvl in enumerate(chain.levels):
+            assert lvl.point == chain.base[i], name
+            assert (np.diff(lvl.points) > 0).all(), name
+            assert sorted(lvl.discovered.tolist()) == lvl.points.tolist()
+            assert (lvl.rows[:, lvl.point] == lvl.points).all(), name
+            for b in chain.base[:i]:
+                assert (lvl.rows[:, b] == b).all(), name
+            index = np.full(A.degree, -1)
+            index[lvl.points] = np.arange(len(lvl.points))
+            assert (lvl.index == index).all(), name
+
+
+def test_canonical_coset_row_is_least_in_its_coset(m11_12):
+    cc = m11_12.parent
+    G, H = cc.parent_group, cc.stabilizer
+    chain = H.chain
+    hrows = np.concatenate(list(H.element_batches()))
+    rng = np.random.default_rng(2016)
+    for _ in range(50):
+        x = G.random_element(rng)
+        coset = x.images[hrows]  # rows of h * x for every h in H
+        keys = coset[:, chain.base]
+        least = coset[np.lexsort(keys.T[::-1])[0]]
+        assert (chain.canonical_row(x.images) == least).all()

@@ -146,8 +146,14 @@ OPTIMIZED_RUN = textwrap.dedent("""
 """)
 
 
+def _raises_assertion_error(node) -> bool:
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def test_no_assert_statements_in_the_library():
-    # python -O strips assert; library checks must raise instead
+    # python -O strips assert; library checks must raise instead, and raise
+    # CertificateError so that a failed certificate is told apart by type
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src",
                        "derangements", "*.py")
     paths = sorted(glob.glob(src))
@@ -157,7 +163,10 @@ def test_no_assert_statements_in_the_library():
         with open(path) as fh:
             tree = ast.parse(fh.read(), filename=path)
         found += [f"{os.path.basename(path)}:{node.lineno}"
-                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)
+                  or (isinstance(node, ast.Raise) and node.exc is not None
+                      and _raises_assertion_error(node))]
     assert found == []
 
 
