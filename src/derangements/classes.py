@@ -13,8 +13,8 @@ element x of prime order r has only cycles of length 1 and r, so the
 points it moves number a positive multiple of r.  For the same reason
 x^r fixes every point, in particular the first point x moves, and the
 trajectory of that one point costs r one-dimensional gathers.  The exact
-test x^r = 1 then runs on the int64 survivors only; each moves at least r
-points, so none is the identity.
+test x^r = 1 then runs on the compact survivors (each moves at least r
+points, so none is the identity), and only the result is widened to int64.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import DEFAULT_BUDGETS, CertificateError
-from .perm import Permutation, batch_power
+from .perm import _BATCH_ENTRIES, Permutation, batch_power
 
 __all__ = [
     "batch_power",
@@ -58,21 +58,18 @@ def order_r_rows(G, r: int, budget: int = DEFAULT_BUDGETS.exhaustive) -> np.ndar
         small = batch.astype(compact)
         moved = small != ident
         counts = np.count_nonzero(moved, axis=1)
-        idx = np.flatnonzero((counts > 0) & (counts % r == 0))
-        if len(idx):
-            small = small[idx]
-            start = moved[idx].argmax(axis=1)
-            pts = start
-            at = np.arange(len(idx))
-            for _ in range(r):
-                pts = small[at, pts]
-            idx = idx[pts == start]
-        if len(idx):
-            rows = batch[idx]
-            kept.append(rows[identity_mask(batch_power(rows, r))])
+        keep = (counts > 0) & (counts % r == 0)
+        small, moved = small[keep], moved[keep]
+        start = moved.argmax(axis=1)
+        pts = start
+        at = np.arange(len(small))
+        for _ in range(r):
+            pts = small[at, pts]
+        small = small[pts == start]
+        kept.append(small[identity_mask(batch_power(small, r))])
     if not kept:
         return np.empty((0, n), dtype=np.int64)
-    return np.concatenate(kept, axis=0)
+    return np.concatenate(kept, axis=0, dtype=np.int64)
 
 
 def _budget_error(G, budget):
@@ -83,51 +80,58 @@ def _budget_error(G, budget):
     )
 
 
-def _conjugacy_class(G, seed_row: np.ndarray) -> dict:
-    """Keys of the G-class of seed_row, by conjugation BFS over generators."""
-    gens = [(g.images, g.inverse().images) for g in G.generators]
-    seen = {seed_row.tobytes(): seed_row}
-    frontier = [seed_row]
-    while frontier:
-        nxt = []
-        for row in frontier:
-            for gi, gv in gens:
-                conj = gi[row[gv]]
-                key = conj.tobytes()
-                if key not in seen:
-                    seen[key] = conj
-                    nxt.append(conj)
-        frontier = nxt
-    return seen
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque key per row (its bytes), for sorting and exact lookup."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+
+
+def _classes(G, rows: np.ndarray) -> list:
+    """(least row, sorted member indices) for each G-class of `rows`: each
+    generator permutes the row indices by conjugation, looked up in the
+    sorted row keys; a class is an orbit of these index permutations."""
+    keys = _row_keys(rows)
+    order = np.argsort(keys)
+    step = max(1, _BATCH_ENTRIES // max(1, rows.shape[1]))
+    moves = []  # per generator g: row k -> row of g^-1 * rows[k] * g
+    for g in G.generators:
+        gi, gv = g.images, g.inverse().images
+        move = np.empty(len(rows), dtype=np.int64)
+        for lo in range(0, len(rows), step):
+            conj_keys = _row_keys(gi[rows[lo:lo + step, gv]])
+            pos = np.searchsorted(keys, conj_keys, sorter=order)
+            move[lo:lo + step] = order[np.minimum(pos, len(rows) - 1)]
+            if not (keys[move[lo:lo + step]] == conj_keys).all():
+                raise CertificateError("conjugation left the scanned row set")
+        moves.append(move)
+    done = np.zeros(len(rows), dtype=bool)
+    out = []
+    for i in range(len(rows)):
+        if done[i]:
+            continue
+        done[i] = True
+        frontier = np.array([i])
+        members = [frontier]
+        while frontier.size:
+            reached = np.unique(np.concatenate([m[frontier] for m in moves]))
+            frontier = reached[~done[reached]]
+            done[frontier] = True
+            members.append(frontier)
+        members = np.sort(np.concatenate(members))
+        block = rows[members]
+        out.append((block[np.lexsort(block.T[::-1])[0]], members))
+    return out
 
 
 def partition_rows_by_conjugacy(G, rows: np.ndarray) -> list:
     """Split rows (closed under G-conjugation) into classes.
 
     Returns a list of (representative_row, member_indices) with the
-    representative the lexicographically least row of its class.  Asserts
-    that every discovered class stays inside the given row set.
+    representative the lexicographically least row of its class, sorted
+    by representative.  Raises CertificateError when a conjugate is not in
+    the given row set.
     """
-    index = {rows[i].tobytes(): i for i in range(len(rows))}
-    done = np.zeros(len(rows), dtype=bool)
-    out = []
-    for i in range(len(rows)):
-        if done[i]:
-            continue
-        cls = _conjugacy_class(G, rows[i])
-        members = []
-        for key in cls:
-            j = index.get(key)
-            if j is None:
-                raise CertificateError("conjugation left the scanned row set")
-            members.append(j)
-        members = np.array(sorted(members), dtype=np.int64)
-        done[members] = True
-        block = rows[members]
-        rep = block[np.lexsort(block.T[::-1])[0]]
-        out.append((rep, members))
-    out.sort(key=lambda t: tuple(t[0]))
-    return out
+    return sorted(_classes(G, rows), key=lambda t: tuple(t[0]))
 
 
 def exhaustive_class_partition(G, budget: int = DEFAULT_BUDGETS.exhaustive) -> list:
@@ -139,18 +143,9 @@ def exhaustive_class_partition(G, budget: int = DEFAULT_BUDGETS.exhaustive) -> l
     order = G.order()
     if order > budget:
         raise _budget_error(G, budget)
-    assigned = set()
-    reps = []
-    for batch in G.element_batches():
-        for row in batch:
-            key = row.tobytes()
-            if key in assigned:
-                continue
-            cls = _conjugacy_class(G, row)
-            assigned.update(cls)
-            block = np.stack(list(cls.values()))
-            rep = block[np.lexsort(block.T[::-1])[0]]
-            reps.append((Permutation._raw(rep.copy()), len(cls)))
+    rows = np.concatenate(list(G.element_batches()))
+    reps = [(Permutation._raw(rep.copy()), len(members))
+            for rep, members in _classes(G, rows)]
     if sum(size for _, size in reps) != order:
         raise CertificateError("class sizes do not sum to the group order")
     reps.sort(key=lambda t: (t[0].order(), tuple(t[0].images)))

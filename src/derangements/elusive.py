@@ -21,7 +21,6 @@ from .classes import (
     order_r_rows,
     partition_rows_by_conjugacy,
     _budget_error,
-    _conjugacy_class,
 )
 from .config import DEFAULT_BUDGETS, Budgets, BudgetExceeded, CertificateError
 from .numbers import is_prime, prime_divisors
@@ -305,8 +304,7 @@ def wreath_prime_order_class_reps(
     for pi in tops:
         if pi.order() != r or pi.key() in k_done:
             continue
-        k_class = {Permutation._raw(row.copy()) for row in
-                   _conjugacy_class(spec.top, pi.images).values()}
+        k_class = {s.inverse() * pi * s for s in tops}
         k_done.update(p.key() for p in k_class)
         pi0 = min(k_class, key=lambda p: tuple(p.images))
         cent = [s for s in tops if s * pi0 == pi0 * s]

@@ -464,6 +464,7 @@ class StabilizerChain:
 # groups
 
 _BATCH_ROWS = 65536  # rows per element_batches block
+_BATCH_ENTRIES = 1 << 18  # entries (2 MiB of int64) per yielded batch
 
 
 def _dedup(perms: Iterable[Permutation]) -> list:
@@ -690,8 +691,10 @@ class PermGroup:
         """Yield image matrices whose rows enumerate the group exactly once.
 
         Rows are products t_{k-1}...t_0 of transversal representatives, so
-        uniqueness follows from the chain's unique factorization.  Batches
-        hold at most _BATCH_ROWS rows unless one level alone is larger.
+        uniqueness follows from the chain's unique factorization.  Products
+        of the trailing levels (at most _BATCH_ROWS rows unless one level
+        alone is larger) are formed once; each batch applies the leading
+        levels to _BATCH_ENTRIES // degree of them.
         """
         mats = [lvl.rows for lvl in self.chain.levels]
         n = self.degree
@@ -710,11 +713,13 @@ class PermGroup:
             return
         counts = [mats[i].shape[0] for i in range(j)]
         odometer = [0] * j
+        step = max(1, _BATCH_ENTRIES // n)
         while True:
-            M = suffix
-            for i in range(j - 1, -1, -1):
-                M = mats[i][odometer[i]][M]
-            yield M
+            for lo in range(0, len(suffix), step):
+                M = suffix[lo:lo + step]
+                for i in range(j - 1, -1, -1):
+                    M = mats[i][odometer[i]][M]
+                yield M
             pos = j - 1
             while pos >= 0:
                 odometer[pos] += 1

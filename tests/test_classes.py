@@ -8,7 +8,9 @@ that exact test over every enumerated row; the two must agree row for row.
 import numpy as np
 import pytest
 
-from derangements.classes import batch_power, identity_mask, order_r_rows
+from derangements.classes import (batch_power, identity_mask, order_r_rows,
+                                  partition_rows_by_conjugacy)
+from derangements.config import CertificateError
 from derangements.numbers import prime_divisors
 
 from tests.conftest import alternating, cyclic, symmetric
@@ -57,3 +59,66 @@ def test_empty_result_keeps_its_shape(G, r):
     got = order_r_rows(G, r)
     assert got.shape == (0, G.degree)
     assert got.dtype == np.int64
+
+
+def conjugacy_class_keys(G, seed_row):
+    """Byte keys of the G-class of seed_row, by conjugation BFS."""
+    gens = [(g.images, g.inverse().images) for g in G.generators]
+    seen, frontier = {seed_row.tobytes()}, [seed_row]
+    while frontier:
+        nxt = []
+        for row in frontier:
+            for gi, gv in gens:
+                conj = gi[row[gv]]
+                if conj.tobytes() not in seen:
+                    seen.add(conj.tobytes())
+                    nxt.append(conj)
+        frontier = nxt
+    return seen
+
+
+def reference_partition(G, rows):
+    """Classes by conjugation BFS from each unassigned row, row by row."""
+    index = {row.tobytes(): i for i, row in enumerate(rows)}
+    done = np.zeros(len(rows), dtype=bool)
+    out = []
+    for i in range(len(rows)):
+        if not done[i]:
+            members = np.array(sorted(index[k] for k in conjugacy_class_keys(G, rows[i])))
+            done[members] = True
+            block = rows[members]
+            out.append((block[np.lexsort(block.T[::-1])[0]], members))
+    out.sort(key=lambda t: tuple(t[0]))
+    return out
+
+
+@pytest.mark.parametrize("factory", [
+    lambda: symmetric(5),
+    lambda: alternating(6),
+], ids=["S5", "A6"])
+def test_partition_matches_conjugation_bfs(factory):
+    G = factory()
+    for r in prime_divisors(G.order()):
+        rows = order_r_rows(G, r)
+        got = partition_rows_by_conjugacy(G, rows)
+        want = reference_partition(G, rows)
+        assert len(got) == len(want), r
+        for (rep, members), (rep0, members0) in zip(got, want):
+            assert (rep == rep0).all() and (members == members0).all(), r
+
+
+def test_partition_matches_conjugation_bfs_on_m11_12(m11_12):
+    G = m11_12.group
+    for r in prime_divisors(G.order()):
+        rows = order_r_rows(G, r)
+        got = partition_rows_by_conjugacy(G, rows)
+        want = reference_partition(G, rows)
+        assert [(tuple(a), tuple(m)) for a, m in got] == \
+            [(tuple(a), tuple(m)) for a, m in want], r
+
+
+def test_partition_rejects_rows_not_closed_under_conjugation():
+    G = symmetric(4)
+    rows = order_r_rows(G, 3)  # the eight 3-cycles, one class
+    with pytest.raises(CertificateError):
+        partition_rows_by_conjugacy(G, rows[1:])

@@ -6,6 +6,7 @@ import pytest
 from derangements import (BlockSystem, PermGroup, Permutation, conjugate,
                           commutator, derangement_backtrack,
                           parse_cycles)
+import derangements.perm as perm_module
 from derangements.perm import permutation_from_cycles_1indexed
 
 from tests.conftest import alternating, cyclic, dihedral, klein4, symmetric
@@ -168,6 +169,17 @@ def test_element_batches_identity_group():
     G = PermGroup([], degree=5)
     batches = list(G.element_batches())
     assert len(batches) == 1 and batches[0].shape == (1, 5)
+
+
+def test_element_batches_are_bounded_blocks_in_enumeration_order(monkeypatch):
+    G = symmetric(9)  # 40320 trailing rows per leading representative
+    step = perm_module._BATCH_ENTRIES // G.degree
+    batches = list(G.element_batches())
+    assert max(len(b) for b in batches) == step
+    monkeypatch.setattr(perm_module, "_BATCH_ENTRIES", 1 << 30)
+    whole = list(G.element_batches())
+    assert len(whole) == 9 < len(batches)
+    assert np.array_equal(np.concatenate(batches), np.concatenate(whole))
 
 
 def naive_derangement(G, r):
