@@ -34,11 +34,11 @@ gamma = orbital_graph(A, 0, beta)
 print("valency", gamma.valency, "; complete:", gamma.is_complete(),
       "; self-paired:", gamma.self_paired)
 
-# Connectivity can be read off the graph by search, or group-theoretically:
+# Connectivity can be read off the graph's components, or group-theoretically:
 # the orbital at (alpha, beta) is connected iff the point stabilizer and
 # any alpha->beta "edge move" together generate the whole group.
-print("connected (breadth-first):", is_connected(gamma))
-print("connected (generation):   ", connectivity_by_generation(A, 0, beta))
+print("connected (components):", is_connected(gamma))
+print("connected (generation):", connectivity_by_generation(A, 0, beta))
 
 # ----------------------------------------------------------------------
 # PSL(2,127) on 384 points: suborbits 1+1+1+127+127+127

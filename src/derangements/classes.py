@@ -22,7 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from .config import DEFAULT_BUDGETS, CertificateError
-from .perm import _BATCH_ENTRIES, Permutation, batch_power
+from .perm import (_BATCH_ENTRIES, Permutation, _cells, _components,
+                   batch_power)
 
 __all__ = [
     "batch_power",
@@ -89,7 +90,7 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
 def _classes(G, rows: np.ndarray) -> list:
     """(least row, sorted member indices) for each G-class of `rows`: each
     generator permutes the row indices by conjugation, looked up in the
-    sorted row keys; a class is an orbit of these index permutations."""
+    sorted row keys; a class is a connected component of these moves."""
     keys = _row_keys(rows)
     order = np.argsort(keys)
     step = max(1, _BATCH_ENTRIES // max(1, rows.shape[1]))
@@ -104,20 +105,8 @@ def _classes(G, rows: np.ndarray) -> list:
             if not (keys[move[lo:lo + step]] == conj_keys).all():
                 raise CertificateError("conjugation left the scanned row set")
         moves.append(move)
-    done = np.zeros(len(rows), dtype=bool)
     out = []
-    for i in range(len(rows)):
-        if done[i]:
-            continue
-        done[i] = True
-        frontier = np.array([i])
-        members = [frontier]
-        while frontier.size:
-            reached = np.unique(np.concatenate([m[frontier] for m in moves]))
-            frontier = reached[~done[reached]]
-            done[frontier] = True
-            members.append(frontier)
-        members = np.sort(np.concatenate(members))
+    for members in _cells(_components(len(rows), np.arange(len(rows)), moves)):
         block = rows[members]
         out.append((block[np.lexsort(block.T[::-1])[0]], members))
     return out

@@ -171,7 +171,7 @@ def prime_order_class_reps(
     """Conjugacy classes of order-r elements of G, as ClassInfo records.
 
     Streams every element (the order must fit the exhaustive budget) and
-    buckets the order-r ones by conjugation BFS.
+    buckets the order-r ones into the components of conjugation.
     """
     if not is_prime(r):
         raise ValueError(f"r={r} is not prime")

@@ -33,8 +33,8 @@ from .elusive import (is_2prime_elusive, is_elusive, is_r_elusive,
                       wreath_fixed_point_check)
 from .structure import normal_structure, verify_minimal_normal
 from .orbital import (connectivity_by_generation, is_connected, orbital_graph,
-                      suborbits, verify_double_cover_scenario,
-                      block_divisibility_check)
+                      standard_double_cover, suborbits,
+                      verify_double_cover_scenario, block_divisibility_check)
 
 
 @dataclass(frozen=True)
@@ -681,7 +681,7 @@ def _build_double_cover(env: ScenarioEnv):
         "edge_count": rep.edge_count,
         "sigma_connected": is_connected(rep.sigma),
         "gamma_connected": is_connected(rep.gamma),
-        "cover_connected": is_connected(rep.gamma),
+        "cover_connected": is_connected(standard_double_cover(rep.sigma)),
     }
     try:
         verify_double_cover_scenario(mersenne_scenario(127, 63),

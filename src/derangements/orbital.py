@@ -4,21 +4,23 @@ A transitive action splits the points into orbits of a point stabilizer
 (suborbits); each suborbit other than the fixed ones induces an orbital
 digraph whose arc set is one orbit of the group on ordered pairs.  These
 graphs are the arc-transitive graphs whose automorphism questions drive the
-verification scenarios: connectivity is decided both by plain graph search
-and by a generation argument (the two must agree), block systems impose
-divisibility constraints on subdegrees, and the valency-127 graphs of the
-Mersenne-prime family are linked by a standard double cover that this module
-constructs explicitly and checks edge-by-edge.
+verification scenarios: connectivity is decided both by the components
+kernel that also computes orbits and block systems and by a generation
+argument (the two must agree), block systems impose divisibility
+constraints on subdegrees, and the valency-127 graphs of the Mersenne-prime
+family are linked by a standard double cover that this module constructs
+explicitly and checks edge-by-edge.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .config import Budgets, DEFAULT_BUDGETS, CertificateError
 from .numbers import is_prime
-from .perm import BlockSystem, PermGroup, Permutation
+from .perm import BlockSystem, PermGroup, Permutation, _components
 from .zoo import (GroupAction, MersenneScenario, borel_subgroup, coset_action,
                   projective_line_action)
 
@@ -60,10 +62,8 @@ def suborbits(A: GroupAction, alpha: int = 0) -> SuborbitTable:
     G = A.group
     if not G.is_transitive():
         raise ValueError("suborbits require a transitive action")
-    stab = G.point_stabilizer(alpha)
-    orbs = stab.orbits()
-    entries = sorted((min(o), len(o)) for o in orbs)
-    entries.sort(key=lambda e: (e[1], e[0]))
+    orbs = G.point_stabilizer(alpha).orbits()
+    entries = sorted(((o[0], len(o)) for o in orbs), key=lambda e: (e[1], e[0]))
     return SuborbitTable(alpha=alpha, entries=entries, degree=A.degree)
 
 
@@ -197,23 +197,14 @@ def orbital_graph(A: GroupAction, alpha: int, beta: int) -> OrbitalGraph:
 
 
 def is_connected(graph) -> bool:
-    """Weak connectivity of a (di)graph via union-find on its arcs."""
+    """Weak connectivity of a (di)graph: one component of its arcs
+    (perm._components, the kernel behind orbits and block systems)."""
     n = graph.n
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u in range(n):
-        for v in graph.adj[u]:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[rv] = ru
-    roots = {find(x) for x in range(n)}
-    return len(roots) == 1
+    valency = [len(heads) for heads in graph.adj]
+    tails = np.repeat(np.arange(n), valency)
+    heads = np.fromiter(chain.from_iterable(graph.adj), dtype=np.int64,
+                        count=len(tails))
+    return n > 0 and not _components(n, tails, heads).any()
 
 
 def connectivity_by_generation(A: GroupAction, alpha: int, beta: int) -> bool:
@@ -259,23 +250,9 @@ def block_divisibility_check(A: GroupAction, partition: BlockSystem,
     stab = G.point_stabilizer(alpha)
     point_orbit = stab.orbit(omega)
 
-    # Orbit of omega's block under G_alpha, acting on blocks via any member.
-    start = partition.cell_of(omega)
-    seen_blocks = {start}
-    frontier = [start]
-    cell_reps = [cell[0] for cell in partition.cells]
-    while frontier:
-        nxt = []
-        for cidx in frontier:
-            rep_point = cell_reps[cidx]
-            for g in stab.generators:
-                image_cell = partition.cell_of(int(g.images[rep_point]))
-                if image_cell not in seen_blocks:
-                    seen_blocks.add(image_cell)
-                    nxt.append(image_cell)
-        frontier = nxt
-
-    ok = len(point_orbit) % len(seen_blocks) == 0
+    # The G_alpha-orbit of omega's block B: B^h is the block of omega^h.
+    block_orbit = {partition.cell_of(q) for q in point_orbit}
+    ok = len(point_orbit) % len(block_orbit) == 0
     if partition.cell_of(alpha) == partition.cell_of(omega) \
             and 1 < len(partition.cells) < A.degree:
         graph = orbital_graph(A, alpha, omega)

@@ -193,17 +193,56 @@ class Permutation:
 
 
 def batch_power(rows: np.ndarray, e: int) -> np.ndarray:
-    """Row-wise e-th power of a batch of image rows (square and multiply)."""
+    """Row-wise e-th power of a batch of image rows (square and multiply),
+    gathering x[y] row-wise as x.ravel()[y + row offsets]; the offsets are
+    int64, so compact uint8 and uint16 rows cannot overflow."""
     m, n = rows.shape
+    offsets = np.arange(0, m * n, n, dtype=np.int64)[:, None]
     acc = np.tile(np.arange(n, dtype=np.int64), (m, 1))
     base = rows
     while e:
         if e & 1:
-            acc = np.take_along_axis(base, acc, axis=1)
+            acc = base.ravel()[acc + offsets]
         e >>= 1
         if e:
-            base = np.take_along_axis(base, base, axis=1)
+            base = base.ravel()[base + offsets]
     return acc
+
+
+def _components(n: int, u, v) -> np.ndarray:
+    """For each point of range(n), the least point of its connected
+    component in the graph with edges u[i] -- v[i] (u, v broadcast).
+
+    Min-label propagation with pointer jumping: each round lowers
+    lab[lab[u]] to lab[v] and lab[lab[v]] to lab[u] where smaller, then
+    jumps labels to their labels until each labels itself.  Labels only
+    fall and stay in their component; a round that changes nothing leaves
+    one label per component, which its least point keeps as its own.
+    """
+    u, v = (a.ravel() for a in np.broadcast_arrays(
+        np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)))
+    lab = np.arange(n, dtype=np.int64)
+    while True:
+        lu, lv = lab[u], lab[v]
+        new = lab.copy()
+        np.minimum.at(new, lu, lv)
+        np.minimum.at(new, lv, lu)
+        while True:
+            jumped = new[new]
+            if np.array_equal(jumped, new):
+                break
+            new = jumped
+        if np.array_equal(new, lab):
+            return lab
+        lab = new
+
+
+def _cells(labels: np.ndarray) -> list:
+    """The points grouped by label, as ascending arrays ordered by their
+    least point (labels from _components name the least point)."""
+    order = np.argsort(labels, kind="stable")
+    starts = np.flatnonzero(np.diff(labels[order])) + 1
+    return np.split(order, starts) if order.size else []
 
 
 def conjugate(x: Permutation, g: Permutation) -> Permutation:
@@ -499,7 +538,7 @@ class PermGroup:
         self._stab_cache: dict = {}
         self._order_r_rows_cache: dict = {}  # r -> order_r_rows result
         self._class_reps_cache: dict = {}  # r -> ClassInfo list
-        self._transitive: Optional[bool] = None
+        self._labels: Optional[np.ndarray] = None  # see _orbit_labels
 
     # -- chain -------------------------------------------------------------
 
@@ -526,34 +565,24 @@ class PermGroup:
 
     # -- orbits ------------------------------------------------------------
 
+    def _orbit_labels(self) -> np.ndarray:
+        """The least point of each point's orbit (edges p -- p^g)."""
+        if self._labels is None:
+            self._labels = _components(self.degree, np.arange(self.degree),
+                                       [g.images for g in self.generators])
+        return self._labels
+
     def orbit(self, point: int) -> set:
         if not 0 <= point < self.degree:
             raise ValueError(f"point {point} out of range")
-        seen = {point}
-        queue = [point]
-        while queue:
-            pt = queue.pop()
-            for g in self.generators:
-                q = int(g.images[pt])
-                if q not in seen:
-                    seen.add(q)
-                    queue.append(q)
-        return seen
+        labels = self._orbit_labels()
+        return set(np.flatnonzero(labels == labels[point]).tolist())
 
     def orbits(self) -> list:
-        seen = np.zeros(self.degree, dtype=bool)
-        out = []
-        for pt in range(self.degree):
-            if not seen[pt]:
-                orb = sorted(self.orbit(pt))
-                seen[list(orb)] = True
-                out.append(orb)
-        return out
+        return [cell.tolist() for cell in _cells(self._orbit_labels())]
 
     def is_transitive(self) -> bool:
-        if self._transitive is None:
-            self._transitive = len(self.orbit(0)) == self.degree
-        return self._transitive
+        return not self._orbit_labels().any()
 
     def orbit_with_transversal(self, point: int) -> tuple:
         """The orbit of `point`, sorted, and an image-row matrix whose row k
@@ -633,45 +662,31 @@ class PermGroup:
             raise ValueError("block systems need a transitive group")
         if alpha == beta:
             raise ValueError("need two distinct points")
+        # Join the partition with its images under the generators, and in
+        # round k under the 2^k-th powers of the generators and of their
+        # product too (a long cycle then takes logarithmically many
+        # rounds), until it is stable.  Then it is invariant, and every
+        # merge was forced.
         n = self.degree
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx == ry:
-                return False
-            parent[ry] = rx
-            return True
-
-        union(alpha, beta)
-        queue = [(alpha, beta)]
-        while queue:
-            u, v = queue.pop()
-            for g in self.generators:
-                a, b = int(g.images[u]), int(g.images[v])
-                if union(a, b):
-                    queue.append((a, b))
-        cells: dict = {}
-        for pt in range(n):
-            cells.setdefault(find(pt), []).append(pt)
-        blocks = sorted((tuple(sorted(c)) for c in cells.values()))
-        if len(blocks) == 1:
-            return None
-        return BlockSystem(self.degree, blocks)
+        gens = np.stack([g.images for g in self.generators])
+        product = gens[0]
+        for g in gens[1:]:
+            product = g[product]
+        powers = np.concatenate([gens, product[None, :]])
+        labels = _components(n, [alpha], [beta])
+        while labels.any():
+            steps = np.concatenate([gens, powers])  # edges p^s -- lab[p]^s
+            joined = _components(
+                n, np.concatenate([np.arange(n)[None, :], steps]),
+                np.concatenate([labels[None, :], steps[:, labels]]))
+            if np.array_equal(joined, labels):
+                return BlockSystem(n, [tuple(c.tolist()) for c in _cells(labels)])
+            labels = joined
+            powers = batch_power(powers, 2)
+        return None
 
     def is_primitive(self) -> bool:
-        if not self.is_transitive():
-            return False
-        if self.degree == 1:
-            return True
-        return all(self.minimal_block_system(0, beta) is None
-                   for beta in range(1, self.degree))
+        return self.is_transitive() and self.nontrivial_block_system() is None
 
     def nontrivial_block_system(self):
         """Some proper nontrivial block system, or None when primitive.
@@ -754,36 +769,27 @@ class BlockSystem:
         sizes = {len(c) for c in cells}
         if len(sizes) != 1:
             raise ValueError("block cells must have equal size")
-        (size,) = sizes
-        if size * len(cells) != degree:
-            raise ValueError("cells do not partition the point set")
-        covered = sorted(p for c in cells for p in c)
-        if covered != list(range(degree)):
+        self.cells = sorted(cells)
+        self._members = np.array(self.cells, dtype=np.int64)
+        if not np.array_equal(np.sort(self._members, axis=None),
+                              np.arange(degree)):
             raise ValueError("cells do not partition the point set")
         self.degree = degree
-        self.cells = sorted(cells)
-        self.cell_size = size
+        (self.cell_size,) = sizes
         self.cell_count = len(cells)
-        self._cell_of = {}
-        for idx, c in enumerate(self.cells):
-            for p in c:
-                self._cell_of[p] = idx
+        self._label = np.empty(degree, dtype=np.int64)
+        self._label[self._members] = np.arange(len(cells))[:, None]
 
     def cell_of(self, point: int) -> int:
-        return self._cell_of[point]
+        return int(self._label[point])
 
     def is_invariant(self, G: PermGroup) -> bool:
+        """True when every generator maps each cell into a single cell."""
         for g in G.generators:
-            for cell in self.cells:
-                image = tuple(sorted(int(g.images[p]) for p in cell))
-                if image not in self._cells_set():
-                    return False
+            image_cells = self._label[g.images[self._members]]
+            if not (image_cells == image_cells[:, :1]).all():
+                return False
         return True
-
-    def _cells_set(self):
-        if not hasattr(self, "_cset"):
-            self._cset = set(self.cells)
-        return self._cset
 
     def __repr__(self) -> str:
         return f"BlockSystem({self.cell_count} cells of size {self.cell_size})"

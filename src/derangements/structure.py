@@ -23,8 +23,9 @@ from .config import (Budgets, DEFAULT_BUDGETS, DEFAULT_SEED, BudgetExceeded,
                      CertificateError)
 from .perm import Permutation, PermGroup
 from .zoo import GroupAction
-from .elusive import action_prime_order_class_reps
-from .numbers import prime_divisors
+from .classes import exhaustive_class_partition
+from .elusive import action_prime_order_class_reps, prime_order_class_reps
+from .numbers import is_prime, prime_divisors
 
 PRIMITIVE = "primitive"
 QUASIPRIMITIVE = "quasiprimitive"
@@ -154,9 +155,7 @@ def g_plus(A: GroupAction, N: PermGroup):
     orbs = N.orbits()
     if len(orbs) != 2:
         raise ValueError("N must have exactly 2 orbits, got %d" % len(orbs))
-    o1, o2 = (sorted(o) for o in orbs)
-    if o2[0] < o1[0]:
-        o1, o2 = o2, o1
+    o1, o2 = orbs  # ascending, ordered by least point
     side = np.zeros(A.degree, dtype=np.int64)
     side[np.array(o2)] = 1
     anchor = o1[0]
@@ -210,16 +209,10 @@ def _prime_order_reps_of_subgroup(A: GroupAction, N: PermGroup,
     per factor, not all trivial); these hit every N-class since classes of
     a direct product are products of factor classes.
     """
-    from .classes import exhaustive_class_partition
-    from .elusive import prime_order_class_reps
-
     if N.order() <= budgets.scan:
-        reps = []
-        for rep, _size in exhaustive_class_partition(N, budget=budgets.scan):
-            from .numbers import is_prime
-            if is_prime(rep.order()):
-                reps.append(rep)
-        return reps
+        return [rep for rep, _size in
+                exhaustive_class_partition(N, budget=budgets.scan)
+                if is_prime(rep.order())]
 
     socle = A.declared_socle
     if socle is not None and socle.subgroup.order() == N.order() \

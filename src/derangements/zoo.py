@@ -557,7 +557,8 @@ def coset_action(
 
     The resulting action's .parent is the CosetConstruction (canonical
     representatives plus the push homomorphism) and .faithful records
-    whether the action kernel is trivial.
+    whether the action kernel is trivial.  Points are labelled 1..index;
+    point i stands for the coset of .parent.coset_reps[i].
     """
     parent = G if isinstance(G, GroupAction) else None
     group = _as_group(G)
@@ -569,12 +570,12 @@ def coset_action(
     gen_images = cc._build_table(budgets)
     image = PermGroup(gen_images, degree=cc.index)
     faithful = image.order() == group.order()
-    labels = ["H"] + [f"H*{rep.cycle_string()}" for rep in cc.coset_reps[1:]]
     if not provenance:
         base = parent.provenance if parent else f"group of order {group.order()}"
         provenance = f"{base}, on the {cc.index} cosets of a subgroup of order {H.order()}"
     return GroupAction(
-        image, tuple(labels), provenance, parent=cc, faithful=faithful, **kw
+        image, tuple(range(1, cc.index + 1)), provenance, parent=cc,
+        faithful=faithful, **kw
     )
 
 

@@ -59,6 +59,7 @@ def test_empty_result_keeps_its_shape(G, r):
     got = order_r_rows(G, r)
     assert got.shape == (0, G.degree)
     assert got.dtype == np.int64
+    assert partition_rows_by_conjugacy(G, got) == []
 
 
 def conjugacy_class_keys(G, seed_row):

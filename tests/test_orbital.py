@@ -2,8 +2,9 @@
 
 Graph-side oracles are tiny named graphs (K4, directed 4-cycle, K3,3,
 pentagon) whose orbital descriptions can be checked by hand; connectivity
-is decided independently by union-find and by the stabilizer-generation
-argument and the two answers must agree everywhere.
+is decided independently by the components kernel (`is_connected`) and by
+the stabilizer-generation argument and the two answers must agree
+everywhere.
 """
 
 import numpy as np
@@ -147,7 +148,7 @@ def test_orbital_graphs_of_imprimitive_wreath():
 
 
 # ---------------------------------------------------------------------------
-# connectivity: union-find versus stabilizer generation
+# connectivity: the components kernel versus stabilizer generation
 
 
 def test_connectivity_by_generation_agrees_with_search():

@@ -278,3 +278,17 @@ def test_canonical_coset_row_is_least_in_its_coset(m11_12):
         keys = coset[:, chain.base]
         least = coset[np.lexsort(keys.T[::-1])[0]]
         assert (chain.canonical_row(x.images) == least).all()
+
+
+@pytest.mark.parametrize("dtype, n, m", [(np.uint8, 200, 40),
+                                         (np.uint16, 300, 250),
+                                         (np.int64, 50, 7)])
+def test_batch_power_matches_repeated_composition(dtype, n, m):
+    # m * n exceeds the dtype's range, so the row offsets must not wrap
+    rng = np.random.default_rng(3)
+    rows = np.array([rng.permutation(n) for _ in range(m)]).astype(dtype)
+    want = np.tile(np.arange(n), (m, 1))
+    for e in range(10):
+        got = perm_module.batch_power(rows, e)
+        assert np.array_equal(got, want), e
+        want = np.array([row[w] for row, w in zip(rows, want)])
