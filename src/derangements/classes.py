@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import DEFAULT_BUDGETS, CertificateError
+from .config import DEFAULT_BUDGETS, BudgetExceeded, CertificateError
 from .perm import (_BATCH_ENTRIES, Permutation, _cells, _components,
                    batch_power)
 
@@ -74,8 +74,6 @@ def order_r_rows(G, r: int, budget: int = DEFAULT_BUDGETS.exhaustive) -> np.ndar
 
 
 def _budget_error(G, budget):
-    from .config import BudgetExceeded
-
     return BudgetExceeded(
         f"group of order {G.order()} exceeds the exhaustive budget {budget}"
     )

@@ -196,15 +196,20 @@ def orbital_graph(A: GroupAction, alpha: int, beta: int) -> OrbitalGraph:
                         action=A, base_arc=(alpha, beta))
 
 
+def _arcs(graph) -> tuple:
+    """The arcs of a (di)graph as tail and head arrays, tails ascending."""
+    valency = [len(heads) for heads in graph.adj]
+    tails = np.repeat(np.arange(graph.n, dtype=np.int64), valency)
+    heads = np.fromiter(chain.from_iterable(graph.adj), dtype=np.int64,
+                        count=len(tails))
+    return tails, heads
+
+
 def is_connected(graph) -> bool:
     """Weak connectivity of a (di)graph: one component of its arcs
     (perm._components, the kernel behind orbits and block systems)."""
     n = graph.n
-    valency = [len(heads) for heads in graph.adj]
-    tails = np.repeat(np.arange(n), valency)
-    heads = np.fromiter(chain.from_iterable(graph.adj), dtype=np.int64,
-                        count=len(tails))
-    return n > 0 and not _components(n, tails, heads).any()
+    return n > 0 and not _components(n, *_arcs(graph)).any()
 
 
 def connectivity_by_generation(A: GroupAction, alpha: int, beta: int) -> bool:
@@ -229,7 +234,8 @@ def connectivity_by_generation(A: GroupAction, alpha: int, beta: int) -> bool:
     g = Permutation._raw(u_beta[v])  # v * u_beta
     if int(g.images[alpha]) != beta or int(g.images[beta]) != alpha:
         raise CertificateError("element does not interchange alpha and beta")
-    generated = PermGroup(list(stab.generators) + [g], degree=A.degree)
+    generated = PermGroup(list(stab.generators) + [g], degree=A.degree,
+                          bound=G.order())
     return generated.order() == G.order()
 
 
@@ -268,16 +274,17 @@ def standard_double_cover(graph) -> Graph:
     connected covers; bipartite ones fall apart into two copies.
     """
     n = graph.n
-    for u in range(n):
-        for v in graph.adj[u]:
-            if u not in graph.adj[v]:
-                raise ValueError("double cover needs an undirected graph")
-    adj = [[] for _ in range(2 * n)]
-    for u in range(n):
-        for v in graph.adj[u]:
-            adj[u].append(v + n)
-            adj[u + n].append(v)
-    return Graph(n=2 * n, adj=tuple(tuple(sorted(a)) for a in adj))
+    tails, heads = _arcs(graph)
+    # undirected: the sorted arc keys u*n + v equal their reversals' keys
+    keys = np.sort(tails * n + heads)
+    if not np.array_equal(keys, np.sort(heads * n + tails)):
+        raise ValueError("double cover needs an undirected graph")
+    heads = keys % n  # tails ascend, so each row's heads now ascend
+    ends = np.cumsum([len(a) for a in graph.adj]).tolist()
+    rows = list(zip([0] + ends[:-1], ends))
+    low, high = (heads + n).tolist(), heads.tolist()
+    return Graph(n=2 * n, adj=tuple([tuple(low[a:b]) for a, b in rows]
+                                    + [tuple(high[a:b]) for a, b in rows]))
 
 
 @dataclass

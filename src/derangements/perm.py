@@ -18,6 +18,19 @@ The chain supplies order, membership, uniform random elements, transversal
 enumeration, canonical right-coset representatives, and the pruned
 backtrack search for fixed-point-free elements of prime order.
 
+Known-order early stop (Sims 1970; Seress, Permutation Group Algorithms,
+section 4.5).  The product of the basic orbit lengths of a partial chain
+of H is a lower bound on |H|.  So when H lies in a group K of certified
+order and that product reaches |K|, H = K and the chain is complete: the
+random phase ends there and the sweep is skipped.  A product above |K|
+refutes the containment and raises CertificateError.  Only a caller that
+knows such a K passes its order as `bound`: point_stabilizer (G's own
+chain with a new base point), normal_closure (a certified normal subgroup
+containing the seeds, else G), connectivity_by_generation (a subgroup of
+G) and zoo.wreath (an image of L wr K, so the order check that follows
+there tests that the action is faithful).  A random phase that falls
+short of the bound leaves the full sweep to run as without one.
+
 The chain alone decides the transversal format (see _Orbit): per level, an
 int64 matrix of representative image rows, one per orbit point in sorted
 order.  Strong generators are image rows too, so building and sifting make
@@ -30,7 +43,6 @@ from __future__ import annotations
 
 import math
 import re
-import threading
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -358,10 +370,19 @@ class StabilizerChain:
     generator belongs to level i when it fixes base[0..i-1] pointwise.
     Level i's row for an orbit point q is a representative u with
     base[i]^u = q.
+
+    ``bound`` is the certified order of a group known to contain the one
+    generated.  The random phase then ends as soon as the order reaches
+    it, and the Schreier sweep is skipped: the order is a lower bound on
+    the group's, so the group is the whole container and the chain is
+    complete.  The chain is then the one an unbounded build returns,
+    since every later random word and Schreier generator would sift to
+    the identity.  An order above the bound raises CertificateError.
     """
 
     def __init__(self, degree: int, generators: Sequence[Permutation],
-                 base_prefix: Sequence[int] = ()):
+                 base_prefix: Sequence[int] = (), *,
+                 bound: Optional[int] = None):
         limit = DEFAULT_BUDGETS.chain_degree
         if degree > limit:
             raise BudgetExceeded(
@@ -372,6 +393,7 @@ class StabilizerChain:
         self.levels: list = []
         self.strong: list = []  # (image row, depth)
         self._identity = np.arange(degree, dtype=np.int64)
+        self._bound = bound
         gens = [g.images for g in generators if not g.is_identity()]
         self._build(gens, list(base_prefix))
 
@@ -412,6 +434,16 @@ class StabilizerChain:
             g = _inverse_row(lvl.rows[k])[g]  # g * u^-1
         return g, len(self.levels)
 
+    def _reached_bound(self) -> bool:
+        """True when the order equals the bound; raises above it."""
+        if self._bound is None:
+            return False
+        order = self.order()
+        if order > self._bound:
+            raise CertificateError(
+                f"chain order {order} exceeds the certified bound {self._bound}")
+        return order == self._bound
+
     def _build(self, gens: list, base_prefix: list):
         for b in base_prefix:
             self._new_level(b)
@@ -425,7 +457,7 @@ class StabilizerChain:
             rng = np.random.default_rng(DEFAULT_SEED)
             base_gens = [g for g, _ in self.strong]
             misses = 0
-            while misses < 8:
+            while misses < 8 and not self._reached_bound():
                 word = rng.integers(0, len(base_gens), size=int(rng.integers(2, 8)))
                 w = base_gens[word[0]]
                 for idx in word[1:]:
@@ -439,6 +471,8 @@ class StabilizerChain:
                     for i in range(d + 1):
                         self._recompute_transversal(i)
                     base_gens = [g for g, _ in self.strong]
+        if self._reached_bound():
+            return
 
         # deterministic verification sweep (Schreier generators sift to id)
         i = len(self.levels) - 1
@@ -464,6 +498,7 @@ class StabilizerChain:
                     break
             if not restart:
                 i -= 1
+        self._reached_bound()  # raises when the sweep went past the bound
 
     # -- queries -----------------------------------------------------------
 
@@ -518,9 +553,14 @@ def _dedup(perms: Iterable[Permutation]) -> list:
 
 
 class PermGroup:
-    """A finite permutation group on {0, ..., degree-1} given by generators."""
+    """A finite permutation group on {0, ..., degree-1} given by generators.
 
-    def __init__(self, generators: Sequence[Permutation], degree: Optional[int] = None):
+    ``bound``, when given, is the certified order of a group known to
+    contain this one; the chain is built with it (see StabilizerChain).
+    """
+
+    def __init__(self, generators: Sequence[Permutation], degree: Optional[int] = None,
+                 *, bound: Optional[int] = None):
         gens = list(generators)
         if not gens:
             if degree is None:
@@ -533,9 +573,10 @@ class PermGroup:
             raise ValueError("generators have unequal degrees")
         self.degree = d
         self.generators = tuple(gens)
+        self._bound = bound
         self._chain: Optional[StabilizerChain] = None
-        self._lock = threading.Lock()
         self._stab_cache: dict = {}
+        self._normal: list = []  # proper closures certified normal in self
         self._order_r_rows_cache: dict = {}  # r -> order_r_rows result
         self._class_reps_cache: dict = {}  # r -> ClassInfo list
         self._labels: Optional[np.ndarray] = None  # see _orbit_labels
@@ -545,9 +586,8 @@ class PermGroup:
     @property
     def chain(self) -> StabilizerChain:
         if self._chain is None:
-            with self._lock:
-                if self._chain is None:
-                    self._chain = StabilizerChain(self.degree, self.generators)
+            self._chain = StabilizerChain(self.degree, self.generators,
+                                          bound=self._bound)
         return self._chain
 
     def order(self) -> int:
@@ -598,7 +638,7 @@ class PermGroup:
             raise ValueError(f"point {point} out of range")
         if point not in self._stab_cache:
             chain = StabilizerChain(self.degree, self.generators,
-                                    base_prefix=[point])
+                                    base_prefix=[point], bound=self.order())
             sub = PermGroup(chain.stabilizer_gens(1), degree=self.degree)
             # orbit-stabilizer cross-check comes for free
             if chain.order() != sub.order() * len(chain.levels[0].points):
@@ -612,6 +652,13 @@ class PermGroup:
 
         Deterministic conjugate closure: every generator-conjugate of every
         closure generator must sift into the closure before we return.
+
+        Every candidate lies in <x^G>, so in any normal subgroup N holding
+        the seeds.  Candidate chains are built with the certified-subgroup
+        bound: |N| for the smallest proper closure already certified normal
+        here that contains every seed, else |G|.  A candidate reaching it
+        is N (or G) and skips its Schreier sweep.  A proper closure of
+        smaller order than its bound joins the certified list.
         """
         for x in elements:
             if not self.contains(x):
@@ -619,8 +666,10 @@ class PermGroup:
         gens = _dedup(x for x in elements if not x.is_identity())
         if not gens:
             return PermGroup([], degree=self.degree)
+        bound = next((N.order() for N in self._normal
+                      if all(N.contains(x) for x in gens)), self.order())
         while True:
-            candidate = PermGroup(gens, degree=self.degree)
+            candidate = PermGroup(gens, degree=self.degree, bound=bound)
             new = []
             for x in gens:
                 for g in self.generators:
@@ -628,8 +677,12 @@ class PermGroup:
                     if not candidate.contains(c):
                         new.append(c)
             if not new:
-                return candidate
+                break
             gens = _dedup(gens + new)
+        if candidate.order() < bound:
+            self._normal.append(candidate)
+            self._normal.sort(key=PermGroup.order)
+        return candidate
 
     def derived_subgroup(self) -> "PermGroup":
         comms = [commutator(a, b)

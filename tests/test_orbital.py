@@ -254,6 +254,40 @@ def test_double_cover_rejects_directed_input():
         standard_double_cover(directed)
 
 
+def list_double_cover(graph):
+    """The cover built pair by pair in Python lists, as the oracle."""
+    n = graph.n
+    for u in range(n):
+        for v in graph.adj[u]:
+            if u not in graph.adj[v]:
+                raise ValueError("double cover needs an undirected graph")
+    adj = [[] for _ in range(2 * n)]
+    for u in range(n):
+        for v in graph.adj[u]:
+            adj[u].append(v + n)
+            adj[u + n].append(v)
+    return Graph(n=2 * n, adj=tuple(tuple(sorted(a)) for a in adj))
+
+
+def test_double_cover_matches_list_builder(env):
+    a384 = env.a384()
+    rep = next(rep for rep, length in suborbits(a384, 0).entries
+               if length == 127)
+    sigma = orbital_graph(a384, 0, rep)
+    graphs = [path2(), triangle(), square(),
+              Graph(n=5, adj=((1, 4), (0, 2), (1, 3), (2, 4), (0, 3))),
+              Graph(n=3, adj=((1,), (0,), ())),
+              Graph(n=3, adj=((2, 1), (0,), (0,))),  # a row out of order
+              sigma]
+    for graph in graphs:
+        assert standard_double_cover(graph) == list_double_cover(graph)
+    for directed in (Graph(n=2, adj=((1,), ())),
+                     Graph(n=4, adj=((1,), (2,), (3,), (0,)))):
+        for build in (standard_double_cover, list_double_cover):
+            with pytest.raises(ValueError):
+                build(directed)
+
+
 # ---------------------------------------------------------------------------
 # the valency-127 double cover
 

@@ -1,15 +1,19 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from derangements import (BlockSystem, PermGroup, Permutation, conjugate,
-                          commutator, derangement_backtrack,
-                          parse_cycles)
+from derangements import (BlockSystem, CertificateError, PermGroup,
+                          Permutation, conjugate, commutator,
+                          derangement_backtrack, parse_cycles,
+                          projective_line_action)
 import derangements.perm as perm_module
-from derangements.perm import permutation_from_cycles_1indexed
+from derangements.perm import (StabilizerChain,
+                               permutation_from_cycles_1indexed)
 
-from tests.conftest import alternating, cyclic, dihedral, klein4, symmetric
+from tests.conftest import (alternating, cyclic, dihedral, frobenius21,
+                            klein4, symmetric)
 
 
 def test_composition_is_left_to_right():
@@ -292,3 +296,90 @@ def test_batch_power_matches_repeated_composition(dtype, n, m):
         got = perm_module.batch_power(rows, e)
         assert np.array_equal(got, want), e
         want = np.array([row[w] for row, w in zip(rows, want)])
+
+
+# ---------------------------------------------------------------------------
+# chains and closures that stop at a certified order
+
+
+def outside_elements(G, rng, count):
+    """Up to `count` seeded elements of Sym(n) outside G (none when G is
+    the whole symmetric group)."""
+    if G.order() == math.factorial(G.degree):
+        return []
+    out = []
+    while len(out) < count:
+        x = Permutation(rng.permutation(G.degree))
+        if not G.contains(x):
+            out.append(x)
+    return out
+
+
+def test_bounded_chain_agrees_with_full_sweep(corpus, psl2_31_on_96, env):
+    # on M11 wr C2 the random phase falls short of the order, so the bounded
+    # build must still run the sweep
+    rng = np.random.default_rng(6)
+    for name, A in corpus + [("PSL(2,31) on 96", psl2_31_on_96),
+                             ("M11 wr C2 on 144", env.wreath144()[1])]:
+        G = A.group
+        inside = [G.random_element(rng) for _ in range(50)]
+        outside = outside_elements(G, rng, 50)
+        for prefix in ([], [G.degree - 1]):
+            full = StabilizerChain(G.degree, G.generators, prefix)
+            bounded = StabilizerChain(G.degree, G.generators, prefix,
+                                      bound=G.order())
+            assert bounded.order() == full.order() == G.order(), name
+            # the early stop leaves the chain the full sweep would build
+            assert bounded.base == full.base, name
+            assert [lvl.points.tolist() for lvl in bounded.levels] == \
+                [lvl.points.tolist() for lvl in full.levels], name
+            assert all(bounded.contains(x) for x in inside), name
+            assert not any(bounded.contains(x) or full.contains(x)
+                           for x in outside), name
+
+
+def test_bound_below_the_order_raises():
+    # 119 = 7 * 17 is no product of orbit lengths on 5 points, so the build
+    # passes over it; C7:C3 has basic orbits of lengths 7 and 3, and 20 lies
+    # between their partial products 7 and 21
+    G = symmetric(5)
+    with pytest.raises(CertificateError):
+        StabilizerChain(5, G.generators, bound=119)
+    with pytest.raises(CertificateError):
+        PermGroup(frobenius21().generators, bound=20).order()
+
+
+def check_closures_against_fresh_group(generators, seeds):
+    """Closures of `seeds`, in order, in one group (which certifies each
+    proper closure for the next) against a fresh group per closure."""
+    G = PermGroup(generators)
+    for x in seeds:
+        got = G.normal_closure([x])
+        want = PermGroup(generators).normal_closure([x])
+        assert got.order() == want.order()
+        assert got.is_subgroup(want) and want.is_subgroup(got)
+        assert G.is_normal(got)
+    return G
+
+
+def test_closures_bounded_by_certified_subgroups_m11_wr_c2(env):
+    _spec, W = env.wreath144()
+    socle = W.declared_socle
+    a, b = socle.factors[0].generators[:2]
+    c = socle.factors[1].generators[0]
+    top = next(g for g in W.group.generators if not socle.subgroup.contains(g))
+    # a certifies the socle; b * c and a^2 are then bounded by it, while
+    # the top element lies outside it and is bounded by |G|
+    G = check_closures_against_fresh_group(
+        W.group.generators, [a, b * c, a * a, top])
+    assert [N.order() for N in G._normal] == [socle.subgroup.order()]
+
+
+def test_closures_bounded_by_certified_subgroups_pgl_to_psl():
+    line = projective_line_action(31)
+    psl, pgl = line.subgroups["PSL"], line.subgroups["PGL"]
+    x, y = psl.generators[:2]
+    outside = next(g for g in pgl.generators if not psl.contains(g))
+    G = check_closures_against_fresh_group(
+        pgl.generators, [x, y, x * y, outside, outside * x])
+    assert [N.order() for N in G._normal] == [psl.order()]
