@@ -303,8 +303,8 @@ def test_batch_power_matches_repeated_composition(dtype, n, m):
 
 
 def outside_elements(G, rng, count):
-    """Up to `count` seeded elements of Sym(n) outside G (none when G is
-    the whole symmetric group)."""
+    """`count` seeded elements of Sym(n) outside G, or none when G is the
+    whole symmetric group."""
     if G.order() == math.factorial(G.degree):
         return []
     out = []

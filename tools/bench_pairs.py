@@ -148,9 +148,10 @@ def _pairs(spec: dict, args, workdir: Path) -> None:
                             for p in w for s in SIDES
                             if p[s].get("environment")), {})
         Path(args.out).write_text(json.dumps({
-            "command": "python3 tools/bench_pairs.py " + " ".join(sys.argv[1:]),
+            "args": {k: v for k, v in vars(args).items()
+                     if k not in ("workdir", "out")},
             "written": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            "sides": sides, "seconds": args.seconds,
+            "sides": sides,
             "pairs_done": i + 1, "environment": environment,
             "workloads": summarize(spec, runs)}, indent=1) + "\n")
 
