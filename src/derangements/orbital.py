@@ -280,8 +280,8 @@ def standard_double_cover(graph) -> Graph:
     if not np.array_equal(keys, np.sort(heads * n + tails)):
         raise ValueError("double cover needs an undirected graph")
     heads = keys % n  # tails ascend, so each row's heads now ascend
-    ends = np.cumsum([len(a) for a in graph.adj]).tolist()
-    rows = list(zip([0] + ends[:-1], ends))
+    starts = np.searchsorted(tails, np.arange(n + 1)).tolist()
+    rows = list(zip(starts[:-1], starts[1:]))
     low, high = (heads + n).tolist(), heads.tolist()
     return Graph(n=2 * n, adj=tuple([tuple(low[a:b]) for a, b in rows]
                                     + [tuple(high[a:b]) for a, b in rows]))

@@ -26,10 +26,11 @@ random phase ends there and the sweep is skipped.  A product above |K|
 refutes the containment and raises CertificateError.  Only a caller that
 knows such a K passes its order as `bound`: point_stabilizer (G's own
 chain with a new base point), normal_closure (a certified normal subgroup
-containing the seeds, else G), connectivity_by_generation (a subgroup of
-G) and zoo.wreath (an image of L wr K, so the order check that follows
-there tests that the action is faithful).  A random phase that falls
-short of the bound leaves the full sweep to run as without one.
+containing the seeds, else G) and connectivity_by_generation (a subgroup
+of G).  A caller whose next step checks the order against the bound must
+not pass it: a bounded build that reaches the bound skips the sweep, so
+that check could not fail.  A random phase that falls short of the bound
+leaves the full sweep to run as without one.
 
 The chain alone decides the transversal format (see _Orbit): per level, an
 int64 matrix of representative image rows, one per orbit point in sorted

@@ -760,11 +760,8 @@ def wreath(
             gens.append(coordinate_embedding(spec, i, a, budgets))
     for pi in spec.top.generators:
         gens.append(top_embedding(spec, pi, budgets))
-    chained = spec.degree <= budgets.chain_degree
-    # an image of L wr K, so its order is at most |L|^k * |K|
-    group = PermGroup(gens, degree=spec.degree,
-                      bound=spec.order() if chained else None)
-    if chained and group.order() != spec.order():
+    group = PermGroup(gens, degree=spec.degree)
+    if spec.degree <= budgets.chain_degree and group.order() != spec.order():
         raise CertificateError(
             f"wreath product order {group.order()}, expected {spec.order()}"
         )

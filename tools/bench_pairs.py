@@ -4,12 +4,12 @@
         --seed 601 --out BENCH_6.json
 
 Extracts the committed files of both revisions with `git archive` into
-a fresh temporary directory (under --workdir if given, removed at the
-end), so the checkout and its `.git` stay untouched, and runs each side's
-own `perfbench/run.py --trace 0` there.  Pair i runs every workload of
-BENCHMARK.json (or each one named by --workload) at seed --seed + i, the
-parent first in even pairs and the change first in odd ones, for the
-benchmark's `run_seconds` unless --seconds is given.
+a fresh temporary directory (removed at the end), so the checkout and its
+`.git` stay untouched, and runs each side's own `perfbench/run.py --trace
+0` there.  Pair i runs every workload of BENCHMARK.json (or each one named
+by --workload) at seed --seed + i for the benchmark's `run_seconds`, the
+parent first in even pairs and the change first in odd ones.  A smoke run
+is --pairs 1 with one --workload.
 
 The record written to --out holds, per workload and end-to-end metric,
 every run of each side with its median and quartiles, the number of
@@ -111,15 +111,13 @@ def main() -> int:
     ap.add_argument("--change", required=True, help="git revision")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=spec["run_seconds"])
     ap.add_argument("--workload", action="append", choices=names)
-    ap.add_argument("--workdir", default=None)
     ap.add_argument("--out", required=True)
     args = ap.parse_args()
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
 
-    workdir = Path(tempfile.mkdtemp(prefix="bench-pairs-", dir=args.workdir))
+    workdir = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
         _pairs(spec, args, workdir)
     finally:
@@ -137,7 +135,7 @@ def _pairs(spec: dict, args, workdir: Path) -> None:
             pair = {"first": order[0]}
             for side in order:
                 pair[side] = _run(workdir / side, workload, args.seed + i,
-                                  args.seconds)
+                                  spec["run_seconds"])
                 values = pair[side]["metrics"]
                 print(f"pair {i + 1}/{args.pairs} {workload} {side}: "
                       + " ".join(f"{k}={v:.4g}" for k, v in
@@ -148,8 +146,8 @@ def _pairs(spec: dict, args, workdir: Path) -> None:
                             for p in w for s in SIDES
                             if p[s].get("environment")), {})
         Path(args.out).write_text(json.dumps({
-            "args": {k: v for k, v in vars(args).items()
-                     if k not in ("workdir", "out")},
+            "args": {k: v for k, v in vars(args).items() if k != "out"},
+            "run_seconds": spec["run_seconds"],
             "written": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "sides": sides,
             "pairs_done": i + 1, "environment": environment,
