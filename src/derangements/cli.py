@@ -23,13 +23,19 @@ USAGE_ERROR = 2
 FAILURE = 1
 
 
+def _budget(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"budget must be >= 0, got {text}")
+    return int(text)
+
+
 def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help="seed for subgroup search and the random wreath "
                         "sample (default 0)")
-    p.add_argument("--budget-exhaustive", type=int, default=None,
+    p.add_argument("--budget-exhaustive", type=_budget, default=None,
                    metavar="N", help="max group order for full enumeration")
-    p.add_argument("--budget-degree", type=int, default=None,
+    p.add_argument("--budget-degree", type=_budget, default=None,
                    metavar="N", help="max degree for coset constructions")
     p.add_argument("--optional-data", default=None, metavar="DIR",
                    help="directory with optional scenario inputs")
@@ -99,12 +105,12 @@ def _cmd_check(args) -> int:
                 BudgetExceeded) as e:
             print(f"cannot build the coset action: {e}", file=sys.stderr)
             return USAGE_ERROR
-    print(f"degree {A.degree}, order {A.order()}")
-    if not A.group.is_transitive():
-        print("action is not transitive; elusivity verdicts need a "
-              "transitive action", file=sys.stderr)
-        return USAGE_ERROR
     try:
+        print(f"degree {A.degree}, order {A.order()}")
+        if not A.group.is_transitive():
+            print("action is not transitive; elusivity verdicts need a "
+                  "transitive action", file=sys.stderr)
+            return USAGE_ERROR
         _print_verdicts(A, args, env)
     except BudgetExceeded as e:
         print(f"budget exceeded: {e}", file=sys.stderr)

@@ -20,7 +20,8 @@ import numpy as np
 
 from .config import Budgets, DEFAULT_BUDGETS, CertificateError
 from .numbers import is_prime
-from .perm import BlockSystem, PermGroup, Permutation, _components
+from .perm import (BlockSystem, PermGroup, Permutation, StabilizerChain,
+                   _components)
 from .zoo import (GroupAction, MersenneScenario, borel_subgroup, coset_action,
                   projective_line_action)
 
@@ -234,8 +235,8 @@ def connectivity_by_generation(A: GroupAction, alpha: int, beta: int) -> bool:
     g = Permutation._raw(u_beta[v])  # v * u_beta
     if int(g.images[alpha]) != beta or int(g.images[beta]) != alpha:
         raise CertificateError("element does not interchange alpha and beta")
-    generated = PermGroup(list(stab.generators) + [g], degree=A.degree,
-                          bound=G.order())
+    generated = StabilizerChain(A.degree, list(stab.generators) + [g],
+                                bound=G.order())
     return generated.order() == G.order()
 
 

@@ -13,7 +13,9 @@ Groups carry a lazily built stabilizer chain.  Construction sifts random
 words (from a generator seeded with the constant DEFAULT_SEED) for speed,
 followed by a deterministic verification sweep in which every Schreier
 generator of every level is sifted; the result is therefore exact, not
-Monte Carlo.  Chains are refused above DEFAULT_BUDGETS.chain_degree points.
+Monte Carlo.  A built chain can absorb further elements and be swept exact
+again; normal_closure grows one chain per call so (Seress, ch. 4).  Chains
+are refused above DEFAULT_BUDGETS.chain_degree points.
 The chain supplies order, membership, uniform random elements, transversal
 enumeration, canonical right-coset representatives, and the pruned
 backtrack search for fixed-point-free elements of prime order.
@@ -42,6 +44,7 @@ the matrices, the part of a chain whose size grows with the degree.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -379,6 +382,8 @@ class StabilizerChain:
     complete.  The chain is then the one an unbounded build returns,
     since every later random word and Schreier generator would sift to
     the identity.  An order above the bound raises CertificateError.
+    ``_absorb`` grows a built chain by an element and ``_complete`` makes
+    it exact again, both under the same bound.
     """
 
     def __init__(self, degree: int, generators: Sequence[Permutation],
@@ -395,6 +400,7 @@ class StabilizerChain:
         self.strong: list = []  # (image row, depth)
         self._identity = np.arange(degree, dtype=np.int64)
         self._bound = bound
+        self._swept = False  # True while no absorption follows the last sweep
         gens = [g.images for g in generators if not g.is_identity()]
         self._build(gens, list(base_prefix))
 
@@ -456,49 +462,51 @@ class StabilizerChain:
         # randomized seeding: sift random words, add residues
         if self.strong:
             rng = np.random.default_rng(DEFAULT_SEED)
-            base_gens = [g for g, _ in self.strong]
             misses = 0
             while misses < 8 and not self._reached_bound():
-                word = rng.integers(0, len(base_gens), size=int(rng.integers(2, 8)))
-                w = base_gens[word[0]]
+                word = rng.integers(0, len(self.strong), size=int(rng.integers(2, 8)))
+                w = self.strong[word[0]][0]
                 for idx in word[1:]:
-                    w = base_gens[idx][w]  # w * g
-                residue, _ = self._sift(w)
-                if (residue == self._identity).all():
-                    misses += 1
-                else:
-                    misses = 0
-                    d = self._add_strong(residue)
-                    for i in range(d + 1):
-                        self._recompute_transversal(i)
-                    base_gens = [g for g, _ in self.strong]
-        if self._reached_bound():
-            return
+                    w = self.strong[idx][0][w]  # w * g
+                misses = 0 if self._absorb(w) else misses + 1
+        self._complete()
 
-        # deterministic verification sweep (Schreier generators sift to id)
+    def _absorb(self, g: np.ndarray) -> bool:
+        """Sift the image row g and keep a nonidentity residue as a strong
+        generator; True when g was absorbed, False when it is a member."""
+        residue, _ = self._sift(g)
+        if (residue == self._identity).all():
+            return False
+        d = self._add_strong(residue)
+        for i in range(d + 1):
+            self._recompute_transversal(i)
+        self._swept = False
+        return True
+
+    def _complete(self):
+        """The Schreier sweep, unless nothing was absorbed since the last
+        one or the order has reached the bound."""
+        if self._swept or self._reached_bound():
+            return
         i = len(self.levels) - 1
         while i >= 0:
             self._recompute_transversal(i)
             lvl = self.levels[i]
-            gens_i = self._level_gens(i)
-            restart = False
-            for pt in lvl.discovered.tolist():
+            for pt, s in itertools.product(lvl.discovered.tolist(),
+                                           self._level_gens(i)):
                 u = lvl.rows[lvl.index[pt]]
-                for s in gens_i:
-                    u2 = lvl.rows[lvl.index[s[pt]]]
-                    schreier = _inverse_row(u2)[s[u]]  # u * s * u2^-1
-                    residue, j = self._sift(schreier, i + 1)
-                    if not (residue == self._identity).all():
-                        d = self._add_strong(residue)
-                        for lev in range(min(d, j), len(self.levels)):
-                            self._recompute_transversal(lev)
-                        i = len(self.levels) - 1 if d >= len(self.levels) else max(d, i)
-                        restart = True
-                        break
-                if restart:
+                u2 = lvl.rows[lvl.index[s[pt]]]
+                schreier = _inverse_row(u2)[s[u]]  # u * s * u2^-1
+                residue, j = self._sift(schreier, i + 1)
+                if not (residue == self._identity).all():
+                    d = self._add_strong(residue)
+                    for lev in range(min(d, j), len(self.levels)):
+                        self._recompute_transversal(lev)
+                    i = len(self.levels) - 1 if d >= len(self.levels) else max(d, i)
                     break
-            if not restart:
+            else:
                 i -= 1
+        self._swept = True
         self._reached_bound()  # raises when the sweep went past the bound
 
     # -- queries -----------------------------------------------------------
@@ -542,26 +550,14 @@ _BATCH_ROWS = 65536  # rows per element_batches block
 _BATCH_ENTRIES = 1 << 18  # entries (2 MiB of int64) per yielded batch
 
 
-def _dedup(perms: Iterable[Permutation]) -> list:
-    seen = set()
-    out = []
-    for p in perms:
-        k = p.key()
-        if k not in seen:
-            seen.add(k)
-            out.append(p)
-    return out
-
-
 class PermGroup:
     """A finite permutation group on {0, ..., degree-1} given by generators.
 
-    ``bound``, when given, is the certified order of a group known to
-    contain this one; the chain is built with it (see StabilizerChain).
+    The chain is built unbounded on first use; a normal closure comes
+    with the chain it was grown on.
     """
 
-    def __init__(self, generators: Sequence[Permutation], degree: Optional[int] = None,
-                 *, bound: Optional[int] = None):
+    def __init__(self, generators: Sequence[Permutation], degree: Optional[int] = None):
         gens = list(generators)
         if not gens:
             if degree is None:
@@ -574,7 +570,6 @@ class PermGroup:
             raise ValueError("generators have unequal degrees")
         self.degree = d
         self.generators = tuple(gens)
-        self._bound = bound
         self._chain: Optional[StabilizerChain] = None
         self._stab_cache: dict = {}
         self._normal: list = []  # proper closures certified normal in self
@@ -587,8 +582,7 @@ class PermGroup:
     @property
     def chain(self) -> StabilizerChain:
         if self._chain is None:
-            self._chain = StabilizerChain(self.degree, self.generators,
-                                          bound=self._bound)
+            self._chain = StabilizerChain(self.degree, self.generators)
         return self._chain
 
     def order(self) -> int:
@@ -651,39 +645,39 @@ class PermGroup:
     def normal_closure(self, elements: Sequence[Permutation]) -> "PermGroup":
         """Smallest normal subgroup of self containing the given elements.
 
-        Deterministic conjugate closure: every generator-conjugate of every
-        closure generator must sift into the closure before we return.
+        One chain grows per call: the seeds' chain absorbs each conjugate
+        of a listed generator by a generator of self, and a conjugate that
+        leaves a residue is listed too; a last sweep makes it exact.  Its
+        group K is <gens>, as strong generators are products of generators
+        and each generator was absorbed or sifted to the identity; K is
+        normal, as every conjugate of every generator sifted into K.
 
-        Every candidate lies in <x^G>, so in any normal subgroup N holding
-        the seeds.  Candidate chains are built with the certified-subgroup
-        bound: |N| for the smallest proper closure already certified normal
-        here that contains every seed, else |G|.  A candidate reaching it
-        is N (or G) and skips its Schreier sweep.  A proper closure of
-        smaller order than its bound joins the certified list.
+        The bound is |N| for the smallest proper closure already certified
+        normal here that holds every seed (so holds <x^G>), else |G|.  A
+        chain reaching it is N (or G) and skips its sweep.  A proper
+        closure of smaller order than its bound joins the certified list.
         """
         for x in elements:
             if not self.contains(x):
                 raise ValueError("closure seed element lies outside the group")
-        gens = _dedup(x for x in elements if not x.is_identity())
+        gens = list(dict.fromkeys(x for x in elements if not x.is_identity()))
         if not gens:
             return PermGroup([], degree=self.degree)
         bound = next((N.order() for N in self._normal
                       if all(N.contains(x) for x in gens)), self.order())
-        while True:
-            candidate = PermGroup(gens, degree=self.degree, bound=bound)
-            new = []
-            for x in gens:
-                for g in self.generators:
-                    c = conjugate(x, g)
-                    if not candidate.contains(c):
-                        new.append(c)
-            if not new:
-                break
-            gens = _dedup(gens + new)
-        if candidate.order() < bound:
-            self._normal.append(candidate)
+        chain = StabilizerChain(self.degree, gens, bound=bound)
+        for x in gens:  # grows while it is walked
+            for g in self.generators:
+                c = conjugate(x, g)
+                if chain._absorb(c.images):
+                    gens.append(c)
+        chain._complete()
+        closure = PermGroup(gens, degree=self.degree)
+        closure._chain = chain
+        if chain.order() < bound:
+            self._normal.append(closure)
             self._normal.sort(key=PermGroup.order)
-        return candidate
+        return closure
 
     def derived_subgroup(self) -> "PermGroup":
         comms = [commutator(a, b)
@@ -701,7 +695,7 @@ class PermGroup:
         """The subgroup generated by both groups' generators."""
         if other.degree != self.degree:
             raise ValueError("degree mismatch")
-        return PermGroup(_dedup(self.generators + other.generators),
+        return PermGroup(list(dict.fromkeys(self.generators + other.generators)),
                          degree=self.degree)
 
     # -- blocks -------------------------------------------------------------

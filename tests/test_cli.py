@@ -175,6 +175,26 @@ def test_check_budget_exceeded_in_verdict_is_a_usage_error(
                            "exhaustive budget 1")
 
 
+def test_check_chain_degree_budget_is_a_usage_error(tmp_path, capsys):
+    # the order line needs a chain, refused above Budgets.chain_degree
+    big = write(tmp_path, "big.gens", "degree 25000\ngen (1,2)\n")
+    assert main(["check", "--group", big]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("budget exceeded: ")
+    assert "degree 25000" in captured.err
+
+
+@pytest.mark.parametrize("flag", ["--budget-exhaustive", "--budget-degree"])
+def test_check_negative_budget_is_refused(c6_file, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--group", c6_file, flag, "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "budget must be >= 0, got -1" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # report (run_all stubbed: full runs belong to the acceptance suite)
 

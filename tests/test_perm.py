@@ -346,16 +346,29 @@ def test_bound_below_the_order_raises():
     with pytest.raises(CertificateError):
         StabilizerChain(5, G.generators, bound=119)
     with pytest.raises(CertificateError):
-        PermGroup(frobenius21().generators, bound=20).order()
+        StabilizerChain(7, frobenius21().generators, bound=20)
 
 
-def check_closures_against_fresh_group(generators, seeds):
+def rebuilt_closure(G, seeds):
+    """<seeds^G> by the plain round loop: a fresh unbounded group per round,
+    until every conjugate of every generator sifts into it."""
+    gens = [x for x in seeds if not x.is_identity()]
+    while True:
+        K = PermGroup(gens, degree=G.degree)
+        new = [c for c in (conjugate(x, g) for x in gens for g in G.generators)
+               if not K.contains(c)]
+        if not new:
+            return K
+        gens = list(dict.fromkeys(gens + new))
+
+
+def check_closures_against_rebuilt(generators, seeds):
     """Closures of `seeds`, in order, in one group (which certifies each
-    proper closure for the next) against a fresh group per closure."""
+    proper closure for the next) against the rebuild loop per closure."""
     G = PermGroup(generators)
     for x in seeds:
         got = G.normal_closure([x])
-        want = PermGroup(generators).normal_closure([x])
+        want = rebuilt_closure(G, [x])
         assert got.order() == want.order()
         assert got.is_subgroup(want) and want.is_subgroup(got)
         assert G.is_normal(got)
@@ -370,7 +383,7 @@ def test_closures_bounded_by_certified_subgroups_m11_wr_c2(env):
     top = next(g for g in W.group.generators if not socle.subgroup.contains(g))
     # a certifies the socle; b * c and a^2 are then bounded by it, while
     # the top element lies outside it and is bounded by |G|
-    G = check_closures_against_fresh_group(
+    G = check_closures_against_rebuilt(
         W.group.generators, [a, b * c, a * a, top])
     assert [N.order() for N in G._normal] == [socle.subgroup.order()]
 
@@ -380,6 +393,35 @@ def test_closures_bounded_by_certified_subgroups_pgl_to_psl():
     psl, pgl = line.subgroups["PSL"], line.subgroups["PGL"]
     x, y = psl.generators[:2]
     outside = next(g for g in pgl.generators if not psl.contains(g))
-    G = check_closures_against_fresh_group(
+    G = check_closures_against_rebuilt(
         pgl.generators, [x, y, x * y, outside, outside * x])
     assert [N.order() for N in G._normal] == [psl.order()]
+
+
+def test_closures_of_class_representatives_match_rebuilt(corpus):
+    from derangements import prime_order_class_reps
+    from derangements.numbers import prime_divisors
+    for name, A in corpus:
+        reps = [ci.representative for r in prime_divisors(A.group.order())
+                for ci in prime_order_class_reps(A.group, r)]
+        check_closures_against_rebuilt(A.group.generators, reps)
+
+
+def test_transposition_closure_reaches_its_bound_mid_walk(monkeypatch):
+    log = []  # (absorbed, order, bound) after every _absorb call
+    absorb = StabilizerChain._absorb
+
+    def logged(self, g):
+        absorbed = absorb(self, g)
+        log.append((absorbed, self.order(), self._bound))
+        return absorbed
+    monkeypatch.setattr(StabilizerChain, "_absorb", logged)
+    check_closures_against_rebuilt(symmetric(6).generators,
+                                   [Permutation.from_cycles(6, [(0, 1)])])
+    walk = [(absorbed, order == bound) for absorbed, order, bound in log
+            if bound is not None]  # the closure's chain, bounded by |S6|
+    # several conjugates were absorbed, and the chain reached |S6| with
+    # conjugates still to walk, which then sifted without a sweep
+    assert sum(absorbed for absorbed, _ in walk) >= 2
+    reached = [k for k, (_, full) in enumerate(walk) if full]
+    assert reached and reached[0] < len(walk) - 1
