@@ -4,17 +4,13 @@ Everything here works on image rows: an (m, n) int64 array whose rows are
 permutation image arrays.  Used by the elusivity checkers and the subgroup
 search for groups whose full element list fits in the exhaustive budget.
 
-`order_r_rows` scans each enumerated batch in three stages and still
-returns int64 rows.  It first casts the batch to the smallest unsigned
-dtype that holds a point (uint8 up to 256 points, uint16 up to 65536,
-uint32 beyond), so the prefilters move a fraction of the bytes.  It then drops
-rows that fail one of two necessary conditions for prime order r.  An
-element x of prime order r has only cycles of length 1 and r, so the
-points it moves number a positive multiple of r.  For the same reason
-x^r fixes every point, in particular the first point x moves, and the
-trajectory of that one point costs r one-dimensional gathers.  The exact
-test x^r = 1 then runs on the compact survivors (each moves at least r
-points, so none is the identity), and only the result is widened to int64.
+`order_r_rows` casts each enumerated batch to the smallest unsigned dtype
+that holds a point (uint8 up to 256 points, uint16 up to 65536, uint32
+beyond), so the filter moves a fraction of the bytes, and passes it to
+`perm._order_r_filter`, the order-r test the derangement backtrack's
+leaves share: a moved-point count that is a positive multiple of r, the
+trajectory of the first moved point under x^r, then the exact x^r = 1 on
+the survivors.  Only the kept rows are widened to int64.
 """
 
 from __future__ import annotations
@@ -23,21 +19,15 @@ import numpy as np
 
 from .config import DEFAULT_BUDGETS, BudgetExceeded, CertificateError
 from .perm import (_BATCH_ENTRIES, Permutation, _cells, _components,
-                   batch_power)
+                   _order_r_filter, batch_power)
 
 __all__ = [
     "batch_power",
-    "identity_mask",
     "fixed_point_counts",
     "order_r_rows",
     "exhaustive_class_partition",
     "partition_rows_by_conjugacy",
 ]
-
-
-def identity_mask(rows: np.ndarray) -> np.ndarray:
-    n = rows.shape[1]
-    return (rows == np.arange(n, dtype=np.int64)).all(axis=1)
 
 
 def fixed_point_counts(rows: np.ndarray) -> np.ndarray:
@@ -47,29 +37,16 @@ def fixed_point_counts(rows: np.ndarray) -> np.ndarray:
 
 def order_r_rows(G, r: int, budget: int = DEFAULT_BUDGETS.exhaustive) -> np.ndarray:
     """All image rows of elements of exact order r (r prime) in G."""
-    n = G.degree
-    compact = np.min_scalar_type(n - 1)
-    ident = np.arange(n, dtype=compact)
+    compact = np.min_scalar_type(G.degree - 1)
     kept = []
     total = 0
     for batch in G.element_batches():
         total += len(batch)
         if total > budget:
             raise _budget_error(G, budget)
-        small = batch.astype(compact)
-        moved = small != ident
-        counts = np.count_nonzero(moved, axis=1)
-        keep = (counts > 0) & (counts % r == 0)
-        small, moved = small[keep], moved[keep]
-        start = moved.argmax(axis=1)
-        pts = start
-        at = np.arange(len(small))
-        for _ in range(r):
-            pts = small[at, pts]
-        small = small[pts == start]
-        kept.append(small[identity_mask(batch_power(small, r))])
+        kept.append(_order_r_filter(batch.astype(compact), r))
     if not kept:
-        return np.empty((0, n), dtype=np.int64)
+        return np.empty((0, G.degree), dtype=np.int64)
     return np.concatenate(kept, axis=0, dtype=np.int64)
 
 

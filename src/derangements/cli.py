@@ -23,20 +23,27 @@ USAGE_ERROR = 2
 FAILURE = 1
 
 
-def _budget(text: str) -> int:
-    if int(text) < 0:
-        raise argparse.ArgumentTypeError(f"budget must be >= 0, got {text}")
-    return int(text)
+def _non_negative(what: str):
+    """An argparse type: an int >= 0, named `what` in its messages."""
+    def parse(text: str) -> int:
+        if int(text) < 0:
+            raise argparse.ArgumentTypeError(
+                f"{what} must be >= 0, got {text}")
+        return int(text)
+    parse.__name__ = what  # argparse's "invalid <name> value" message
+    return parse
 
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    p.add_argument("--seed", type=_non_negative("seed"), default=DEFAULT_SEED,
                    help="seed for subgroup search and the random wreath "
                         "sample (default 0)")
-    p.add_argument("--budget-exhaustive", type=_budget, default=None,
-                   metavar="N", help="max group order for full enumeration")
-    p.add_argument("--budget-degree", type=_budget, default=None,
-                   metavar="N", help="max degree for coset constructions")
+    p.add_argument("--budget-exhaustive", type=_non_negative("budget"),
+                   default=None, metavar="N",
+                   help="max group order for full enumeration")
+    p.add_argument("--budget-degree", type=_non_negative("budget"),
+                   default=None, metavar="N",
+                   help="max degree for coset constructions")
     p.add_argument("--optional-data", default=None, metavar="DIR",
                    help="directory with optional scenario inputs")
     p.add_argument("--determinism", action="store_true",

@@ -18,7 +18,11 @@ again; normal_closure grows one chain per call so (Seress, ch. 4).  Chains
 are refused above DEFAULT_BUDGETS.chain_degree points.
 The chain supplies order, membership, uniform random elements, transversal
 enumeration, canonical right-coset representatives, and the pruned
-backtrack search for fixed-point-free elements of prime order.
+backtrack search for fixed-point-free elements of prime order.  That
+search expands a level at a time for a chunk of parents in one gather, on
+rows of the smallest dtype that holds a point, keeping the node-by-node
+DFS order (see derangement_backtrack).  Its leaves and the class scan's
+batches pass the one order-r filter, _order_r_filter.
 
 Known-order early stop (Sims 1970; Seress, Permutation Group Algorithms,
 section 4.5).  The product of the basic orbit lengths of a partial chain
@@ -223,6 +227,34 @@ def batch_power(rows: np.ndarray, e: int) -> np.ndarray:
         if e:
             base = base.ravel()[base + offsets]
     return acc
+
+
+def _order_r_filter(rows: np.ndarray, r: int,
+                    fixed_point_free: bool = False) -> np.ndarray:
+    """The rows of exact order r (r prime) among compact image rows.
+
+    An element of prime order r has only cycles of length 1 and r, so the
+    points it moves number a positive multiple of r (all n of them when
+    `fixed_point_free` asks for derangements only), and x^r fixes the
+    first point x moves, a trajectory of r one-dimensional gathers.  The
+    exact test x^r = 1 runs on the survivors, none of them the identity.
+    """
+    n = rows.shape[1]
+    ident = np.arange(n, dtype=rows.dtype)
+    moved = rows != ident
+    if fixed_point_free:
+        rows = rows[moved.all(axis=1)]
+        start = np.zeros(len(rows), dtype=np.int64)
+    else:
+        counts = moved.sum(axis=1, dtype=np.min_scalar_type(max(n, r)))
+        keep = (counts > 0) & (counts % r == 0)
+        rows, start = rows[keep], moved[keep].argmax(axis=1)
+    pts = start
+    flat, offsets = rows.ravel(), np.arange(0, rows.size, n)
+    for _ in range(r):
+        pts = flat[offsets + pts]
+    rows = rows[pts == start]
+    return rows[(batch_power(rows, r) == ident).all(axis=1)]
 
 
 def _components(n: int, u, v) -> np.ndarray:
@@ -547,7 +579,7 @@ class StabilizerChain:
 # groups
 
 _BATCH_ROWS = 65536  # rows per element_batches block
-_BATCH_ENTRIES = 1 << 18  # entries (2 MiB of int64) per yielded batch
+_BATCH_ENTRIES = 1 << 18  # entries per enumerated batch or backtrack chunk
 
 
 class PermGroup:
@@ -850,45 +882,54 @@ class BlockSystem:
 def derangement_backtrack(G: PermGroup, r: int, determinism: bool = False) -> Optional[Permutation]:
     """Find an order-r element of G without fixed points, or certify None.
 
-    Depth-first search over stabilizer-chain cosets.  After the levels
-    0..i have been chosen the image of every base point b_j (j <= i) under
-    the final element is already determined, so any partial product fixing
-    such a point is pruned.  A returned None is exact: the full pruned tree
-    was exhausted.  In determinism mode the lexicographically least witness
-    is returned (full exploration); otherwise the first one found.
-    """
-    if G.order() % r != 0:
-        return None  # no elements of that order exist
-    chain = G.chain
-    levels = chain.levels
-    if not levels:
-        return None
-    base = chain.base
-    ident = np.arange(G.degree, dtype=np.int64)
-    best: Optional[Permutation] = None
+    Depth-first search over stabilizer-chain cosets (Leon 1991), run a
+    level at a time.  A node at level i is a product t_i * ... * t_0 of
+    transversal rows (t_i applied first).  The rows of deeper levels fix
+    b_i, so every leaf below the node maps b_i where the node does, and a
+    node fixing b_i is pruned.  A chunk of parents, about _BATCH_ENTRIES
+    entries of children, is expanded in one gather on rows of the smallest
+    dtype that holds a point, and its children are searched before the
+    next chunk, so leaves are met in the node-by-node DFS order.  Leaves
+    pass `_order_r_filter` with no fixed point allowed; only the returned
+    witness is widened to int64.
 
-    # iterative DFS; stack holds (level_index, partial_images), partial
-    # being t_{i-1} * ... * t_0 (the factors applied last)
-    stack = [(0, None)]
-    while stack:
-        i, partial = stack.pop()
-        rows = levels[i].rows
-        new = rows if partial is None else partial[rows]
-        # prune: some base point b_j (j <= i) already fixed by the leaf
-        bases = base[: i + 1]
-        new = new[(new[:, bases] != bases).all(axis=1)]
-        if i + 1 < len(levels):
-            stack.extend((i + 1, child) for child in new[::-1])
+    A derangement of prime order r has only r-cycles, so None is returned
+    at once unless r divides both |G| and the degree.  A returned None is
+    exact: the full pruned tree was exhausted.  In determinism mode the
+    lexicographically least witness is returned (full exploration);
+    otherwise the first one in DFS order.
+    """
+    n = G.degree
+    if G.order() % r or n % r:
+        return None
+    chain = G.chain
+    if not chain.levels:
+        return None
+    best = None
+    # DFS frames [level, parent rows, next parent]; a parent at level i is
+    # the product of the levels below i
+    frames = [[0, np.arange(n, dtype=np.min_scalar_type(n - 1))[None, :], 0]]
+    while frames:
+        frame = frames[-1]
+        i, parents, lo = frame
+        if lo == len(parents):
+            frames.pop()
             continue
-        # leaves: no fixed point rules out the identity; r is prime, so
-        # the order is r exactly when g^r = id
-        new = new[~(new == ident).any(axis=1)]
-        new = new[(batch_power(new, r) == ident).all(axis=1)]
-        if not len(new):
+        T = chain.levels[i].rows
+        step = max(1, _BATCH_ENTRIES // (n * len(T)))
+        frame[2] = min(lo + step, len(parents))
+        b = chain.base[i]
+        children = np.take(parents[lo:lo + step], T, axis=1).reshape(-1, n)
+        children = children[children[:, b] != b]
+        if i + 1 < len(chain.levels):
+            frames.append([i + 1, children, 0])
+            continue
+        found = _order_r_filter(children, r, fixed_point_free=True)
+        if not len(found):
             continue
         if not determinism:
-            return Permutation._raw(new[0].copy())
-        least = new[np.lexsort(new.T[::-1])[0]]
-        if best is None or tuple(least) < tuple(best.images):
-            best = Permutation._raw(least.copy())
-    return best
+            return Permutation._raw(found[0])
+        least = found[np.lexsort(found.T[::-1])[0]]
+        if best is None or tuple(least) < tuple(best):
+            best = least
+    return None if best is None else Permutation._raw(best)

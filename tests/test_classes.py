@@ -1,19 +1,24 @@
 """The prefiltered order-r scan against the plain power test.
 
 `order_r_rows` casts batches to a compact dtype and drops rows by two
-necessary conditions before the exact x^r = 1 test.  The reference below is
+necessary conditions before the exact x^r = 1 test (`perm._order_r_filter`,
+which the derangement backtrack's leaves share).  The reference below is
 that exact test over every enumerated row; the two must agree row for row.
 """
 
 import numpy as np
 import pytest
 
-from derangements.classes import (batch_power, identity_mask, order_r_rows,
+from derangements.classes import (batch_power, order_r_rows,
                                   partition_rows_by_conjugacy)
 from derangements.config import CertificateError
 from derangements.numbers import prime_divisors
 
 from tests.conftest import alternating, cyclic, symmetric
+
+
+def identity_mask(rows):
+    return (rows == np.arange(rows.shape[1])).all(axis=1)
 
 
 def reference_order_r_rows(G, r):

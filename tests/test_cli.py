@@ -195,6 +195,16 @@ def test_check_negative_budget_is_refused(c6_file, flag, capsys):
     assert "budget must be >= 0, got -1" in captured.err
 
 
+def test_verify_negative_seed_is_refused(capsys):
+    # a seeded scenario would otherwise fail inside numpy's default_rng
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--scenario", "m11-psl211", "--seed", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "seed must be >= 0, got -1" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # report (run_all stubbed: full runs belong to the acceptance suite)
 

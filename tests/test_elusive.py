@@ -211,6 +211,18 @@ def test_class_coverage_matches_backtrack(env):
     assert v.status == "Elusive"
 
 
+def test_class_coverage_matches_backtrack_on_a768(env):
+    # PGL(2,127) on the 768 cosets of C127:C21: the backtrack's tree has
+    # 768 * 127 * 21 leaves before pruning, and the class route scans the
+    # same 2,048,256 elements
+    from derangements import derangement_backtrack
+    A = env.a768()
+    assert derangement_backtrack(A.group, 3) is None
+    v = is_r_elusive(A, 3)
+    assert v.status == "Elusive"
+    assert v.method == "class-coverage"
+
+
 def test_structural_wreath_positive_and_negative():
     s3 = natural_action(symmetric(3), "S3")
     c2 = cyclic(2)

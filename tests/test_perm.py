@@ -223,6 +223,82 @@ def test_backtrack_determinism_returns_lex_least():
     assert w == all_w[0]
 
 
+def node_by_node_backtrack(G, r, determinism=False):
+    """The coset backtrack one DFS node at a time on int64 rows: the
+    oracle for derangement_backtrack's level-at-a-time expansion.  It
+    prunes every chosen base point and skips the r | degree shortcut."""
+    if G.order() % r != 0:
+        return None
+    chain = G.chain
+    levels = chain.levels
+    if not levels:
+        return None
+    ident = np.arange(G.degree, dtype=np.int64)
+    best = None
+    stack = [(0, None)]  # (level, t_{i-1} * ... * t_0)
+    while stack:
+        i, partial = stack.pop()
+        rows = levels[i].rows
+        new = rows if partial is None else partial[rows]
+        bases = chain.base[: i + 1]
+        new = new[(new[:, bases] != bases).all(axis=1)]
+        if i + 1 < len(levels):
+            stack.extend((i + 1, child) for child in new[::-1])
+            continue
+        new = new[~(new == ident).any(axis=1)]
+        new = new[(perm_module.batch_power(new, r) == ident).all(axis=1)]
+        if not len(new):
+            continue
+        if not determinism:
+            return Permutation._raw(new[0].copy())
+        least = new[np.lexsort(new.T[::-1])[0]]
+        if best is None or tuple(least) < tuple(best.images):
+            best = Permutation._raw(least.copy())
+    return best
+
+
+def small_chunks(monkeypatch, G):
+    """Chunks of three parents at the widest level (more at the others),
+    so every level with more than a few parents spans several chunks."""
+    widest = max((len(lvl.rows) for lvl in G.chain.levels), default=1)
+    monkeypatch.setattr(perm_module, "_BATCH_ENTRIES",
+                        3 * G.degree * widest)
+
+
+def check_backtrack_agrees(G, r, modes=(False, True)):
+    for determinism in modes:
+        got = derangement_backtrack(G, r, determinism=determinism)
+        want = node_by_node_backtrack(G, r, determinism=determinism)
+        assert (got is None) == (want is None), (r, determinism)
+        if got is not None:
+            assert got.images.dtype == np.int64
+            assert np.array_equal(got.images, want.images), (r, determinism)
+
+
+@pytest.mark.parametrize("chunks", ["default", "small"])
+def test_backtrack_matches_node_by_node_oracle(corpus, psl2_31_on_96,
+                                              monkeypatch, chunks):
+    witnesses = 0
+    for name, A in corpus + [("PSL(2,31) on 96", psl2_31_on_96)]:
+        if chunks == "small":
+            small_chunks(monkeypatch, A.group)
+        for r in (2, 3, 5, 7):
+            check_backtrack_agrees(A.group, r)
+            witnesses += derangement_backtrack(A.group, r) is not None
+    assert witnesses >= 20  # most cases are NotElusive, so order matters
+
+
+@pytest.mark.parametrize("chunks", ["default", "small"])
+def test_backtrack_first_witness_on_a384_matches_oracle(env, monkeypatch,
+                                                        chunks):
+    # a NotElusive case on a 1,024,128-node tree: the first witness in DFS
+    # order comes from deep inside the first chunks
+    G = env.a384().group
+    if chunks == "small":
+        small_chunks(monkeypatch, G)
+    check_backtrack_agrees(G, 2, modes=(False,))
+
+
 def test_random_element_lands_in_group():
     G = alternating(5)
     rng = np.random.default_rng(7)
