@@ -214,7 +214,7 @@ def test_class_coverage_matches_backtrack(env):
 def test_class_coverage_matches_backtrack_on_a768(env):
     # PGL(2,127) on the 768 cosets of C127:C21: the backtrack's tree has
     # 768 * 127 * 21 leaves before pruning, and the class route scans the
-    # same 2,048,256 elements
+    # 2,048,256 elements of PGL(2,127)
     from derangements import derangement_backtrack
     A = env.a768()
     assert derangement_backtrack(A.group, 3) is None
