@@ -43,7 +43,6 @@ from .zoo import (
     subgroup_search,
     coset_action,
     wreath,
-    direct_product,
     assemble_stabilizer,
 )
 from .elusive import (

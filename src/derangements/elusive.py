@@ -256,6 +256,10 @@ def _base_class_labels(spec: WreathSpec, r: int, budgets: Budgets) -> list:
 
 def _top_elements(spec: WreathSpec, budgets: Budgets) -> list:
     K = spec.top
+    if K.order() > budgets.exhaustive:
+        raise _budget_error(K, budgets.exhaustive)
+    # The class walk conjugates by all of K, |K|^2 products, so a top group
+    # past 10,000 elements is refused even under a larger budget.
     if K.order() > 10000:
         raise BudgetExceeded("top group too large to enumerate")
     return [Permutation._raw(row.copy()) for batch in K.element_batches() for row in batch]
@@ -400,49 +404,28 @@ def wreath_fixed_point_check(spec: WreathSpec, x) -> bool:
 # elusivity verdicts
 
 
+def _verdict(r: int, method: str, budgets: Budgets, witness=None,
+             spec: Optional[WreathSpec] = None) -> ElusivityVerdict:
+    """Elusive when there is no witness, NotElusive with it."""
+    status = ELUSIVE if witness is None else NOT_ELUSIVE
+    return ElusivityVerdict(r, status, witness=witness, method=method,
+                            budgets=asdict(budgets), spec=spec)
+
+
 def _direct_exhaustive(A: GroupAction, r: int, budgets: Budgets) -> ElusivityVerdict:
     rows = _order_r_rows_cached(A.group, r, budgets)
-    counts = fixed_point_counts(rows)
-    bad = rows[counts == 0]
+    bad = rows[fixed_point_counts(rows) == 0]
+    w = None
     if len(bad):
         w = Permutation._raw(bad[np.lexsort(bad.T[::-1])[0]].copy())
-        return ElusivityVerdict(
-            r, NOT_ELUSIVE, witness=w, method=METHOD_ENUM,
-            budgets=asdict(budgets),
-        )
-    return ElusivityVerdict(
-        r, ELUSIVE, method=METHOD_ENUM, budgets=asdict(budgets)
-    )
+    return _verdict(r, METHOD_ENUM, budgets, w)
 
 
 def _class_coverage(A: GroupAction, r: int, budgets: Budgets) -> ElusivityVerdict:
     infos = action_prime_order_class_reps(A, r, budgets=budgets)
-    bad = [ci for ci in infos if ci.min_fixed_points == 0]
-    if bad:
-        w = min(
-            (ci.representative for ci in bad), key=lambda p: tuple(p.images)
-        )
-        return ElusivityVerdict(
-            r, NOT_ELUSIVE, witness=w, method=METHOD_COVER,
-            budgets=asdict(budgets),
-        )
-    return ElusivityVerdict(
-        r, ELUSIVE, method=METHOD_COVER, budgets=asdict(budgets)
-    )
-
-
-def _backtrack_verdict(
-    A: GroupAction, r: int, budgets: Budgets, determinism: bool
-) -> ElusivityVerdict:
-    w = derangement_backtrack(A.group, r, determinism=determinism)
-    if w is None:
-        return ElusivityVerdict(
-            r, ELUSIVE, method=METHOD_BACKTRACK, budgets=asdict(budgets)
-        )
-    return ElusivityVerdict(
-        r, NOT_ELUSIVE, witness=w, method=METHOD_BACKTRACK,
-        budgets=asdict(budgets),
-    )
+    w = min((ci.representative for ci in infos if ci.min_fixed_points == 0),
+            key=lambda p: tuple(p.images), default=None)
+    return _verdict(r, METHOD_COVER, budgets, w)
 
 
 def _parent_coverage_available(A: GroupAction, budgets: Budgets) -> bool:
@@ -487,7 +470,8 @@ def is_r_elusive(
         return _structural_verdict(A.wreath, r, budgets)
     if worder <= budgets.exhaustive:
         return _direct_exhaustive(A, r, budgets)
-    return _backtrack_verdict(A, r, budgets, determinism)
+    w = derangement_backtrack(A.group, r, determinism=determinism)
+    return _verdict(r, METHOD_BACKTRACK, budgets, w)
 
 
 def _report(A: GroupAction, primes: Sequence[int], kind: str, budgets, determinism) -> ElusivityReport:
@@ -528,16 +512,13 @@ def is_elusive(
 
 
 def _structural_verdict(spec: WreathSpec, r: int, budgets: Budgets) -> ElusivityVerdict:
-    L = spec.base_group
-    K = spec.top
-    r_in_base = L.order() % r == 0
-    r_in_top = K.order() % r == 0
-    snapshot = asdict(budgets)
+    r_in_base = spec.base_group.order() % r == 0
+    r_in_top = spec.top.order() % r == 0
     if not r_in_base and not r_in_top:
         return ElusivityVerdict(
             r, NOT_APPLICABLE,
             reason=f"{r} divides neither the base nor the top order",
-            budgets=snapshot,
+            budgets=asdict(budgets),
         )
 
     base_witness = None
@@ -546,40 +527,24 @@ def _structural_verdict(spec: WreathSpec, r: int, budgets: Budgets) -> Elusivity
         if v.status == NOT_ELUSIVE:
             base_witness = v.witness
 
+    # A base witness in the first coordinate deranges the product action;
+    # the imprimitive action needs it in every block, or else a
+    # block-deranging top element.
     ident = Permutation.identity(spec.base_degree)
-    if spec.flavor == "product":
-        if base_witness is not None:
-            base = (base_witness,) + (ident,) * (spec.k - 1)
-            w = WreathElement(spec, base, Permutation.identity(spec.k))
-            return _structural_not_elusive(spec, r, w, snapshot, budgets)
-        return ElusivityVerdict(
-            r, ELUSIVE, method=METHOD_WREATH, budgets=snapshot, spec=spec,
-        )
-
-    # imprimitive flavor: the top can contribute block-swapping derangements
+    w = None
     if base_witness is not None:
-        w = WreathElement(spec, (base_witness,) * spec.k, Permutation.identity(spec.k))
-        return _structural_not_elusive(spec, r, w, snapshot, budgets)
-    if r_in_top:
-        pi = derangement_backtrack(K, r)
+        if spec.flavor == "product":
+            base = (base_witness,) + (ident,) * (spec.k - 1)
+        else:
+            base = (base_witness,) * spec.k
+        w = WreathElement(spec, base, Permutation.identity(spec.k))
+    elif spec.flavor != "product" and r_in_top:
+        pi = derangement_backtrack(spec.top, r)
         if pi is not None:
             w = WreathElement(spec, (ident,) * spec.k, pi)
-            return _structural_not_elusive(spec, r, w, snapshot, budgets)
-    return ElusivityVerdict(
-        r, ELUSIVE, method=METHOD_WREATH, budgets=snapshot, spec=spec,
-    )
-
-
-def _structural_not_elusive(
-    spec: WreathSpec, r: int, w: WreathElement, snapshot: dict, budgets: Budgets
-) -> ElusivityVerdict:
-    witness = w
-    if spec.degree <= budgets.materialize:
-        witness = w.to_permutation(budgets)
-    return ElusivityVerdict(
-        r, NOT_ELUSIVE, witness=witness, method=METHOD_WREATH,
-        budgets=snapshot, spec=spec,
-    )
+    if w is not None and spec.degree <= budgets.materialize:
+        w = w.to_permutation(budgets)
+    return _verdict(r, METHOD_WREATH, budgets, w, spec)
 
 
 def structural_wreath_elusivity(

@@ -54,7 +54,6 @@ class Scenario:
     builder: Callable
     expected: Tuple[Expectation, ...]
     optional: bool = False
-    budgets_override: Optional[dict] = None
 
     def __post_init__(self):
         for e in self.expected:
@@ -220,6 +219,35 @@ def _nh_order(action: GroupAction, N: PermGroup) -> int:
     return N.join(H).order()
 
 
+def _methods(rep) -> list:
+    return sorted({v.method for v in rep.verdicts})
+
+
+def _two_prime(env: ScenarioEnv, A: GroupAction, values: dict, certs: dict):
+    """Record A's 2'-elusivity verdict and certificate; return the report."""
+    rep = is_2prime_elusive(A, budgets=env.budgets,
+                            determinism=env.determinism)
+    values["two_prime_elusive"] = bool(rep)
+    certs["two_prime_elusive"] = rep.to_dict()
+    return rep
+
+
+def _structure(env: ScenarioEnv, A: GroupAction, values: dict, certs: dict):
+    """Record A's normal-structure verdict and certificate; return it."""
+    struct = normal_structure(A, budgets=env.budgets, seed=env.seed)
+    values["structure"] = struct.verdict
+    certs["structure"] = struct.to_dict()
+    return struct
+
+
+def _two_orbit_closure(A: GroupAction, struct) -> PermGroup:
+    """The normal closure of the seed of the smallest two-orbit closure
+    that the structure report records."""
+    two_orbit = min((c for c in struct.closures if c[2] == 2),
+                    key=lambda c: c[1])
+    return A.group.normal_closure([two_orbit[0]])
+
+
 # -- scenario builders --------------------------------------------------------
 
 
@@ -231,16 +259,14 @@ def _build_m11_psl211(env: ScenarioEnv):
     values["subdegrees"] = list(tab.multiset())
     rep = is_elusive(A, budgets=env.budgets, determinism=env.determinism)
     values["elusive"] = bool(rep)
-    values["methods"] = sorted({v.method for v in rep.verdicts})
+    values["methods"] = _methods(rep)
     values["exact"] = rep.exact
     certs["elusive"] = rep.to_dict()
     sr = semiregular_search(A, budgets=env.budgets,
                             determinism=env.determinism)
     values["semiregular_witness"] = (None if sr.witness is None
                                      else sr.witness.cycle_string())
-    struct = normal_structure(A, budgets=env.budgets, seed=env.seed)
-    values["structure"] = struct.verdict
-    certs["structure"] = struct.to_dict()
+    _structure(env, A, values, certs)
     beta = [r for r, l in tab.entries if l == 11][0]
     graph = orbital_graph(A, 0, beta)
     values["eleven_orbital_complete"] = graph.is_complete()
@@ -285,17 +311,12 @@ def _build_m10_a5(env: ScenarioEnv):
     certs: dict = {}
     tab = suborbits(A, 0)
     values["subdegrees"] = list(tab.multiset())
-    rep = is_2prime_elusive(A, budgets=env.budgets,
-                            determinism=env.determinism)
-    values["two_prime_elusive"] = bool(rep)
-    certs["two_prime_elusive"] = rep.to_dict()
-    struct = normal_structure(A, budgets=env.budgets, seed=env.seed)
-    values["structure"] = struct.verdict
+    _two_prime(env, A, values, certs)
+    struct = _structure(env, A, values, certs)
     values["g_plus_order"] = struct.g_plus.order()
     values["halves"] = sorted(len(h) for h in struct.halves)
     N = A.group.normal_closure([struct.closures[0][0]])
     values["nh_order"] = _nh_order(A, N)
-    certs["structure"] = struct.to_dict()
     b5 = [r for r, l in tab.entries if l == 5][0]
     graph = orbital_graph(A, 0, b5)
     values["five_orbital_self_paired"] = graph.self_paired
@@ -341,14 +362,9 @@ def _build_auta6_a5(env: ScenarioEnv):
     certs: dict = {}
     tab = suborbits(A, 0)
     values["subdegrees"] = list(tab.multiset())
-    rep = is_2prime_elusive(A, budgets=env.budgets,
-                            determinism=env.determinism)
-    values["two_prime_elusive"] = bool(rep)
-    certs["two_prime_elusive"] = rep.to_dict()
-    struct = normal_structure(A, budgets=env.budgets, seed=env.seed)
-    values["structure"] = struct.verdict
+    _two_prime(env, A, values, certs)
+    struct = _structure(env, A, values, certs)
     values["max_closure_orbits"] = max(oc for _, _, oc in struct.closures)
-    certs["structure"] = struct.to_dict()
     return values, certs
 
 
@@ -380,18 +396,10 @@ def _build_auta6_s5(env: ScenarioEnv):
     certs: dict = {}
     tab = suborbits(A, 0)
     values["subdegrees"] = list(tab.multiset())
-    rep = is_2prime_elusive(A, budgets=env.budgets,
-                            determinism=env.determinism)
-    values["two_prime_elusive"] = bool(rep)
-    certs["two_prime_elusive"] = rep.to_dict()
-    struct = normal_structure(A, budgets=env.budgets, seed=env.seed)
-    values["structure"] = struct.verdict
+    _two_prime(env, A, values, certs)
+    struct = _structure(env, A, values, certs)
     values["g_plus_order"] = struct.g_plus.order()
-    two_orbit = min((c for c in struct.closures if c[2] == 2),
-                    key=lambda c: c[1])
-    N = A.group.normal_closure([two_orbit[0]])
-    values["nh_order"] = _nh_order(A, N)
-    certs["structure"] = struct.to_dict()
+    values["nh_order"] = _nh_order(A, _two_orbit_closure(A, struct))
     return values, certs
 
 
@@ -499,13 +507,10 @@ def _borel_values(env: ScenarioEnv, A: GroupAction, s: int):
     tab = suborbits(A, 0)
     values["subdegrees"] = list(tab.multiset())
     values["fixed_points_of_stabilizer"] = tab.fixed_point_count()
-    rep = is_2prime_elusive(A, budgets=env.budgets,
-                            determinism=env.determinism)
-    values["two_prime_elusive"] = bool(rep)
+    rep = _two_prime(env, A, values, certs)
     values["odd_primes_checked"] = [v.prime for v in rep.verdicts]
-    values["methods"] = sorted({v.method for v in rep.verdicts})
+    values["methods"] = _methods(rep)
     values["exact"] = rep.exact
-    certs["two_prime_elusive"] = rep.to_dict()
     # cross-checks on every prime-length suborbit
     agree = True
     for r, l in tab.prime_entries():
@@ -523,9 +528,7 @@ def _borel_values(env: ScenarioEnv, A: GroupAction, s: int):
 def _build_psl2_127_borel21(env: ScenarioEnv):
     A = env.a384()
     values, certs, tab = _borel_values(env, A, 21)
-    struct = normal_structure(A, budgets=env.budgets, seed=env.seed)
-    values["structure"] = struct.verdict
-    certs["structure"] = struct.to_dict()
+    _structure(env, A, values, certs)
     bs = A.group.nontrivial_block_system()
     values["has_nontrivial_blocks"] = bs is not None
     values["block_count"] = None if bs is None else len(bs.cells)
@@ -618,16 +621,12 @@ def _expected_pgl2_127_borel42():
 def _build_pgl2_127_biquasi(env: ScenarioEnv):
     A = env.a768()
     values, certs, _tab = _borel_values(env, A, 21)
-    struct = normal_structure(A, budgets=env.budgets, seed=env.seed)
-    values["structure"] = struct.verdict
+    struct = _structure(env, A, values, certs)
     values["g_plus_order"] = struct.g_plus.order()
     values["halves"] = sorted(len(h) for h in struct.halves)
-    two_orbit = min((c for c in struct.closures if c[2] == 2),
-                    key=lambda c: c[1])
-    N = A.group.normal_closure([two_orbit[0]])
+    N = _two_orbit_closure(A, struct)
     values["n_order"] = N.order()
     values["nh_order"] = _nh_order(A, N)
-    certs["structure"] = struct.to_dict()
     return values, certs
 
 
@@ -731,7 +730,7 @@ def _build_m11_wr2_product(env: ScenarioEnv):
     certs: dict = {}
     rep = is_elusive(W, budgets=env.budgets, determinism=env.determinism)
     values["elusive"] = bool(rep)
-    values["methods"] = sorted({v.method for v in rep.verdicts})
+    values["methods"] = _methods(rep)
     values["primes_checked"] = sorted(v.prime for v in rep.verdicts)
     certs["elusive"] = rep.to_dict()
     # structural checker vs direct fixed-point evaluation on seeded elements
@@ -751,9 +750,7 @@ def _build_m11_wr2_product(env: ScenarioEnv):
     tab = suborbits(W, 0)
     values["subdegrees"] = list(tab.multiset())
     values["prime_subdegrees"] = [l for _, l in tab.prime_entries()]
-    struct = normal_structure(W, budgets=env.budgets, seed=env.seed)
-    values["structure"] = struct.verdict
-    certs["structure"] = struct.to_dict()
+    _structure(env, W, values, certs)
     socle = W.declared_socle
     mn = verify_minimal_normal(W, socle.subgroup, budgets=env.budgets,
                                seed=env.seed)
@@ -830,18 +827,13 @@ def _build_m11_wr2_biquasi(env: ScenarioEnv):
                     "faithful": A.faithful,
                     "stabilizer_order": H.order()}
     certs: dict = {}
-    rep = is_2prime_elusive(A, budgets=env.budgets,
-                            determinism=env.determinism)
-    values["two_prime_elusive"] = bool(rep)
-    values["methods"] = sorted({v.method for v in rep.verdicts})
+    rep = _two_prime(env, A, values, certs)
+    values["methods"] = _methods(rep)
     values["exact"] = rep.exact
-    certs["two_prime_elusive"] = rep.to_dict()
-    struct = normal_structure(A, budgets=env.budgets, seed=env.seed)
-    values["structure"] = struct.verdict
+    struct = _structure(env, A, values, certs)
     values["g_plus_order"] = struct.g_plus.order()
     values["halves"] = sorted(len(h) for h in struct.halves)
     values["nh_order"] = _nh_order(A, N24)
-    certs["structure"] = struct.to_dict()
     mn = verify_minimal_normal(A, N24, budgets=env.budgets, seed=env.seed)
     values["socle_minimal"] = mn.minimal
     values["socle_unique"] = mn.unique
@@ -883,25 +875,26 @@ def _expected_m11_wr2_biquasi():
     )
 
 
-def _build_wr2_qp(env: ScenarioEnv):
-    base = env.a384()
-    spec = WreathSpec(base, 2, env.top2(), "product")
-    W = wreath(spec, budgets=env.budgets, declare_socle=False)
-    # no stabilizer chain at degree 147456: the order is spec arithmetic
-    values: dict = {"degree": W.degree, "order": spec.order(),
-                    "degree_factorization": _factor_str(W.degree)}
-    certs: dict = {}
-    rep = is_2prime_elusive(W, budgets=env.budgets,
-                            determinism=env.determinism)
-    values["two_prime_elusive"] = bool(rep)
-    values["methods"] = sorted({v.method for v in rep.verdicts})
-    values["odd_primes_checked"] = [v.prime for v in rep.verdicts]
-    values["exact"] = rep.exact
-    certs["two_prime_elusive"] = rep.to_dict()
-    v3 = structural_wreath_elusivity(spec, 3, budgets=env.budgets)
-    values["r3_status"] = v3.status
-    certs["r3"] = v3.to_dict()
-    return values, certs
+def _wr2_builder(flavor: str):
+    """Builder for PSL(2,127) wr C2 over the 384-point component."""
+    def build(env: ScenarioEnv):
+        spec = WreathSpec(env.a384(), 2, env.top2(), flavor)
+        W = wreath(spec, budgets=env.budgets, declare_socle=False)
+        # No stabilizer chain at the product degree 147456: the order is
+        # spec arithmetic, which wreath() checks wherever it can chain.
+        values: dict = {"degree": W.degree, "order": spec.order()}
+        if flavor == "product":
+            values["degree_factorization"] = _factor_str(W.degree)
+        certs: dict = {}
+        rep = _two_prime(env, W, values, certs)
+        values["methods"] = _methods(rep)
+        values["odd_primes_checked"] = [v.prime for v in rep.verdicts]
+        values["exact"] = rep.exact
+        v3 = structural_wreath_elusivity(spec, 3, budgets=env.budgets)
+        values["r3_status"] = v3.status
+        certs["r3"] = v3.to_dict()
+        return values, certs
+    return build
 
 
 def _expected_wr2_qp():
@@ -924,25 +917,6 @@ def _expected_wr2_qp():
                     "order-3 elements have fixed points in every "
                     "coordinate, and the 384-point component is 3-elusive"),
     )
-
-
-def _build_wr2_bq(env: ScenarioEnv):
-    base = env.a384()
-    spec = WreathSpec(base, 2, env.top2(), "imprimitive")
-    W = wreath(spec, budgets=env.budgets, declare_socle=False)
-    values: dict = {"degree": W.degree, "order": W.order()}
-    certs: dict = {}
-    rep = is_2prime_elusive(W, budgets=env.budgets,
-                            determinism=env.determinism)
-    values["two_prime_elusive"] = bool(rep)
-    values["methods"] = sorted({v.method for v in rep.verdicts})
-    values["odd_primes_checked"] = [v.prime for v in rep.verdicts]
-    values["exact"] = rep.exact
-    certs["two_prime_elusive"] = rep.to_dict()
-    v3 = structural_wreath_elusivity(spec, 3, budgets=env.budgets)
-    values["r3_status"] = v3.status
-    certs["r3"] = v3.to_dict()
-    return values, certs
 
 
 def _expected_wr2_bq():
@@ -1059,11 +1033,8 @@ def _build_tf42(env: ScenarioEnv):
     values["degree"] = A.degree
     tab = suborbits(A, 0)
     values["subdegrees"] = list(tab.multiset())
-    rep = is_2prime_elusive(A, budgets=env.budgets,
-                            determinism=env.determinism)
-    values["two_prime_elusive"] = bool(rep)
-    values["methods"] = sorted({v.method for v in rep.verdicts})
-    certs["two_prime_elusive"] = rep.to_dict()
+    rep = _two_prime(env, A, values, certs)
+    values["methods"] = _methods(rep)
     return values, certs
 
 
@@ -1119,14 +1090,13 @@ _register(Scenario("m11-wr2-product", ("wreath", "structure", "graph"),
 _register(Scenario("m11-wr2-biquasi-24", ("wreath", "structure"),
                    _build_m11_wr2_biquasi, _expected_m11_wr2_biquasi()))
 _register(Scenario("psl2-127-wr2-qp", ("wreath",),
-                   _build_wr2_qp, _expected_wr2_qp()))
+                   _wr2_builder("product"), _expected_wr2_qp()))
 _register(Scenario("psl2-127-wr2-bq", ("wreath",),
-                   _build_wr2_bq, _expected_wr2_bq()))
+                   _wr2_builder("imprimitive"), _expected_wr2_bq()))
 _register(Scenario("psl2-127-wr4-c4-counterexample", ("wreath", "structure"),
                    _build_wr4_c4, _expected_wr4_c4()))
 _register(Scenario("tf42-table", ("table", "optional"),
-                   _build_tf42, _expected_tf42(), optional=True,
-                   budgets_override={"degree": 10000}))
+                   _build_tf42, _expected_tf42(), optional=True))
 
 
 def _plain(value):
@@ -1148,12 +1118,6 @@ def run_scenario(scenario_id: str,
         raise KeyError(f"unknown scenario id: {scenario_id}")
     env = env or ScenarioEnv()
     scenario = SCENARIOS[scenario_id]
-    if scenario.budgets_override:
-        env = ScenarioEnv(
-            budgets=dataclasses.replace(env.budgets,
-                                        **scenario.budgets_override),
-            seed=env.seed, determinism=env.determinism,
-            optional_data=env.optional_data)
     report = RunReport(scenario_id=scenario_id, passed=True)
     start = time.perf_counter()
     try:

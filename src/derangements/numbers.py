@@ -50,13 +50,6 @@ def radical(n: int) -> int:
     return math.prod(prime_divisors(n)) if n > 1 else 1
 
 
-def divisors(n: int) -> list:
-    out = [1]
-    for p, e in factorize(n).items():
-        out = [d * p**i for d in out for i in range(e + 1)]
-    return sorted(out)
-
-
 def primitive_root_mod(p: int) -> int:
     """Smallest primitive root modulo the prime p."""
     if not is_prime(p):

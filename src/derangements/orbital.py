@@ -20,8 +20,7 @@ import numpy as np
 
 from .config import Budgets, DEFAULT_BUDGETS, CertificateError
 from .numbers import is_prime
-from .perm import (BlockSystem, PermGroup, Permutation, StabilizerChain,
-                   _components)
+from .perm import BlockSystem, PermGroup, Permutation, _components
 from .zoo import (GroupAction, MersenneScenario, borel_subgroup, coset_action,
                   projective_line_action)
 
@@ -106,11 +105,6 @@ class OrbitalGraph:
             return {(u, v) for u in range(self.n) for v in self.adj[u]
                     if u <= v}
         return {(u, v) for u in range(self.n) for v in self.adj[u]}
-
-    def to_edge_list_text(self) -> str:
-        """Edges (arcs when not self-paired) as `u v` lines, 1-indexed."""
-        lines = [f"{u + 1} {v + 1}" for u, v in sorted(self.edge_set())]
-        return "\n".join(lines) + "\n"
 
     def is_complete(self) -> bool:
         return self.self_paired and self.valency == self.n - 1
@@ -217,9 +211,14 @@ def connectivity_by_generation(A: GroupAction, alpha: int, beta: int) -> bool:
     """Decide connectivity of the (alpha, beta)-orbital via generation.
 
     For a self-paired suborbit, an element g interchanging alpha and beta
-    exists, and the orbital graph is connected exactly when G_alpha together
-    with g generates G.  All interchanging elements lie in one coset of
-    G_alpha ∩ G_beta, so the generated group does not depend on the choice.
+    exists, and the orbital graph is connected exactly when H = <G_alpha, g>
+    is G (Sims 1967).  All interchanging elements lie in one coset of
+    G_alpha ∩ G_beta, so H does not depend on the choice.  H lies in G and
+    contains G_alpha, so H_alpha = G_alpha and, by orbit-stabilizer,
+    |H| = |G_alpha|·|alpha^H|.  For transitive G, H is therefore G exactly
+    when H is transitive, which its orbits decide without a stabilizer
+    chain.  For intransitive G, H is intransitive and the graph
+    disconnected, so the answer still holds.
     """
     if alpha == beta:
         raise ValueError("need two distinct points")
@@ -235,9 +234,7 @@ def connectivity_by_generation(A: GroupAction, alpha: int, beta: int) -> bool:
     g = Permutation._raw(u_beta[v])  # v * u_beta
     if int(g.images[alpha]) != beta or int(g.images[beta]) != alpha:
         raise CertificateError("element does not interchange alpha and beta")
-    generated = StabilizerChain(A.degree, list(stab.generators) + [g],
-                                bound=G.order())
-    return generated.order() == G.order()
+    return PermGroup(list(stab.generators) + [g]).is_transitive()
 
 
 def block_divisibility_check(A: GroupAction, partition: BlockSystem,

@@ -42,7 +42,6 @@ __all__ = [
     "subgroup_search",
     "coset_action",
     "wreath",
-    "direct_product",
     "assemble_stabilizer",
     "coordinate_embedding",
     "top_embedding",
@@ -626,10 +625,6 @@ class WreathSpec:
     def order(self) -> int:
         return self.base_group.order() ** self.k * self.top.order()
 
-    def identity(self) -> "WreathElement":
-        ident = Permutation.identity(self.base_degree)
-        return WreathElement(self, (ident,) * self.k, Permutation.identity(self.k))
-
     def element(self, base: Sequence[Permutation], top: Permutation) -> "WreathElement":
         return WreathElement(self, tuple(base), top)
 
@@ -797,24 +792,6 @@ def wreath(
     if socle is not None:
         socle.validate(action, check_normal=spec.degree <= budgets.chain_degree)
     return action
-
-
-def direct_product(actions: Sequence[GroupAction], provenance: str = "") -> GroupAction:
-    """The direct product acting on the disjoint union of the point sets."""
-    total = sum(a.degree for a in actions)
-    gens = []
-    offset = 0
-    for a in actions:
-        for g in a.group.generators:
-            row = np.arange(total, dtype=np.int64)
-            row[offset : offset + a.degree] = offset + g.images
-            gens.append(Permutation._raw(row))
-        offset += a.degree
-    group = PermGroup(gens, degree=total)
-    labels = tuple((i, lab) for i, a in enumerate(actions) for lab in a.point_labels)
-    if not provenance:
-        provenance = " x ".join(a.provenance for a in actions)
-    return GroupAction(group, labels, provenance)
 
 
 def assemble_stabilizer(

@@ -300,6 +300,14 @@ def test_budget_is_checked_on_a_warm_cache():
         count_order_r_elements(G, 2, budgets=tiny)
 
 
+def test_wreath_top_group_respects_the_exhaustive_budget():
+    # |C3| = 3 fits a budget of 5, but the top group S3 (order 6) does not
+    spec = WreathSpec(natural_action(cyclic(3), "C3"), 3, symmetric(3),
+                      "product")
+    with pytest.raises(BudgetExceeded):
+        wreath_prime_order_class_reps(spec, 3, Budgets(exhaustive=5))
+
+
 def test_semiregular_search():
     res = semiregular_search(natural_action(cyclic(4), "C4"))
     assert res.witness is not None

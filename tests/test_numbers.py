@@ -5,8 +5,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from derangements.numbers import (divisors, factorize, is_prime,
-                                  prime_divisors, primitive_root_mod, radical)
+from derangements.numbers import (factorize, is_prime, prime_divisors,
+                                  primitive_root_mod, radical)
 
 
 def test_small_primes():
@@ -21,7 +21,6 @@ def test_known_factorizations():
     assert prime_divisors(7920) == [2, 3, 5, 11]
     assert radical(63) == 21
     assert radical(1) == 1
-    assert divisors(12) == [1, 2, 3, 4, 6, 12]
 
 
 @given(st.integers(min_value=1, max_value=200000))
@@ -32,12 +31,6 @@ def test_factorize_reconstructs(n):
         assert is_prime(p)
         prod *= p ** e
     assert prod == n
-
-
-@given(st.integers(min_value=1, max_value=5000))
-def test_divisors_exact(n):
-    ds = divisors(n)
-    assert ds == sorted(d for d in range(1, n + 1) if n % d == 0)
 
 
 @given(st.integers(min_value=2, max_value=5000))

@@ -99,8 +99,6 @@ def test_orbital_graph_k4():
     assert g.arc_count() == 12
     assert len(g.edge_set()) == 6
     assert is_connected(g)
-    assert g.to_edge_list_text() == \
-        "1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"
 
 
 def test_orbital_graph_certificate_failure_raises(monkeypatch):

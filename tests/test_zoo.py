@@ -4,10 +4,9 @@ import pytest
 from derangements import (GeneratorFileError, GroupAction, PermGroup,
                           Permutation, SocleDecl, WreathSpec,
                           assemble_stabilizer, borel_subgroup, coset_action,
-                          direct_product, format_generator_file,
-                          load_generators, m11, mersenne_scenario,
-                          natural_action, projective_line_action,
-                          subgroup_search, wreath)
+                          format_generator_file, load_generators, m11,
+                          mersenne_scenario, natural_action,
+                          projective_line_action, subgroup_search, wreath)
 
 from tests.conftest import cyclic, symmetric
 
@@ -239,15 +238,6 @@ def test_assemble_stabilizer_orders():
     assert H2.order() == 2 * 6
     with pytest.raises(ValueError):
         assemble_stabilizer(spec, [cyclic(5), s2], c2)
-
-
-def test_direct_product():
-    a = natural_action(symmetric(3), "S3")
-    b = natural_action(cyclic(4), "C4")
-    P = direct_product([a, b])
-    assert P.degree == 7
-    assert P.order() == 24
-    assert len(P.group.orbits()) == 2
 
 
 def test_wreath_spec_rejects_bad_flavor():
