@@ -171,6 +171,14 @@ def test_connectivity_by_generation_m11(env):
     assert g.is_complete() and is_connected(g)
 
 
+def test_connectivity_by_generation_intransitive_group():
+    # S3 on {0, 1, 2} fixing 3: <G_0, (0 1)> is all of G, but the orbital
+    # graph leaves vertex 3 isolated, so it is not connected
+    G = PermGroup([Permutation(np.array([1, 0, 2, 3])),
+                   Permutation(np.array([1, 2, 0, 3]))])
+    assert not connectivity_by_generation(natural_action(G, "S3+1"), 0, 1)
+
+
 def test_connectivity_by_generation_rejects_unpaired():
     A = natural_action(cyclic(4), "C4")
     with pytest.raises(ValueError):
