@@ -4,16 +4,25 @@ Everything here works on image rows: an (m, n) int64 array whose rows are
 permutation image arrays.  Used by the elusivity checkers and the subgroup
 search for groups whose full element list fits in the exhaustive budget.
 
-`order_r_rows` casts each enumerated batch to the smallest unsigned dtype
+`order_r_rows` serves every prime its caller names in one pass over the
+elements.  It casts each enumerated batch to the smallest unsigned dtype
 that holds a point (uint8 up to 256 points, uint16 up to 65536, uint32
 beyond), so the filter moves a fraction of the bytes, and passes it to
 `perm._order_r_filter`, the order-r test the derangement backtrack's
-leaves share: a moved-point count that is a positive multiple of r, the
-trajectory of the first moved point under x^r, then the exact x^r = 1 on
-the survivors.  Only the kept rows are widened to int64.
+leaves share.  The moved-point counts and the first moved point are
+shared by the primes; each prime then asks for a moved-point count that is
+a positive multiple of r, the trajectory of the first moved point under
+x^r, and the exact x^r = 1 on the survivors.  Only the kept rows are
+widened to int64.
+
+The class partition sorts and searches the rows in the same compact
+dtype, big-endian, so that the byte order of a row is its lexicographic
+order and the least row of a class is read off the sort.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -35,19 +44,24 @@ def fixed_point_counts(rows: np.ndarray) -> np.ndarray:
     return (rows == np.arange(n, dtype=np.int64)).sum(axis=1)
 
 
-def order_r_rows(G, r: int, budget: int = DEFAULT_BUDGETS.exhaustive) -> np.ndarray:
-    """All image rows of elements of exact order r (r prime) in G."""
-    compact = np.min_scalar_type(G.degree - 1)
-    kept = []
-    total = 0
-    for batch in G.element_batches():
-        total += len(batch)
-        if total > budget:
-            raise _budget_error(G, budget)
-        kept.append(_order_r_filter(batch.astype(compact), r))
-    if not kept:
-        return np.empty((0, G.degree), dtype=np.int64)
-    return np.concatenate(kept, axis=0, dtype=np.int64)
+def order_r_rows(G, primes: Sequence[int],
+                 budget: int = DEFAULT_BUDGETS.exhaustive) -> dict:
+    """{r: image rows of the elements of exact order r in G} for each prime
+    r of `primes`, from one pass over G's elements.  A prime that does not
+    divide |G| gets no rows (Lagrange) and no share of the pass."""
+    order = G.order()
+    if order > budget:
+        raise _budget_error(G, budget)
+    scan = [r for r in dict.fromkeys(primes) if order % r == 0]
+    kept = {r: [] for r in scan}
+    if scan:
+        compact = np.min_scalar_type(G.degree - 1)
+        for batch in G.element_batches():
+            for r, rows in zip(scan, _order_r_filter(batch.astype(compact),
+                                                     scan)):
+                kept[r].append(rows)
+    return {r: np.concatenate(kept[r], axis=0, dtype=np.int64) if kept.get(r)
+            else np.empty((0, G.degree), dtype=np.int64) for r in primes}
 
 
 def _budget_error(G, budget):
@@ -57,7 +71,8 @@ def _budget_error(G, budget):
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One opaque key per row (its bytes), for sorting and exact lookup."""
+    """One opaque key per row (its bytes), for sorting and exact lookup.
+    Rows of big-endian or one-byte dtype sort as their values do."""
     rows = np.ascontiguousarray(rows)
     return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
 
@@ -65,26 +80,31 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
 def _classes(G, rows: np.ndarray) -> list:
     """(least row, sorted member indices) for each G-class of `rows`: each
     generator permutes the row indices by conjugation, looked up in the
-    sorted row keys; a class is a connected component of these moves."""
-    keys = _row_keys(rows)
+    sorted row keys; a class is a connected component of these moves.
+
+    Keys are the rows cast to the smallest unsigned dtype that holds a
+    point, big-endian, so their byte order is the rows' lexicographic
+    order and a class's least row is its member of least sort rank."""
+    compact = np.min_scalar_type(G.degree - 1).newbyteorder(">")
+    small = rows.astype(compact)
+    keys = _row_keys(small)
     order = np.argsort(keys)
     step = max(1, _BATCH_ENTRIES // max(1, rows.shape[1]))
     moves = []  # per generator g: row k -> row of g^-1 * rows[k] * g
     for g in G.generators:
-        gi, gv = g.images, g.inverse().images
+        gi, gv = g.images.astype(compact), g.inverse().images
         move = np.empty(len(rows), dtype=np.int64)
         for lo in range(0, len(rows), step):
-            conj_keys = _row_keys(gi[rows[lo:lo + step, gv]])
+            conj_keys = _row_keys(gi[small[lo:lo + step, gv]])
             pos = np.searchsorted(keys, conj_keys, sorter=order)
             move[lo:lo + step] = order[np.minimum(pos, len(rows) - 1)]
             if not (keys[move[lo:lo + step]] == conj_keys).all():
                 raise CertificateError("conjugation left the scanned row set")
         moves.append(move)
-    out = []
-    for members in _cells(_components(len(rows), np.arange(len(rows)), moves)):
-        block = rows[members]
-        out.append((block[np.lexsort(block.T[::-1])[0]], members))
-    return out
+    rank = np.empty(len(rows), dtype=np.int64)
+    rank[order] = np.arange(len(rows))
+    return [(rows[members[rank[members].argmin()]], members)
+            for members in _cells(_components(len(rows), np.arange(len(rows)), moves))]
 
 
 def partition_rows_by_conjugacy(G, rows: np.ndarray) -> list:

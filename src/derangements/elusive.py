@@ -152,30 +152,37 @@ class ElusivityReport:
 
 
 def count_order_r_elements(G: PermGroup, r: int, budgets: Budgets = DEFAULT_BUDGETS) -> int:
-    return len(_order_r_rows_cached(G, r, budgets))
+    return len(_order_r_rows_cached(G, [r], budgets)[r])
 
 
-def _order_r_rows_cached(G: PermGroup, r: int, budgets: Budgets) -> np.ndarray:
+def _order_r_rows_cached(G: PermGroup, primes: Sequence[int],
+                         budgets: Budgets) -> dict:
+    """{r: order_r_rows of G at r} for each prime of `primes`; the ones not
+    cached yet are scanned together in one pass."""
     # The budget check comes first, so a warm cache cannot skip it.
     if G.order() > budgets.exhaustive:
         raise _budget_error(G, budgets.exhaustive)
     cache = G._order_r_rows_cache
-    if r not in cache:
-        cache[r] = order_r_rows(G, r, budgets.exhaustive)
-    return cache[r]
+    missing = [r for r in dict.fromkeys(primes) if r not in cache]
+    if missing:
+        cache.update(order_r_rows(G, missing, budgets.exhaustive))
+    return {r: cache[r] for r in primes}
 
 
 def prime_order_class_reps(
-    G: PermGroup, r: int, *, budgets: Budgets = DEFAULT_BUDGETS
+    G: PermGroup, r: int, *, budgets: Budgets = DEFAULT_BUDGETS,
+    scan_primes: Sequence[int] = (),
 ) -> list:
     """Conjugacy classes of order-r elements of G, as ClassInfo records.
 
     Streams every element (the order must fit the exhaustive budget) and
-    buckets the order-r ones into the components of conjugation.
+    buckets the order-r ones into the components of conjugation.  A caller
+    that asks for further primes next names them in `scan_primes`, and a
+    cold scan covers them in the same pass.
     """
     if not is_prime(r):
         raise ValueError(f"r={r} is not prime")
-    rows = _order_r_rows_cached(G, r, budgets)
+    rows = _order_r_rows_cached(G, [r, *scan_primes], budgets)[r]
     cache = G._class_reps_cache
     if r in cache:
         return cache[r]
@@ -202,12 +209,14 @@ def prime_order_class_reps(
 
 
 def action_prime_order_class_reps(
-    A: GroupAction, r: int, *, budgets: Budgets = DEFAULT_BUDGETS
+    A: GroupAction, r: int, *, budgets: Budgets = DEFAULT_BUDGETS,
+    scan_primes: Sequence[int] = (),
 ) -> list:
     """Order-r ClassInfo records for an action group, computed the cheapest
     exact way available: wreath decomposition when the action was built as a
     wreath product, a scan of the smaller faithful parent pushed through the
-    coset homomorphism, or a direct scan."""
+    coset homomorphism, or a direct scan.  `scan_primes` names the primes
+    the caller asks next, which an element scan covers in the same pass."""
     if not is_prime(r):
         raise ValueError(f"r={r} is not prime")
     if A.wreath is not None:
@@ -220,10 +229,12 @@ def action_prime_order_class_reps(
             return [_push_class_info(A, ci) for ci in parent_infos]
         P = A.parent.parent_group
         if P.order() <= budgets.exhaustive:
-            parent_infos = prime_order_class_reps(P, r, budgets=budgets)
+            parent_infos = prime_order_class_reps(P, r, budgets=budgets,
+                                                  scan_primes=scan_primes)
             return [_push_class_info(A, ci) for ci in parent_infos]
     if G.order() <= budgets.exhaustive:
-        return prime_order_class_reps(G, r, budgets=budgets)
+        return prime_order_class_reps(G, r, budgets=budgets,
+                                      scan_primes=scan_primes)
     raise BudgetExceeded(
         f"no exact class-representative route for order {G.order()} at degree {G.degree}"
     )
@@ -412,8 +423,9 @@ def _verdict(r: int, method: str, budgets: Budgets, witness=None,
                             budgets=asdict(budgets), spec=spec)
 
 
-def _direct_exhaustive(A: GroupAction, r: int, budgets: Budgets) -> ElusivityVerdict:
-    rows = _order_r_rows_cached(A.group, r, budgets)
+def _direct_exhaustive(A: GroupAction, r: int, budgets: Budgets,
+                       scan_primes: Sequence[int]) -> ElusivityVerdict:
+    rows = _order_r_rows_cached(A.group, [r, *scan_primes], budgets)[r]
     bad = rows[fixed_point_counts(rows) == 0]
     w = None
     if len(bad):
@@ -421,8 +433,10 @@ def _direct_exhaustive(A: GroupAction, r: int, budgets: Budgets) -> ElusivityVer
     return _verdict(r, METHOD_ENUM, budgets, w)
 
 
-def _class_coverage(A: GroupAction, r: int, budgets: Budgets) -> ElusivityVerdict:
-    infos = action_prime_order_class_reps(A, r, budgets=budgets)
+def _class_coverage(A: GroupAction, r: int, budgets: Budgets,
+                    scan_primes: Sequence[int]) -> ElusivityVerdict:
+    infos = action_prime_order_class_reps(A, r, budgets=budgets,
+                                          scan_primes=scan_primes)
     w = min((ci.representative for ci in infos if ci.min_fixed_points == 0),
             key=lambda p: tuple(p.images), default=None)
     return _verdict(r, METHOD_COVER, budgets, w)
@@ -437,11 +451,17 @@ def _parent_coverage_available(A: GroupAction, budgets: Budgets) -> bool:
     return A.parent.parent_group.order() <= budgets.exhaustive
 
 
+def _acting_order(A: GroupAction) -> int:
+    return A.wreath.order() if A.wreath is not None else A.group.order()
+
+
 def is_r_elusive(
     A: GroupAction,
     r: int,
     budgets: Budgets = DEFAULT_BUDGETS,
     determinism: bool = False,
+    *,
+    scan_primes: Sequence[int] = (),
 ) -> ElusivityVerdict:
     """Certified r-elusivity verdict for a transitive action.
 
@@ -449,13 +469,14 @@ def is_r_elusive(
     with an enumerable faithful parent go through class coverage (fixed
     point counts are class functions, so one representative per class
     decides); wreath-built actions use the structural criterion; the rest
-    fall back to backtrack search.
+    fall back to backtrack search.  An element scan also covers the primes
+    named in `scan_primes`, for a caller that asks them next.
     """
     if not is_prime(r):
         raise ValueError(f"r={r} is not prime")
     if not A.group.is_transitive():
         raise ValueError("elusivity verdicts need a transitive action")
-    worder = A.wreath.order() if A.wreath is not None else A.group.order()
+    worder = _acting_order(A)
     if worder % r != 0:
         return ElusivityVerdict(
             r, NOT_APPLICABLE,
@@ -463,19 +484,22 @@ def is_r_elusive(
             budgets=asdict(budgets),
         )
     if worder <= budgets.scan:
-        return _direct_exhaustive(A, r, budgets)
+        return _direct_exhaustive(A, r, budgets, scan_primes)
     if _parent_coverage_available(A, budgets):
-        return _class_coverage(A, r, budgets)
+        return _class_coverage(A, r, budgets, scan_primes)
     if A.wreath is not None:
         return _structural_verdict(A.wreath, r, budgets)
     if worder <= budgets.exhaustive:
-        return _direct_exhaustive(A, r, budgets)
+        return _direct_exhaustive(A, r, budgets, scan_primes)
     w = derangement_backtrack(A.group, r, determinism=determinism)
     return _verdict(r, METHOD_BACKTRACK, budgets, w)
 
 
 def _report(A: GroupAction, primes: Sequence[int], kind: str, budgets, determinism) -> ElusivityReport:
-    verdicts = [is_r_elusive(A, r, budgets, determinism) for r in primes]
+    order = _acting_order(A)
+    scan = [r for r in primes if order % r == 0]
+    verdicts = [is_r_elusive(A, r, budgets, determinism, scan_primes=scan)
+                for r in primes]
     aggregate = all(v.status == ELUSIVE for v in verdicts)
     return ElusivityReport(kind, A.degree, verdicts, aggregate)
 
@@ -591,7 +615,7 @@ def semiregular_search(
     per-prime check is exact, so "none" is a certificate.
     """
     G = A.group
-    order = A.wreath.order() if A.wreath is not None else G.order()
+    order = _acting_order(A)
     for p in prime_divisors(order):
         if G.is_transitive():
             v = is_r_elusive(A, p, budgets, determinism)

@@ -229,15 +229,18 @@ def batch_power(rows: np.ndarray, e: int) -> np.ndarray:
     return acc
 
 
-def _order_r_filter(rows: np.ndarray, r: int,
-                    fixed_point_free: bool = False) -> np.ndarray:
-    """The rows of exact order r (r prime) among compact image rows.
+def _order_r_filter(rows: np.ndarray, primes: Sequence[int],
+                    fixed_point_free: bool = False) -> list:
+    """For each prime r of `primes`, the rows of exact order r among
+    compact image rows.
 
     An element of prime order r has only cycles of length 1 and r, so the
     points it moves number a positive multiple of r (all n of them when
     `fixed_point_free` asks for derangements only), and x^r fixes the
     first point x moves, a trajectory of r one-dimensional gathers.  The
     exact test x^r = 1 runs on the survivors, none of them the identity.
+    The moved-point mask, counts and first moved point are shared by all
+    the primes; the residue, the trajectory and the power test are not.
     """
     n = rows.shape[1]
     ident = np.arange(n, dtype=rows.dtype)
@@ -245,16 +248,24 @@ def _order_r_filter(rows: np.ndarray, r: int,
     if fixed_point_free:
         rows = rows[moved.all(axis=1)]
         start = np.zeros(len(rows), dtype=np.int64)
+        keeps = [np.arange(len(rows))] * len(primes)
     else:
-        counts = moved.sum(axis=1, dtype=np.min_scalar_type(max(n, r)))
-        keep = (counts > 0) & (counts % r == 0)
-        rows, start = rows[keep], moved[keep].argmax(axis=1)
-    pts = start
-    flat, offsets = rows.ravel(), np.arange(0, rows.size, n)
-    for _ in range(r):
-        pts = flat[offsets + pts]
-    rows = rows[pts == start]
-    return rows[(batch_power(rows, r) == ident).all(axis=1)]
+        counts = moved.sum(axis=1, dtype=np.min_scalar_type(max(n, *primes)))
+        keeps = [(counts > 0) & (counts % r == 0) for r in primes]
+        union = np.logical_or.reduce(keeps)
+        start = np.zeros(len(rows), dtype=np.int64)
+        start[union] = moved[union].argmax(axis=1)
+        keeps = [np.flatnonzero(keep) for keep in keeps]
+    flat = rows.ravel()
+    out = []
+    for r, keep in zip(primes, keeps):
+        base, first = keep * n, start[keep]
+        pts = first
+        for _ in range(r):
+            pts = flat[base + pts]
+        cand = rows[keep[pts == first]]
+        out.append(cand[(batch_power(cand, r) == ident).all(axis=1)])
+    return out
 
 
 def _components(n: int, u, v) -> np.ndarray:
@@ -825,18 +836,6 @@ class PermGroup:
             if pos < 0:
                 return
 
-    def enumerate_elements(self, budget: Optional[int] = None) -> Iterator[Permutation]:
-        """Stream every element exactly once; refuses over-budget groups."""
-        if budget is None:
-            budget = DEFAULT_BUDGETS.exhaustive
-        n = self.order()
-        if n > budget:
-            raise BudgetExceeded(
-                f"group order {n} exceeds the exhaustive budget {budget}")
-        for block in self.element_batches():
-            for row in block:
-                yield Permutation._raw(row.copy())
-
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, ngens={len(self.generators)})"
 
@@ -924,7 +923,7 @@ def derangement_backtrack(G: PermGroup, r: int, determinism: bool = False) -> Op
         if i + 1 < len(chain.levels):
             frames.append([i + 1, children, 0])
             continue
-        found = _order_r_filter(children, r, fixed_point_free=True)
+        (found,) = _order_r_filter(children, (r,), fixed_point_free=True)
         if not len(found):
             continue
         if not determinism:

@@ -105,8 +105,10 @@ def normal_structure(A: GroupAction, *, budgets: Budgets = DEFAULT_BUDGETS,
     closures = []
     two_orbit_group = None
     two_orbit_order = None
-    for r in prime_divisors(order):
-        for ci in action_prime_order_class_reps(A, r, budgets=budgets):
+    primes = prime_divisors(order)
+    for r in primes:
+        for ci in action_prime_order_class_reps(A, r, budgets=budgets,
+                                                scan_primes=primes):
             rep = ci.representative
             closure = G.normal_closure([rep])
             if not G.is_normal(closure):
@@ -276,8 +278,10 @@ def verify_minimal_normal(A: GroupAction, N: PermGroup,
 
     unique = True
     independent = None
-    for r in prime_divisors(G.order()):
-        for ci in action_prime_order_class_reps(A, r, budgets=budgets):
+    primes = prime_divisors(G.order())
+    for r in primes:
+        for ci in action_prime_order_class_reps(A, r, budgets=budgets,
+                                                scan_primes=primes):
             y = ci.representative
             if N.contains(y):
                 continue

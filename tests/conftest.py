@@ -23,6 +23,14 @@ def line9(env):
     return env.line9()
 
 
+def enumerate_elements(G):
+    """Every element of G exactly once, as Permutations: the tests' oracle
+    over the library's batched enumeration."""
+    for batch in G.element_batches():
+        for row in batch:
+            yield Permutation._raw(row.copy())
+
+
 def cyclic(n):
     return PermGroup([Permutation.from_cycles(n, [tuple(range(n))])])
 

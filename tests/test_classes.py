@@ -1,9 +1,11 @@
-"""The prefiltered order-r scan against the plain power test.
+"""The prefiltered order-r scan against the plain power test, and the
+compact-key class partition against the int64-key one it replaced.
 
-`order_r_rows` casts batches to a compact dtype and drops rows by two
-necessary conditions before the exact x^r = 1 test (`perm._order_r_filter`,
-which the derangement backtrack's leaves share).  The reference below is
-that exact test over every enumerated row; the two must agree row for row.
+`order_r_rows` scans every prime it is given in one pass: it casts batches
+to a compact dtype and drops rows by two necessary conditions before the
+exact x^r = 1 test (`perm._order_r_filter`, which the derangement
+backtrack's leaves share).  The reference below is that exact test over
+every enumerated row, one prime at a time; the two must agree row for row.
 """
 
 import numpy as np
@@ -13,8 +15,9 @@ from derangements.classes import (batch_power, order_r_rows,
                                   partition_rows_by_conjugacy)
 from derangements.config import CertificateError
 from derangements.numbers import prime_divisors
+from derangements.perm import _cells, _components
 
-from tests.conftest import alternating, cyclic, symmetric
+from tests.conftest import alternating, cyclic, dihedral, symmetric
 
 
 def identity_mask(rows):
@@ -28,12 +31,15 @@ def reference_order_r_rows(G, r):
 
 
 def assert_agrees_at_every_prime(G):
-    for r in prime_divisors(G.order()):
-        got = order_r_rows(G, r)
+    primes = prime_divisors(G.order())
+    shared = order_r_rows(G, primes)
+    assert list(shared) == primes
+    for r in primes:
         want = reference_order_r_rows(G, r)
-        assert got.dtype == np.int64
         assert len(want) > 0
-        assert np.array_equal(got, want), (G.degree, r)
+        for got in (shared[r], order_r_rows(G, [r])[r]):
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want), (G.degree, r)
 
 
 @pytest.mark.parametrize("factory", [
@@ -61,10 +67,26 @@ def test_scan_matches_reference_on_psl2_9_line(line9):
     (cyclic(1), 2),
 ], ids=["S4 r=5", "C300 r=7", "trivial"])
 def test_empty_result_keeps_its_shape(G, r):
-    got = order_r_rows(G, r)
+    got = order_r_rows(G, [r])[r]
     assert got.shape == (0, G.degree)
     assert got.dtype == np.int64
     assert partition_rows_by_conjugacy(G, got) == []
+
+
+@pytest.mark.parametrize("G,primes", [
+    (symmetric(5), [7, 2, 11, 5, 3]),
+    (cyclic(300), [2, 7, 3, 13, 5]),
+    (cyclic(1), [2, 3]),
+], ids=["S5", "C300", "trivial"])
+def test_scan_of_a_mixed_prime_list(G, primes):
+    got = order_r_rows(G, primes)
+    assert list(got) == primes
+    for r in primes:
+        assert got[r].dtype == np.int64
+        if G.order() % r:
+            assert got[r].shape == (0, G.degree)
+        else:
+            assert np.array_equal(got[r], reference_order_r_rows(G, r)), r
 
 
 def conjugacy_class_keys(G, seed_row):
@@ -105,7 +127,7 @@ def reference_partition(G, rows):
 def test_partition_matches_conjugation_bfs(factory):
     G = factory()
     for r in prime_divisors(G.order()):
-        rows = order_r_rows(G, r)
+        rows = order_r_rows(G, [r])[r]
         got = partition_rows_by_conjugacy(G, rows)
         want = reference_partition(G, rows)
         assert len(got) == len(want), r
@@ -116,7 +138,7 @@ def test_partition_matches_conjugation_bfs(factory):
 def test_partition_matches_conjugation_bfs_on_m11_12(m11_12):
     G = m11_12.group
     for r in prime_divisors(G.order()):
-        rows = order_r_rows(G, r)
+        rows = order_r_rows(G, [r])[r]
         got = partition_rows_by_conjugacy(G, rows)
         want = reference_partition(G, rows)
         assert [(tuple(a), tuple(m)) for a, m in got] == \
@@ -125,6 +147,58 @@ def test_partition_matches_conjugation_bfs_on_m11_12(m11_12):
 
 def test_partition_rejects_rows_not_closed_under_conjugation():
     G = symmetric(4)
-    rows = order_r_rows(G, 3)  # the eight 3-cycles, one class
+    rows = order_r_rows(G, [3])[3]  # the eight 3-cycles, one class
     with pytest.raises(CertificateError):
         partition_rows_by_conjugacy(G, rows[1:])
+
+
+def int64_key_partition(G, rows):
+    """The partition as it ran on int64 rows: byte keys of the int64 rows,
+    and each class's least row by lexsort."""
+    def row_keys(a):
+        a = np.ascontiguousarray(a)
+        return a.view(np.dtype((np.void, a.shape[1] * a.itemsize))).ravel()
+
+    keys = row_keys(rows)
+    order = np.argsort(keys)
+    moves = []
+    for g in G.generators:
+        conj_keys = row_keys(g.images[rows[:, g.inverse().images]])
+        pos = np.searchsorted(keys, conj_keys, sorter=order)
+        move = order[np.minimum(pos, len(rows) - 1)]
+        assert (keys[move] == conj_keys).all()
+        moves.append(move)
+    out = []
+    for members in _cells(_components(len(rows), np.arange(len(rows)), moves)):
+        block = rows[members]
+        out.append((block[np.lexsort(block.T[::-1])[0]], members))
+    return sorted(out, key=lambda t: tuple(t[0]))
+
+
+def assert_partition_matches_int64_keys(G):
+    rows_at = order_r_rows(G, prime_divisors(G.order()))
+    for r, rows in rows_at.items():
+        got = partition_rows_by_conjugacy(G, rows)
+        want = int64_key_partition(G, rows)
+        assert len(got) == len(want), r
+        for (rep, members), (rep0, members0) in zip(got, want):
+            assert rep.dtype == np.int64
+            assert np.array_equal(rep, rep0), r
+            assert np.array_equal(members, members0), r
+
+
+@pytest.mark.parametrize("factory", [
+    lambda: cyclic(257),    # uint16 path
+    lambda: cyclic(300),
+    lambda: dihedral(300),  # uint16 path with classes of several rows
+], ids=["C257", "C300", "D600"])
+def test_partition_matches_int64_keys(factory):
+    assert_partition_matches_int64_keys(factory())
+
+
+def test_partition_matches_int64_keys_on_psl2_9_line(line9):
+    assert_partition_matches_int64_keys(line9.subgroups["PSL"])
+
+
+def test_partition_matches_int64_keys_on_m11_12(m11_12):
+    assert_partition_matches_int64_keys(m11_12.group)

@@ -14,11 +14,12 @@ from derangements import elusive
 from derangements.elusive import ClassInfo
 from derangements.harness import ScenarioEnv
 
-from tests.conftest import alternating, cyclic, symmetric
+from tests.conftest import (alternating, cyclic, enumerate_elements,
+                            symmetric)
 
 
 def naive_order_r_count(G, r):
-    return sum(1 for x in G.enumerate_elements() if x.order() == r)
+    return sum(1 for x in enumerate_elements(G) if x.order() == r)
 
 
 @pytest.mark.parametrize("factory,r", [
@@ -35,8 +36,8 @@ def test_count_order_r_elements_oracle(factory, r):
 
 def naive_class_partition(G, r):
     """Order-r classes by brute conjugation; returns sorted class sizes."""
-    elems = [x for x in G.enumerate_elements() if x.order() == r]
-    all_elems = list(G.enumerate_elements())
+    elems = [x for x in enumerate_elements(G) if x.order() == r]
+    all_elems = list(enumerate_elements(G))
     seen = set()
     sizes = []
     for x in elems:
@@ -60,7 +61,7 @@ def test_class_reps_match_naive_partition(factory, r):
     assert sorted(ci.class_size for ci in infos) == naive_class_partition(G, r)
     for ci in infos:
         assert ci.representative.order() == r
-        fixed = [x.num_fixed() for x in G.enumerate_elements()
+        fixed = [x.num_fixed() for x in enumerate_elements(G)
                  if x.order() == r]
         assert ci.min_fixed_points >= min(fixed)
 
@@ -121,7 +122,7 @@ def test_wreath_class_reps_match_materialized(base_factory, k, top_factory,
         # min fixed points over the whole class, by brute conjugation
         cls_min = min(
             (g.inverse() * perm * g).num_fixed()
-            for g in W.group.enumerate_elements()
+            for g in enumerate_elements(W.group)
         )
         assert ci.min_fixed_points == cls_min
 
@@ -268,7 +269,7 @@ def test_structural_verdicts_match_exhaustive():
         spec = WreathSpec(base, k, top, flavor)
         structural = structural_wreath_elusivity(spec, r)
         W = wreath(spec)
-        direct = [x for x in W.group.enumerate_elements()
+        direct = [x for x in enumerate_elements(W.group)
                   if x.order() == r and x.num_fixed() == 0]
         assert (structural.status == "Elusive") == (len(direct) == 0)
 
@@ -327,9 +328,9 @@ def test_class_coverage_passes_caller_budget_to_the_scan(monkeypatch):
     received = []
     real = elusive.order_r_rows
 
-    def recording(G, r, budget):
+    def recording(G, primes, budget):
         received.append(budget)
-        return real(G, r, budget)
+        return real(G, primes, budget)
 
     monkeypatch.setattr("derangements.elusive.order_r_rows", recording)
     budgets = Budgets(exhaustive=9_000, scan=10)
@@ -338,3 +339,29 @@ def test_class_coverage_passes_caller_budget_to_the_scan(monkeypatch):
     assert v.method == "class-coverage"
     assert v.budgets["exhaustive"] == 9_000
     assert received == [9_000]
+
+
+def test_cold_single_prime_verdict_scans_that_prime_alone():
+    env = ScenarioEnv()
+    A = env.m11_on_12()
+    v = is_r_elusive(A, 3, budgets=Budgets(scan=10))
+    assert v.method == "class-coverage"
+    assert set(A.parent.parent_group._order_r_rows_cache) == {3}
+
+
+def test_normal_structure_scans_its_missing_primes_in_one_pass(monkeypatch):
+    from derangements import normal_structure
+    from derangements.numbers import prime_divisors
+    calls = []
+    real = elusive.order_r_rows
+
+    def recording(G, primes, budget):
+        calls.append(list(primes))
+        return real(G, primes, budget)
+
+    monkeypatch.setattr("derangements.elusive.order_r_rows", recording)
+    A = ScenarioEnv().m11_on_12()  # fresh: the parent M11 has no cached rows
+    is_r_elusive(A, 3, budgets=Budgets(scan=10))
+    normal_structure(A)
+    primes = prime_divisors(A.group.order())
+    assert calls == [[3], [r for r in primes if r != 3]]

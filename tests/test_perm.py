@@ -12,8 +12,9 @@ import derangements.perm as perm_module
 from derangements.perm import (StabilizerChain,
                                permutation_from_cycles_1indexed)
 
-from tests.conftest import (alternating, cyclic, dihedral, frobenius21,
-                            klein4, symmetric)
+from tests.conftest import (alternating, cyclic, dihedral,
+                            enumerate_elements, frobenius21, klein4,
+                            symmetric)
 
 
 def test_composition_is_left_to_right():
@@ -100,7 +101,7 @@ def test_membership():
     G = alternating(5)
     assert G.contains(Permutation.from_cycles(5, [(0, 1, 2)]))
     assert not G.contains(Permutation.from_cycles(5, [(0, 1)]))
-    for x in G.enumerate_elements():
+    for x in enumerate_elements(G):
         assert G.contains(x)
 
 
@@ -164,7 +165,7 @@ def test_block_system_validation():
 
 def test_enumerate_elements_counts():
     G = symmetric(4)
-    elems = list(G.enumerate_elements())
+    elems = list(enumerate_elements(G))
     assert len(elems) == 24
     assert len({e.key() for e in elems}) == 24
 
@@ -187,7 +188,7 @@ def test_element_batches_are_bounded_blocks_in_enumeration_order(monkeypatch):
 
 
 def naive_derangement(G, r):
-    for x in G.enumerate_elements():
+    for x in enumerate_elements(G):
         if x.order() == r and x.num_fixed() == 0:
             return x
     return None
@@ -216,7 +217,7 @@ def test_backtrack_determinism_returns_lex_least():
     G = symmetric(4)
     w = derangement_backtrack(G, 2, determinism=True)
     all_w = sorted(
-        (x for x in G.enumerate_elements()
+        (x for x in enumerate_elements(G)
          if x.order() == 2 and x.num_fixed() == 0),
         key=lambda x: tuple(x.images),
     )
@@ -311,7 +312,7 @@ def test_chain_base_images_determine_elements():
     G = symmetric(4)
     base = G.chain.base
     seen = {}
-    for x in G.enumerate_elements():
+    for x in enumerate_elements(G):
         k = tuple(int(x.images[b]) for b in base)
         assert k not in seen
         seen[k] = x
