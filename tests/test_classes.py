@@ -15,7 +15,7 @@ from derangements.classes import (batch_power, order_r_rows,
                                   partition_rows_by_conjugacy)
 from derangements.config import CertificateError
 from derangements.numbers import prime_divisors
-from derangements.perm import _cells, _components
+from derangements.perm import Permutation, PermGroup, _cells, _components
 
 from tests.conftest import alternating, cyclic, dihedral, symmetric
 
@@ -187,11 +187,22 @@ def assert_partition_matches_int64_keys(G):
             assert np.array_equal(members, members0), r
 
 
+def s3_on_1_2_256():
+    """S3 on the points 1, 2 and 256 of 300.  Its least transposition
+    (2 256) starts [0, 1, ...] while (1 256) starts [0, 256, ...], whose
+    little-endian uint16 bytes compare lower: a least row read from
+    native-order keys would be wrong."""
+    gens = [Permutation.from_cycles(300, [(1, 2, 256)]),
+            Permutation.from_cycles(300, [(1, 2)])]
+    return PermGroup(gens)
+
+
 @pytest.mark.parametrize("factory", [
     lambda: cyclic(257),    # uint16 path
     lambda: cyclic(300),
     lambda: dihedral(300),  # uint16 path with classes of several rows
-], ids=["C257", "C300", "D600"])
+    s3_on_1_2_256,
+], ids=["C257", "C300", "D600", "S3 on 300"])
 def test_partition_matches_int64_keys(factory):
     assert_partition_matches_int64_keys(factory())
 
