@@ -1,19 +1,20 @@
 """Batched element scans and conjugacy-class bucketing for small groups.
 
-Everything here works on image rows: an (m, n) int64 array whose rows are
-permutation image arrays.  Used by the elusivity checkers and the subgroup
-search for groups whose full element list fits in the exhaustive budget.
+Everything here works on image rows: an (m, n) array whose rows are
+permutation image arrays, compact as enumerated or int64.  Used by the
+elusivity checkers and the subgroup search for groups whose full element
+list fits in the exhaustive budget.
 
 `order_r_rows` serves every prime its caller names in one pass over the
-elements.  It casts each enumerated batch to the smallest unsigned dtype
-that holds a point (uint8 up to 256 points, uint16 up to 65536, uint32
-beyond), so the filter moves a fraction of the bytes, and passes it to
-`perm._order_r_filter`, the order-r test the derangement backtrack's
-leaves share.  The moved-point counts and the first moved point are
-shared by the primes; each prime then asks for a moved-point count that is
-a positive multiple of r, the trajectory of the first moved point under
-x^r, and the exact x^r = 1 on the survivors.  Only the kept rows are
-widened to int64.
+elements.  Enumerated batches arrive compact, in the smallest unsigned
+dtype that holds a point (uint8 up to 256 points, uint16 up to 65536,
+uint32 beyond), so nothing is cast and the filter moves a fraction of the
+bytes.  Each batch goes to `perm._order_r_filter`, the order-r test the
+derangement backtrack's leaves share.  The moved-point counts and the
+first moved point are shared by the primes; each prime then asks for a
+moved-point count that is a positive multiple of r, the trajectory of the
+first moved point under x^r, and the exact x^r = 1 on the survivors.
+Only the kept rows are widened to int64.
 
 The class partition sorts and searches the rows in the same compact
 dtype, big-endian, so that the byte order of a row is its lexicographic
@@ -55,10 +56,8 @@ def order_r_rows(G, primes: Sequence[int],
     scan = [r for r in dict.fromkeys(primes) if order % r == 0]
     kept = {r: [] for r in scan}
     if scan:
-        compact = np.min_scalar_type(G.degree - 1)
         for batch in G.element_batches():
-            for r, rows in zip(scan, _order_r_filter(batch.astype(compact),
-                                                     scan)):
+            for r, rows in zip(scan, _order_r_filter(batch, scan)):
                 kept[r].append(rows)
     return {r: np.concatenate(kept[r], axis=0, dtype=np.int64) if kept.get(r)
             else np.empty((0, G.degree), dtype=np.int64) for r in primes}

@@ -611,14 +611,16 @@ def semiregular_search(
 ) -> SemiregularResult:
     """Look for a semiregular element: a prime-order derangement.
 
-    Tries each prime dividing the group order in increasing order.  Every
-    per-prime check is exact, so "none" is a certificate.
+    Tries each prime dividing the group order in increasing order; an
+    element scan covers them all in one pass.  Every per-prime check is
+    exact, so "none" is a certificate.
     """
     G = A.group
-    order = _acting_order(A)
-    for p in prime_divisors(order):
-        if G.is_transitive():
-            v = is_r_elusive(A, p, budgets, determinism)
+    primes = prime_divisors(_acting_order(A))
+    transitive = G.is_transitive()
+    for p in primes:
+        if transitive:
+            v = is_r_elusive(A, p, budgets, determinism, scan_primes=primes)
             if v.status == NOT_ELUSIVE:
                 w = v.witness
                 if isinstance(w, WreathElement):

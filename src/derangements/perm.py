@@ -16,13 +16,15 @@ generator of every level is sifted; the result is therefore exact, not
 Monte Carlo.  A built chain can absorb further elements and be swept exact
 again; normal_closure grows one chain per call so (Seress, ch. 4).  Chains
 are refused above DEFAULT_BUDGETS.chain_degree points.
-The chain supplies order, membership, uniform random elements, transversal
-enumeration, canonical right-coset representatives, and the pruned
-backtrack search for fixed-point-free elements of prime order.  That
-search expands a level at a time for a chunk of parents in one gather, on
-rows of the smallest dtype that holds a point, keeping the node-by-node
-DFS order (see derangement_backtrack).  Its leaves and the class scan's
-batches pass the one order-r filter, _order_r_filter.
+The chain supplies order, membership, uniform random elements, canonical
+right-coset representatives and one walk of its product tree,
+_leaf_chunks: depth first, a level at a time for a chunk of parents in one
+gather, on compact rows (the smallest unsigned dtype that holds a point).
+Element enumeration (element_batches) is the unpruned walk; the backtrack
+search for fixed-point-free elements of prime order
+(derangement_backtrack) is the walk pruned at nodes fixing their level's
+base point.  Its leaves and the class scan's batches pass the one order-r
+filter, _order_r_filter.
 
 Known-order early stop (Sims 1970; Seress, Permutation Group Algorithms,
 section 4.5).  The product of the basic orbit lengths of a partial chain
@@ -589,8 +591,7 @@ class StabilizerChain:
 # ---------------------------------------------------------------------------
 # groups
 
-_BATCH_ROWS = 65536  # rows per element_batches block
-_BATCH_ENTRIES = 1 << 18  # entries per enumerated batch or backtrack chunk
+_BATCH_ENTRIES = 1 << 18  # entries per chunk of the product-tree walk
 
 
 class PermGroup:
@@ -794,47 +795,12 @@ class PermGroup:
     # -- enumeration ---------------------------------------------------------
 
     def element_batches(self) -> Iterator[np.ndarray]:
-        """Yield image matrices whose rows enumerate the group exactly once.
-
-        Rows are products t_{k-1}...t_0 of transversal representatives, so
-        uniqueness follows from the chain's unique factorization.  Products
-        of the trailing levels (at most _BATCH_ROWS rows unless one level
-        alone is larger) are formed once; each batch applies the leading
-        levels to _BATCH_ENTRIES // degree of them.
-        """
-        mats = [lvl.rows for lvl in self.chain.levels]
-        n = self.degree
-        if not mats:
-            yield np.arange(n, dtype=np.int64)[None, :]
-            return
-        suffix = np.arange(n, dtype=np.int64)[None, :]
-        j = len(mats)
-        while j > 0 and suffix.shape[0] * mats[j - 1].shape[0] <= _BATCH_ROWS:
-            T = mats[j - 1]
-            # products of levels >= j-1: rows T[t][suffix[s]]
-            suffix = T[:, suffix].reshape(-1, n)
-            j -= 1
-        if j == 0:
-            yield suffix
-            return
-        counts = [mats[i].shape[0] for i in range(j)]
-        odometer = [0] * j
-        step = max(1, _BATCH_ENTRIES // n)
-        while True:
-            for lo in range(0, len(suffix), step):
-                M = suffix[lo:lo + step]
-                for i in range(j - 1, -1, -1):
-                    M = mats[i][odometer[i]][M]
-                yield M
-            pos = j - 1
-            while pos >= 0:
-                odometer[pos] += 1
-                if odometer[pos] < counts[pos]:
-                    break
-                odometer[pos] = 0
-                pos -= 1
-            if pos < 0:
-                return
+        """Yield compact image matrices whose rows enumerate the group
+        exactly once: the leaves of the chain's product tree, unpruned,
+        in the order and chunks of _leaf_chunks.  Rows are products
+        t_{k-1}...t_0 of transversal representatives, so uniqueness
+        follows from the chain's unique factorization."""
+        yield from _leaf_chunks(self.chain, prune=False)
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, ngens={len(self.generators)})"
@@ -875,55 +841,67 @@ class BlockSystem:
 
 
 # ---------------------------------------------------------------------------
-# backtrack search for prime-order derangements
+# the product-tree walk: enumeration and the derangement backtrack
+
+
+def _leaf_chunks(chain: StabilizerChain, prune: bool) -> Iterator[np.ndarray]:
+    """The leaves t_{k-1} * ... * t_0 of the chain's product tree in DFS
+    order, lexicographic in (t_0, ..., t_{k-1}), as chunks of compact rows
+    (dtype np.min_scalar_type(degree - 1)).
+
+    A node at level i is a product t_i * ... * t_0 of transversal rows
+    (t_i applied first).  DFS frames hold a level's parent rows; a chunk
+    of parents, about _BATCH_ENTRIES entries of children, is expanded in
+    one gather, and its children are walked before the next chunk.  So no
+    chunk has more than max(_BATCH_ENTRIES // degree, largest level) rows.
+    With `prune`, a child fixing its level's base point b_i is dropped
+    with its subtree: deeper rows fix b_i, so every leaf below it would
+    fix b_i too.  An empty chain has one leaf, the identity.
+    """
+    n = chain.degree
+    root = np.arange(n, dtype=np.min_scalar_type(n - 1))[None, :]
+    if not chain.levels:
+        yield root
+        return
+    last = len(chain.levels) - 1
+    frames = [[0, root, 0]]  # [level, parent rows, next parent]
+    while frames:
+        frame = frames[-1]
+        i, parents, lo = frame
+        if lo >= len(parents):
+            frames.pop()
+            continue
+        T = chain.levels[i].rows
+        frame[2] = lo + max(1, _BATCH_ENTRIES // (n * len(T)))
+        children = np.take(parents[lo:frame[2]], T, axis=1).reshape(-1, n)
+        if prune:
+            b = chain.base[i]
+            children = children[children[:, b] != b]
+        if i < last:
+            frames.append([i + 1, children, 0])
+        elif len(children):
+            yield children
 
 
 def derangement_backtrack(G: PermGroup, r: int, determinism: bool = False) -> Optional[Permutation]:
     """Find an order-r element of G without fixed points, or certify None.
 
-    Depth-first search over stabilizer-chain cosets (Leon 1991), run a
-    level at a time.  A node at level i is a product t_i * ... * t_0 of
-    transversal rows (t_i applied first).  The rows of deeper levels fix
-    b_i, so every leaf below the node maps b_i where the node does, and a
-    node fixing b_i is pruned.  A chunk of parents, about _BATCH_ENTRIES
-    entries of children, is expanded in one gather on rows of the smallest
-    dtype that holds a point, and its children are searched before the
-    next chunk, so leaves are met in the node-by-node DFS order.  Leaves
-    pass `_order_r_filter` with no fixed point allowed; only the returned
-    witness is widened to int64.
+    Depth-first search over stabilizer-chain cosets (Leon 1991): the walk
+    of _leaf_chunks with each node fixing its level's base point pruned.
+    Each chunk of leaves, compact rows, passes `_order_r_filter` with no
+    fixed point allowed; only the returned witness is widened to int64.
 
     A derangement of prime order r has only r-cycles, so None is returned
-    at once unless r divides both |G| and the degree.  A returned None is
-    exact: the full pruned tree was exhausted.  In determinism mode the
-    lexicographically least witness is returned (full exploration);
-    otherwise the first one in DFS order.
+    at once unless r divides both |G| and the degree (never for the
+    trivial group).  A returned None is exact: the full pruned tree was
+    exhausted.  In determinism mode the lexicographically least witness is
+    returned (full exploration); otherwise the first one in DFS order.
     """
-    n = G.degree
-    if G.order() % r or n % r:
-        return None
-    chain = G.chain
-    if not chain.levels:
+    if G.order() % r or G.degree % r:
         return None
     best = None
-    # DFS frames [level, parent rows, next parent]; a parent at level i is
-    # the product of the levels below i
-    frames = [[0, np.arange(n, dtype=np.min_scalar_type(n - 1))[None, :], 0]]
-    while frames:
-        frame = frames[-1]
-        i, parents, lo = frame
-        if lo == len(parents):
-            frames.pop()
-            continue
-        T = chain.levels[i].rows
-        step = max(1, _BATCH_ENTRIES // (n * len(T)))
-        frame[2] = min(lo + step, len(parents))
-        b = chain.base[i]
-        children = np.take(parents[lo:lo + step], T, axis=1).reshape(-1, n)
-        children = children[children[:, b] != b]
-        if i + 1 < len(chain.levels):
-            frames.append([i + 1, children, 0])
-            continue
-        (found,) = _order_r_filter(children, (r,), fixed_point_free=True)
+    for leaves in _leaf_chunks(G.chain, prune=True):
+        (found,) = _order_r_filter(leaves, (r,), fixed_point_free=True)
         if not len(found):
             continue
         if not determinism:

@@ -222,9 +222,11 @@ def _prime_order_reps_of_subgroup(A: GroupAction, N: PermGroup,
         factor_reps = []
         for T in socle.factors:
             per_prime = {}
-            for r in prime_divisors(T.order()):
+            primes = prime_divisors(T.order())  # one scan covers them all
+            for r in primes:
                 per_prime[r] = [ci.representative for ci in
-                                prime_order_class_reps(T, r, budgets=budgets)]
+                                prime_order_class_reps(T, r, budgets=budgets,
+                                                       scan_primes=primes)]
             factor_reps.append(per_prime)
         reps = []
         all_primes = sorted({r for pp in factor_reps for r in pp})

@@ -1,9 +1,9 @@
 """The prefiltered order-r scan against the plain power test, and the
 compact-key class partition against the int64-key one it replaced.
 
-`order_r_rows` scans every prime it is given in one pass: it casts batches
-to a compact dtype and drops rows by two necessary conditions before the
-exact x^r = 1 test (`perm._order_r_filter`, which the derangement
+`order_r_rows` scans every prime it is given in one pass: it takes the
+compact enumerated batches and drops rows by two necessary conditions
+before the exact x^r = 1 test (`perm._order_r_filter`, which the derangement
 backtrack's leaves share).  The reference below is that exact test over
 every enumerated row, one prime at a time; the two must agree row for row.
 """

@@ -324,6 +324,21 @@ def test_semiregular_none_on_m11_12(m11_12):
     assert res.exact
 
 
+def test_cold_semiregular_search_scans_once(monkeypatch):
+    calls = []
+    real = elusive.order_r_rows
+
+    def recording(G, primes, budget):
+        calls.append(list(primes))
+        return real(G, primes, budget)
+
+    monkeypatch.setattr("derangements.elusive.order_r_rows", recording)
+    # a fresh env, so the parent M11 has no cached rows and must be scanned
+    res = semiregular_search(ScenarioEnv().m11_on_12())
+    assert res.witness is None  # every prime is asked
+    assert calls == [[2, 3, 5, 11]]
+
+
 def test_class_coverage_passes_caller_budget_to_the_scan(monkeypatch):
     received = []
     real = elusive.order_r_rows

@@ -177,14 +177,46 @@ def test_element_batches_identity_group():
 
 
 def test_element_batches_are_bounded_blocks_in_enumeration_order(monkeypatch):
-    G = symmetric(9)  # 40320 trailing rows per leading representative
-    step = perm_module._BATCH_ENTRIES // G.degree
-    batches = list(G.element_batches())
-    assert max(len(b) for b in batches) == step
+    G = symmetric(9)
+    n = G.degree
+    widest = max(len(lvl.rows) for lvl in G.chain.levels)
+
+    def chunks():
+        batches = list(G.element_batches())
+        cap = max(perm_module._BATCH_ENTRIES // n, widest)
+        for b in batches:
+            assert b.dtype == np.min_scalar_type(n - 1) and b.shape[1] == n
+            assert 0 < len(b) <= cap
+        return batches
+
+    default = chunks()
+    small_chunks(monkeypatch, G)
+    small = chunks()
     monkeypatch.setattr(perm_module, "_BATCH_ENTRIES", 1 << 30)
-    whole = list(G.element_batches())
-    assert len(whole) == 9 < len(batches)
-    assert np.array_equal(np.concatenate(batches), np.concatenate(whole))
+    whole = chunks()
+    assert len(whole) == 1 < len(default) < len(small)
+    for batches in (small, whole):
+        assert np.array_equal(np.concatenate(batches),
+                              np.concatenate(default))
+
+
+def explicit_products(G):
+    """Image rows of t_{k-1} * ... * t_0 over itertools.product of the
+    level indices, lexicographic in (t_0, ..., t_{k-1})."""
+    levels = [lvl.rows for lvl in G.chain.levels]
+    index = np.array(list(itertools.product(*(range(len(T)) for T in levels))),
+                     dtype=np.int64).reshape(-1, len(levels))
+    rows = np.tile(np.arange(G.degree), (len(index), 1))
+    for i, T in enumerate(levels):  # t_i applies before t_{i-1}
+        rows = np.take_along_axis(rows, T[index[:, i]], axis=1)
+    return rows
+
+
+def test_element_batches_are_the_explicit_products(corpus):
+    for name, G in [(name, A.group) for name, A in corpus] + [
+            ("S9", symmetric(9))]:
+        got = np.concatenate(list(G.element_batches()))
+        assert np.array_equal(got, explicit_products(G)), name
 
 
 def naive_derangement(G, r):

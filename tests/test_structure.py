@@ -21,6 +21,7 @@ from derangements import (BIQUASIPRIMITIVE, NEITHER, PRIMITIVE,
                           PermGroup, Permutation, WreathSpec, coset_action,
                           g_plus, natural_action, normal_structure,
                           verify_minimal_normal, wreath)
+from derangements import elusive
 
 from tests.conftest import (alternating, cyclic, dihedral, klein4,
                             symmetric)
@@ -278,10 +279,18 @@ def test_minimal_normal_guards():
         verify_minimal_normal(A, PermGroup([], degree=4))  # trivial
 
 
-def test_socle_route_certifies_a5_squared():
+def test_socle_route_certifies_a5_squared(monkeypatch):
     # A5 wr C2 in product action: the socle A5 x A5 is too large for the
     # scan budget, so the certificate is assembled from per-factor class
     # representatives hung off the declared socle.
+    scanned = []
+    real = elusive.order_r_rows
+
+    def recording(G, primes, budget):
+        scanned.append(G)
+        return real(G, primes, budget)
+
+    monkeypatch.setattr("derangements.elusive.order_r_rows", recording)
     c2 = PermGroup([Permutation(__import__("numpy").array([1, 0]))])
     spec = WreathSpec(natural_action(alternating(5), "A5"), 2, c2, "product")
     A = wreath(spec, declare_socle=True)
@@ -291,6 +300,9 @@ def test_socle_route_certifies_a5_squared():
     rep = verify_minimal_normal(A, N, budgets=tight)
     assert rep.minimal and rep.unique and rep.exact
     assert set(rep.closure_orders) == {3600}
+    # one scan per factor covers all of its primes
+    factors = A.declared_socle.factors
+    assert [sum(G is T for G in scanned) for T in factors] == [1, 1]
 
     # without the declaration the same subgroup is undecidable in budget
     bare = wreath(spec)
