@@ -19,17 +19,34 @@ Only the kept rows are widened to int64.
 The class partition sorts and searches the rows in the same compact
 dtype, big-endian, so that the byte order of a row is its lexicographic
 order and the least row of a class is read off the sort.
+
+`sylow_classes` finds the order-r classes of a large group without the
+scan.  By Sylow's theorem every element of order r is conjugate into a
+Sylow r-subgroup P, so the classes that meet P are all of them
+(Holt-Eick-O'Brien, ch. 4).  P is certified by its chain order |G|_r:
+it is <x> when r^2 does not divide |G|; otherwise C_G(x) for an x whose
+class size is prime to r (so C_G(x) holds a Sylow r-subgroup), when that
+is an r-group, or the r-parts of its generators, when it is abelian.
+C_G(x) comes from the Schreier generators of the walk of x's class, on a
+chain bounded by |G|/|x^G| (the known-order stop).  Every other case
+returns None, and the caller scans.  Each class is walked whole,
+breadth first, one gather per generator and level; an element is keyed
+by its images of the chain's base points, which determine it, so the
+walk dedupes exactly without keeping its rows.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_BUDGETS, BudgetExceeded, CertificateError
-from .perm import (_BATCH_ENTRIES, Permutation, _cells, _components,
-                   _order_r_filter, batch_power)
+from .config import (DEFAULT_BUDGETS, DEFAULT_SEED, BudgetExceeded,
+                     CertificateError)
+from .numbers import factorize
+from .perm import (_BATCH_ENTRIES, Permutation, StabilizerChain, _cells,
+                   _components, _inverse_row, _leaf_chunks, _order_r_filter,
+                   batch_power)
 
 __all__ = [
     "batch_power",
@@ -37,6 +54,7 @@ __all__ = [
     "order_r_rows",
     "exhaustive_class_partition",
     "partition_rows_by_conjugacy",
+    "sylow_classes",
 ]
 
 
@@ -133,3 +151,199 @@ def exhaustive_class_partition(G, budget: int = DEFAULT_BUDGETS.exhaustive) -> l
         raise CertificateError("class sizes do not sum to the group order")
     reps.sort(key=lambda t: (t[0].order(), tuple(t[0].images)))
     return reps
+
+
+# ---------------------------------------------------------------------------
+# class walks and the Sylow route
+
+_DRAW = 32  # random elements per batch of the search for order-r elements
+
+
+class _Walk(NamedTuple):
+    """One conjugacy class x^G, walked whole.
+
+    `least` is its lexicographically least row and `fixed` the least and
+    greatest fixed-point count on it.  A walk asked for its transversal
+    also keeps, for element i in walk order, a row t_i with x^(t_i) =
+    element i, and succ[j, i], the index of element i conjugated by
+    generator j: the Schreier graph of the class.
+    """
+
+    least: np.ndarray
+    size: int
+    fixed: tuple
+    transversal: Optional[np.ndarray] = None
+    succ: Optional[np.ndarray] = None
+
+
+def _least_row(rows: np.ndarray) -> np.ndarray:
+    """The lexicographically least of distinct rows, narrowed column by
+    column, with no sort."""
+    for j in range(rows.shape[1]):
+        if len(rows) == 1:
+            break
+        col = rows[:, j]
+        rows = rows[col == col.min()]
+    return rows[0]
+
+
+class _ClassWalker:
+    """Breadth-first walks of G-classes under conjugation by G's
+    generators, on compact rows, sharing one table of the elements walked
+    so far.
+
+    An element is keyed by its images of G's chain base, which determine
+    it: packed into an int64 when degree^|base| < 2^63, else their bytes.
+    """
+
+    def __init__(self, G):
+        n = G.degree
+        self.dtype = np.min_scalar_type(n - 1)
+        self.gens = np.stack([g.images for g in G.generators]).astype(self.dtype)
+        self.inverses = np.stack([_inverse_row(g.images) for g in G.generators])
+        self.base = np.array(G.chain.base, dtype=np.int64)
+        self.weights = (n ** np.arange(len(self.base), dtype=np.int64)
+                        if n ** len(self.base) < 2 ** 63 else None)
+        self.seen: dict = {}  # key -> index in walk order
+
+    def keys(self, base_images: np.ndarray) -> list:
+        if self.weights is None:
+            return _row_keys(base_images).tolist()
+        return (base_images.astype(np.int64) @ self.weights).tolist()
+
+    def walked(self, x: np.ndarray) -> bool:
+        return self.keys(x[self.base][None])[0] in self.seen
+
+    def walk(self, x: np.ndarray, transversal: bool = False) -> _Walk:
+        """Walk the class of the compact row x, not walked before.  Each
+        level takes, per generator g, the conjugates g^-1 y g = g[y[g^-1]]
+        of its rows: their keys from the base columns alone, then the full
+        rows of the new ones."""
+        seen = self.seen
+        ident = np.arange(x.size, dtype=self.dtype)
+        start = len(seen)
+        seen[self.keys(x[self.base][None])[0]] = start
+        frontier, reps = x[None].astype(self.dtype), ident[None]
+        least, lo, hi = None, x.size, 0
+        reps_seen, succ = [], [[] for _ in self.gens]
+        while len(frontier):
+            counts = (frontier == ident).sum(axis=1)
+            lo, hi = min(lo, int(counts.min())), max(hi, int(counts.max()))
+            least = _least_row(frontier if least is None
+                               else np.concatenate([least[None], frontier]))
+            if transversal:
+                reps_seen.append(reps)
+            rows, new_reps = [], []
+            for g, gv, out in zip(self.gens, self.inverses, succ):
+                fresh = []
+                for i, k in enumerate(self.keys(g[frontier[:, gv[self.base]]])):
+                    m = len(seen)
+                    j = seen.setdefault(k, m)
+                    if j == m:
+                        fresh.append(i)
+                    out.append(j - start)
+                rows.append(g[frontier[fresh][:, gv]])
+                if transversal:
+                    new_reps.append(g[reps[fresh]])  # t * g
+            frontier = np.concatenate(rows)
+            if transversal:
+                reps = np.concatenate(new_reps)
+        size = len(seen) - start
+        if not transversal:
+            return _Walk(least, size, (lo, hi))
+        return _Walk(least, size, (lo, hi), np.concatenate(reps_seen),
+                     np.array(succ, dtype=np.int64))
+
+
+def _order_r_sample(G, r: int, sylow: int):
+    """Compact rows of order r: batches of uniform random elements of G
+    (seeded with DEFAULT_SEED) raised to the power |G|/|G|_r, which makes
+    them r-elements, then to the r-th power until the next power is the
+    identity.  At most 8 * degree draws."""
+    n, order = G.degree, G.order()
+    dtype = np.min_scalar_type(n - 1)
+    ident = np.arange(n, dtype=np.int64)
+    rng = np.random.default_rng(DEFAULT_SEED)
+    for _ in range(max(1, 8 * n // _DRAW)):
+        img = np.tile(ident, (_DRAW, 1))
+        for lvl in reversed(G.chain.levels):
+            u = lvl.rows[rng.integers(0, len(lvl.points), size=_DRAW)]
+            img = np.take_along_axis(u, img, axis=1)  # img * u
+        rows = batch_power(img, order // sylow)
+        rows = rows[(rows != ident).any(axis=1)]
+        while len(rows):
+            nxt = batch_power(rows, r)
+            last = (nxt == ident).all(axis=1)
+            yield from rows[last].astype(dtype)
+            rows = nxt[~last]
+
+
+def _centralizer(walker: _ClassWalker, x: np.ndarray, walk: _Walk,
+                 bound: int):
+    """Rows generating C_G(x), and their chain: Schreier generators
+    t_i g t_(i^g)^-1 of x's class walk, in a seeded random order and
+    batches that double, until the chain bounded by |C_G(x)| = `bound`
+    reaches it."""
+    n, size = x.size, walk.size
+    picks = np.random.default_rng(DEFAULT_SEED).permutation(
+        size * len(walker.gens))
+    points = np.broadcast_to(np.arange(n), (len(picks), n))
+    gens = np.empty((0, n), dtype=np.int64)
+    lo, step = 0, 8
+    while lo < len(picks):
+        j, i = np.divmod(picks[lo:lo + step], size)
+        t, t_next = walk.transversal[i], walk.transversal[walk.succ[j, i]]
+        moved = np.take_along_axis(walker.gens[j], t, axis=1)  # t * g
+        inverse = np.empty((len(i), n), dtype=np.int64)
+        np.put_along_axis(inverse, t_next, points[:len(i)], axis=1)
+        gens = np.concatenate([gens, np.take_along_axis(inverse, moved, axis=1)])
+        lo, step = lo + step, 2 * step
+        chain = StabilizerChain(n, [Permutation._raw(g) for g in gens],
+                                bound=bound)
+        if chain.order() == bound:
+            if not (gens[:, x] == x[gens]).all():
+                raise CertificateError("a Schreier generator does not centralize x")
+            return gens, chain
+    raise CertificateError("Schreier generators fall short of the centralizer order")
+
+
+def sylow_classes(G, r: int) -> Optional[list]:
+    """(least row, size, (least, greatest) fixed-point count) of each class
+    of elements of order r in G, sorted by least row, from the class walks
+    that meet a Sylow r-subgroup P (module docstring); None when no rule
+    finds P, or no class of size prime to r turns up among the sampled
+    elements."""
+    order = G.order()
+    if order % r:
+        return []
+    sylow = r ** factorize(order)[r]
+    cyclic = order % (r * r) != 0
+    walker = _ClassWalker(G)
+    walks = []
+    for x in _order_r_sample(G, r, sylow):
+        if walker.walked(x):
+            continue
+        walks.append(walker.walk(x, transversal=not cyclic))
+        if cyclic or walks[-1].size % r:
+            break
+    else:
+        return None
+    if cyclic:
+        chain = StabilizerChain(G.degree, [Permutation._raw(x)])
+    else:
+        bound = order // walks[-1].size
+        gens, chain = _centralizer(walker, x, walks[-1], bound)
+        if bound != sylow:  # C_G(x) is not an r-group
+            if not all((gens[:, g] == g[gens]).all() for g in gens):
+                return None
+            chain = StabilizerChain(G.degree, [
+                Permutation._raw(g) for g in batch_power(gens, bound // sylow)])
+    if chain.order() != sylow:
+        raise CertificateError("the Sylow subgroup has the wrong order")
+    for leaves in _leaf_chunks(chain, prune=False):
+        (found,) = _order_r_filter(leaves, (r,))
+        for y in found:
+            if not walker.walked(y):
+                walks.append(walker.walk(y))
+    return sorted(((w.least, w.size, w.fixed) for w in walks),
+                  key=lambda t: tuple(t[0]))

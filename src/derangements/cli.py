@@ -146,7 +146,10 @@ def _print_verdicts(A, args, env) -> None:
         for v in rep.verdicts:
             print(f"  r={v.prime}: {v.status} [method {v.method}]")
     full = is_elusive(A, budgets=env.budgets, determinism=args.determinism)
-    print(f"elusive: {bool(full)}")
+    if full.aggregate is None:
+        print(f"elusive: NotApplicable ({full.reason})")
+    else:
+        print(f"elusive: {bool(full)}")
 
 
 def main(argv=None) -> int:

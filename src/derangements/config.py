@@ -12,6 +12,8 @@ so certificates stay auditable.  The defaults here are deliberate choices:
   accidental attempt to chain them is an error, not a hang.
 * ``scan`` — largest group order analysed directly on its own point set;
   bigger groups with a smaller faithful parent are analysed there instead.
+  Also the largest order whose prime-order classes are found by scanning
+  every element; above it they are walked from a Sylow subgroup.
 """
 
 from __future__ import annotations

@@ -6,6 +6,19 @@ produced it (exhaustive-enumeration, class-coverage against a smaller
 faithful parent action, backtrack search, or the structural wreath-product
 criterion) together with the budgets in force, and NotElusive witnesses are
 re-verified at construction.
+
+Class coverage needs one representative of each class of elements of
+order r.  `prime_order_class_reps` is the one route to them.  Above the
+scan budget it takes the Sylow route of `classes.sylow_classes`: find an
+element x of order r among seeded random elements, certify a Sylow
+r-subgroup P by its chain order (<x> when r^2 does not divide |G|, else
+C_G(x) for a class of size prime to r when that centralizer is an r-group,
+or the r-parts of its generators when it is abelian), then walk the
+G-class of each order-r element of P not covered yet.  By Sylow's theorem
+these are all the classes, and each is walked whole, so sizes, least
+representatives and fixed-point counts are exact.  When no rule applies
+(M11 or D600 at r=2, say), and for every group within the scan budget,
+it streams all of G and buckets the order-r elements instead.
 """
 
 from __future__ import annotations
@@ -20,6 +33,7 @@ from .classes import (
     fixed_point_counts,
     order_r_rows,
     partition_rows_by_conjugacy,
+    sylow_classes,
     _budget_error,
 )
 from .config import DEFAULT_BUDGETS, Budgets, BudgetExceeded, CertificateError
@@ -152,6 +166,12 @@ class ElusivityReport:
 
 
 def count_order_r_elements(G: PermGroup, r: int, budgets: Budgets = DEFAULT_BUDGETS) -> int:
+    """The number of elements of order r in G: the scan's row count, or,
+    above the scan budget, the sum of the class sizes that
+    `prime_order_class_reps` finds (by the Sylow route where it applies)."""
+    if G.order() > budgets.scan:
+        return sum(ci.class_size
+                   for ci in prime_order_class_reps(G, r, budgets=budgets))
     return len(_order_r_rows_cached(G, [r], budgets)[r])
 
 
@@ -173,27 +193,42 @@ def prime_order_class_reps(
     G: PermGroup, r: int, *, budgets: Budgets = DEFAULT_BUDGETS,
     scan_primes: Sequence[int] = (),
 ) -> list:
-    """Conjugacy classes of order-r elements of G, as ClassInfo records.
+    """Conjugacy classes of order-r elements of G, as ClassInfo records,
+    sorted by representative, the lexicographically least row of its class.
 
-    Streams every element (the order must fit the exhaustive budget) and
-    buckets the order-r ones into the components of conjugation.  A caller
-    that asks for further primes next names them in `scan_primes`, and a
-    cold scan covers them in the same pass.
+    The order must fit the exhaustive budget.  Above the scan budget, and
+    unless the order-r rows are cached already, the classes come from the
+    Sylow route (`classes.sylow_classes`): the classes meeting a certified
+    Sylow r-subgroup, each walked whole, with no scan of G.  Within the
+    scan budget, or when no rule finds the Sylow subgroup, every element
+    is streamed and the order-r ones are bucketed into the components of
+    conjugation.  A caller that asks for further primes next names them
+    in `scan_primes`, and a cold scan covers them in the same pass.
+    Either way each class is checked to have a constant fixed-point count
+    and a size dividing |G|.
     """
     if not is_prime(r):
         raise ValueError(f"r={r} is not prime")
-    rows = _order_r_rows_cached(G, [r, *scan_primes], budgets)[r]
+    order = G.order()
+    # The budget check comes first, so a warm cache cannot skip it.
+    if order > budgets.exhaustive:
+        raise _budget_error(G, budgets.exhaustive)
     cache = G._class_reps_cache
     if r in cache:
         return cache[r]
-    order = G.order()
-    counts = fixed_point_counts(rows)
+    classes = None
+    if order > budgets.scan and r not in G._order_r_rows_cache:
+        classes = sylow_classes(G, r)
+    if classes is None:
+        rows = _order_r_rows_cached(G, [r, *scan_primes], budgets)[r]
+        counts = fixed_point_counts(rows)
+        classes = [(rep, len(members),
+                    (counts[members].min(), counts[members].max()))
+                   for rep, members in partition_rows_by_conjugacy(G, rows)]
     infos = []
-    for rep_row, members in partition_rows_by_conjugacy(G, rows):
-        cls_counts = counts[members]
-        if cls_counts.min() != cls_counts.max():
+    for rep_row, size, (least, most) in classes:
+        if least != most:
             raise CertificateError("fixed-point count varies inside a conjugacy class")
-        size = len(members)
         if order % size != 0:
             raise CertificateError("class size does not divide the group order")
         infos.append(
@@ -201,7 +236,7 @@ def prime_order_class_reps(
                 representative=Permutation._raw(rep_row.copy()),
                 order=r,
                 class_size=size,
-                min_fixed_points=int(cls_counts[0]),
+                min_fixed_points=int(least),
             )
         )
     cache[r] = infos
@@ -527,7 +562,15 @@ def is_elusive(
     budgets: Budgets = DEFAULT_BUDGETS,
     determinism: bool = False,
 ) -> ElusivityReport:
-    """Elusivity over every prime dividing the degree (including 2)."""
+    """Elusivity over every prime dividing the degree (including 2).
+
+    Degree 1 gets a NotApplicable report: elusivity needs at least two
+    points, and over no primes the aggregate would read Elusive vacuously."""
+    if A.degree < 2:
+        return ElusivityReport(
+            "elusive", A.degree, [], None,
+            reason="elusivity needs a degree of at least 2",
+        )
     return _report(A, prime_divisors(A.degree), "elusive", budgets, determinism)
 
 

@@ -123,6 +123,15 @@ def test_check_coset_action(s4_file, tmp_path, capsys):
     assert "degree 12, order 24" in out
 
 
+def test_check_degree_one_is_not_elusive_vacuously(tmp_path, capsys):
+    s5 = write(tmp_path, "s5.gens", "degree 5\ngen (1 2 3 4 5)\ngen (1 2)\n")
+    assert main(["check", "--group", s5, "--stab", s5]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("degree 1,")
+    assert out[-1] == ("elusive: NotApplicable "
+                       "(elusivity needs a degree of at least 2)")
+
+
 def test_check_intransitive_input(tmp_path, capsys):
     g = write(tmp_path, "fix.gens", "degree 4\ngen (1 2)\n")
     assert main(["check", "--group", g]) == 2

@@ -10,12 +10,13 @@ from derangements import (Budgets, BudgetExceeded, DEFAULT_BUDGETS,
                           structural_wreath_elusivity, wreath,
                           wreath_fixed_point_check,
                           wreath_prime_order_class_reps)
-from derangements import elusive
+from derangements import coset_action, elusive, normal_structure
+from derangements.numbers import prime_divisors
 from derangements.elusive import ClassInfo
 from derangements.harness import ScenarioEnv
 
-from tests.conftest import (alternating, cyclic, enumerate_elements,
-                            symmetric)
+from tests.conftest import (alternating, cyclic, dihedral,
+                            enumerate_elements, symmetric)
 
 
 def naive_order_r_count(G, r):
@@ -28,10 +29,39 @@ def naive_order_r_count(G, r):
     (lambda: alternating(5), 5),
     (lambda: cyclic(6), 2),
     (lambda: cyclic(6), 3),
+    (lambda: symmetric(5), 2),
 ])
 def test_count_order_r_elements_oracle(factory, r):
     G = factory()
-    assert count_order_r_elements(G, r) == naive_order_r_count(G, r)
+    want = naive_order_r_count(G, r)
+    assert count_order_r_elements(G, r) == want
+    # above a lowered scan budget the count is the sum of the class sizes,
+    # here all found by the Sylow route, with no scan
+    fresh = factory()
+    assert count_order_r_elements(fresh, r, budgets=SYLOW) == want
+    assert fresh._order_r_rows_cache == {}
+
+
+# Every group is above the first scan budget and within the second, so
+# prime_order_class_reps takes the Sylow route (where a rule finds the
+# Sylow subgroup) under SYLOW and scans under SCAN.
+SYLOW = Budgets(scan=1)
+SCAN = Budgets(scan=DEFAULT_BUDGETS.exhaustive)
+
+
+def class_records(G, r, budgets, scan_primes=()):
+    """(representative images, class size, min fixed points) per class,
+    and whether G was scanned."""
+    infos = prime_order_class_reps(G, r, budgets=budgets,
+                                   scan_primes=scan_primes)
+    return ([(tuple(ci.representative.images.tolist()), ci.class_size,
+              ci.min_fixed_points) for ci in infos],
+            bool(G._order_r_rows_cache))
+
+
+def fresh(G):
+    """G with cold caches, so that one route cannot read another's."""
+    return PermGroup(G.generators, degree=G.degree)
 
 
 def naive_class_partition(G, r):
@@ -380,3 +410,89 @@ def test_normal_structure_scans_its_missing_primes_in_one_pass(monkeypatch):
     normal_structure(A)
     primes = prime_divisors(A.group.order())
     assert calls == [[3], [r for r in primes if r != 3]]
+
+
+# ---------------------------------------------------------------------------
+# the Sylow route against the scan
+
+
+def test_sylow_route_agrees_with_the_scan_on_the_corpus(corpus):
+    for name, A in corpus:
+        for r in prime_divisors(A.group.order()):
+            got, _ = class_records(fresh(A.group), r, SYLOW)
+            want, _ = class_records(fresh(A.group), r, SCAN)
+            assert got == want, (name, r)
+
+
+@pytest.fixture(scope="module")
+def line127_scanned(env):
+    """PSL(2,127) and PGL(2,127) with the scan's classes at every prime
+    of their order (2, 3, 7 and 127), from one pass each."""
+    out = {}
+    for name in ("PSL", "PGL"):
+        G = env.line127().subgroups[name]
+        cold, primes = fresh(G), prime_divisors(G.order())
+        out[name] = (G, {r: class_records(cold, r, SCAN, primes)[0]
+                         for r in primes})
+    return out
+
+
+@pytest.mark.parametrize("name", ["PSL", "PGL"])
+def test_sylow_route_agrees_with_the_scan_on_line127(line127_scanned, name):
+    G, scanned = line127_scanned[name]
+    assert list(scanned) == [2, 3, 7, 127]
+    for r, want in scanned.items():
+        got, did_scan = class_records(fresh(G), r, SYLOW)
+        assert not did_scan, r
+        assert got == want, r
+    if name == "PGL":
+        # two involution classes: a walk of the first x's class alone
+        # would miss one
+        assert sorted(size for _, size, _ in scanned[2]) == [8001, 8128]
+
+
+@pytest.mark.parametrize("group,r,falls_back", [
+    (lambda env: env.line127().subgroups["PSL"], 7, False),
+    (lambda env: env.line127().subgroups["PSL"], 2, False),
+    (lambda env: cyclic(300), 5, False),
+    (lambda env: env.m11_action().group, 2, True),
+    (lambda env: dihedral(300), 2, True),
+], ids=[
+    "cyclic P, r^2 not dividing |G|: PSL(2,127) r=7",
+    "r-group centralizer D128: PSL(2,127) r=2",
+    "abelian centralizer: C300 r=5",
+    "fallback, C(t) = GL(2,3): M11 r=2",
+    "fallback, C(z) = D600: D600 r=2",
+])
+def test_sylow_route_rules(env, group, r, falls_back):
+    G = group(env)
+    got, did_scan = class_records(fresh(G), r, SYLOW)
+    assert did_scan == falls_back
+    assert got == class_records(fresh(G), r, SCAN)[0]
+
+
+def test_class_discovery_on_psl127_scans_nothing(monkeypatch):
+    calls = []
+    real = elusive.order_r_rows
+
+    def recording(G, primes, budget):
+        calls.append(list(primes))
+        return real(G, primes, budget)
+
+    monkeypatch.setattr("derangements.elusive.order_r_rows", recording)
+    A = ScenarioEnv().a384()  # fresh: the parent PSL(2,127) is cold
+    assert is_r_elusive(A, 3).method == "class-coverage"
+    assert normal_structure(A).verdict == "quasiprimitive"
+    assert calls == []
+    assert A.parent.parent_group.order() == 1_024_128
+    assert A.parent.parent_group._order_r_rows_cache == {}
+
+
+def test_elusivity_needs_two_points():
+    S5 = symmetric(5)
+    A = coset_action(natural_action(S5, "S5"), S5)  # one coset
+    rep = is_elusive(A)
+    assert A.degree == 1
+    assert rep.aggregate is None
+    assert "at least 2" in rep.reason
+    assert not rep

@@ -13,10 +13,19 @@ is --pairs 1 with one --workload.
 
 The record written to --out holds, per workload and end-to-end metric,
 every run of each side with its median and quartiles, the number of
-pairs the change won (ties count for neither) and the benchmark's bound,
-plus the failed-query count of every run.  It is rewritten after every
-pair, so an interrupted session keeps the pairs it finished.  Standard
-library only.
+pairs the change won (ties count for neither), the benchmark's bound and
+a verdict, plus the failed-query count of every run.  The verdict has
+two parts:
+
+* `gain`: the change won at least nine tenths of the pairs, and its
+  median is better than the parent's by more than the parent's
+  interquartile range;
+* `within_bound`: the change's median is worse than the parent's by no
+  more than the bound, a fraction of the parent's median.
+
+The record is rewritten after every pair, so an interrupted session
+keeps the pairs it finished; the verdicts are printed on stderr at the
+end.  Standard library only.
 """
 
 import argparse
@@ -78,8 +87,22 @@ def _spread(values: list) -> dict:
     return {"runs": values, "median": med, "q1": q1, "q3": q3}
 
 
+def _verdict(metric: dict, sign: int) -> dict:
+    """The gain and bound checks on one metric's summary (module
+    docstring); `sign` is 1 when lower is better, else -1."""
+    parent, change = metric["parent"], metric["change"]
+    if not metric["pairs"]:
+        return {"gain": False, "within_bound": False}
+    better_by = sign * (parent["median"] - change["median"])
+    return {"gain": (10 * metric["change_wins"] >= 9 * metric["pairs"]
+                     and better_by > parent["q3"] - parent["q1"]),
+            "within_bound":
+                -better_by <= metric["bound"] * abs(parent["median"])}
+
+
 def summarize(spec: dict, runs: dict) -> dict:
-    """Per workload and metric: each side's spread and the change's wins."""
+    """Per workload and metric: each side's spread, the change's wins and
+    the verdict."""
     out = {}
     for workload, pairs in runs.items():
         metrics = {}
@@ -95,6 +118,7 @@ def summarize(spec: dict, runs: dict) -> dict:
                              "bound": m["bound"], "pairs": len(done),
                              "change_wins": wins,
                              **{s: _spread(values[s]) for s in SIDES}}
+            metrics[name]["verdict"] = _verdict(metrics[name], sign)
         out[workload] = {
             "metrics": metrics,
             "failed": {s: [p[s]["failed"] for p in pairs] for s in SIDES},
@@ -129,6 +153,7 @@ def _pairs(spec: dict, args, workdir: Path) -> None:
     sides = {s: _checkout(getattr(args, s), workdir / s) for s in SIDES}
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     runs = {w: [] for w in workloads}
+    summary = {}
     for i in range(args.pairs):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         for workload in workloads:
@@ -145,13 +170,22 @@ def _pairs(spec: dict, args, workdir: Path) -> None:
         environment = next((p[s]["environment"] for w in runs.values()
                             for p in w for s in SIDES
                             if p[s].get("environment")), {})
+        summary = summarize(spec, runs)
         Path(args.out).write_text(json.dumps({
             "args": {k: v for k, v in vars(args).items() if k != "out"},
             "run_seconds": spec["run_seconds"],
             "written": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "sides": sides,
             "pairs_done": i + 1, "environment": environment,
-            "workloads": summarize(spec, runs)}, indent=1) + "\n")
+            "workloads": summary}, indent=1) + "\n")
+    for workload, record in summary.items():
+        for name, metric in record["metrics"].items():
+            print(f"{workload} {name}: parent {metric['parent']['median']} "
+                  f"change {metric['change']['median']}, "
+                  f"{metric['change_wins']}/{metric['pairs']} pairs won, "
+                  f"gain={metric['verdict']['gain']} "
+                  f"within_bound={metric['verdict']['within_bound']}",
+                  file=sys.stderr)
 
 
 if __name__ == "__main__":
