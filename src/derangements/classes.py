@@ -211,8 +211,8 @@ class _ClassWalker:
             return _row_keys(base_images).tolist()
         return (base_images.astype(np.int64) @ self.weights).tolist()
 
-    def walked(self, x: np.ndarray) -> bool:
-        return self.keys(x[self.base][None])[0] in self.seen
+    def key(self, x: np.ndarray):
+        return self.keys(x[self.base][None])[0]
 
     def walk(self, x: np.ndarray, transversal: bool = False) -> _Walk:
         """Walk the class of the compact row x, not walked before.  Each
@@ -222,7 +222,7 @@ class _ClassWalker:
         seen = self.seen
         ident = np.arange(x.size, dtype=self.dtype)
         start = len(seen)
-        seen[self.keys(x[self.base][None])[0]] = start
+        seen[self.key(x)] = start
         frontier, reps = x[None].astype(self.dtype), ident[None]
         least, lo, hi = None, x.size, 0
         reps_seen, succ = [], [[] for _ in self.gens]
@@ -321,7 +321,7 @@ def sylow_classes(G, r: int) -> Optional[list]:
     walker = _ClassWalker(G)
     walks = []
     for x in _order_r_sample(G, r, sylow):
-        if walker.walked(x):
+        if walker.key(x) in walker.seen:
             continue
         walks.append(walker.walk(x, transversal=not cyclic))
         if cyclic or walks[-1].size % r:
@@ -342,8 +342,8 @@ def sylow_classes(G, r: int) -> Optional[list]:
         raise CertificateError("the Sylow subgroup has the wrong order")
     for leaves in _leaf_chunks(chain, prune=False):
         (found,) = _order_r_filter(leaves, (r,))
-        for y in found:
-            if not walker.walked(y):
+        for y, k in zip(found, walker.keys(found[:, walker.base])):
+            if k not in walker.seen:
                 walks.append(walker.walk(y))
     return sorted(((w.least, w.size, w.fixed) for w in walks),
                   key=lambda t: tuple(t[0]))
