@@ -23,8 +23,8 @@ two parts:
 * `within_bound`: the change's median is worse than the parent's by no
   more than the bound, a fraction of the parent's median.
 
-The record is rewritten after every pair, so an interrupted session
-keeps the pairs it finished; the verdicts are printed on stderr at the
+The record is rewritten after every pair, so an interrupted run keeps
+the pairs it finished; the verdicts are printed on stderr at the
 end.  Standard library only.
 """
 
