@@ -1,9 +1,8 @@
-"""Batched element scans and conjugacy-class bucketing for small groups.
+"""Batched element scans and conjugacy classes, found by class walks.
 
 Everything here works on image rows: an (m, n) array whose rows are
 permutation image arrays, compact as enumerated or int64.  Used by the
-elusivity checkers and the subgroup search for groups whose full element
-list fits in the exhaustive budget.
+elusivity checkers and the subgroup search.
 
 `order_r_rows` serves every prime its caller names in one pass over the
 elements.  Enumerated batches arrive compact, in the smallest unsigned
@@ -16,9 +15,15 @@ moved-point count that is a positive multiple of r, the trajectory of the
 first moved point under x^r, and the exact x^r = 1 on the survivors.
 Only the kept rows are widened to int64.
 
-The class partition sorts and searches the rows in the same compact
-dtype, big-endian, so that the byte order of a row is its lexicographic
-order and the least row of a class is read off the sort.
+Classes are formed one way only: `_ClassWalker` walks a class x^G whole,
+breadth first under conjugation by G's generators, one gather per
+generator and level (the orbit algorithm of Holt-Eick-O'Brien, ch. 4,
+acting by conjugation).  An element is keyed by its images of the chain's
+base points, which determine it, so the walk dedupes exactly without
+keeping its rows, and it reads off the least row and the fixed-point
+counts as it goes.  `partition_rows_by_conjugacy` and
+`exhaustive_class_partition` walk the class of every given row not
+covered yet, then check that the walks cover exactly the rows given.
 
 `sylow_classes` finds the order-r classes of a large group without the
 scan.  By Sylow's theorem every element of order r is conjugate into a
@@ -29,10 +34,7 @@ class size is prime to r (so C_G(x) holds a Sylow r-subgroup), when that
 is an r-group, or the r-parts of its generators, when it is abelian.
 C_G(x) comes from the Schreier generators of the walk of x's class, on a
 chain bounded by |G|/|x^G| (the known-order stop).  Every other case
-returns None, and the caller scans.  Each class is walked whole,
-breadth first, one gather per generator and level; an element is keyed
-by its images of the chain's base points, which determine it, so the
-walk dedupes exactly without keeping its rows.
+returns None, and the caller scans.
 """
 
 from __future__ import annotations
@@ -44,23 +46,16 @@ import numpy as np
 from .config import (DEFAULT_BUDGETS, DEFAULT_SEED, BudgetExceeded,
                      CertificateError)
 from .numbers import factorize
-from .perm import (_BATCH_ENTRIES, Permutation, StabilizerChain, _cells,
-                   _components, _inverse_row, _leaf_chunks, _order_r_filter,
-                   batch_power)
+from .perm import (Permutation, StabilizerChain, _inverse_row, _leaf_chunks,
+                   _order_r_filter, batch_power)
 
 __all__ = [
     "batch_power",
-    "fixed_point_counts",
     "order_r_rows",
     "exhaustive_class_partition",
     "partition_rows_by_conjugacy",
     "sylow_classes",
 ]
-
-
-def fixed_point_counts(rows: np.ndarray) -> np.ndarray:
-    n = rows.shape[1]
-    return (rows == np.arange(n, dtype=np.int64)).sum(axis=1)
 
 
 def order_r_rows(G, primes: Sequence[int],
@@ -88,75 +83,13 @@ def _budget_error(G, budget):
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One opaque key per row (its bytes), for sorting and exact lookup.
-    Rows of big-endian or one-byte dtype sort as their values do."""
+    """One opaque key per row (its bytes), for exact lookup."""
     rows = np.ascontiguousarray(rows)
     return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
 
 
-def _classes(G, rows: np.ndarray) -> list:
-    """(least row, sorted member indices) for each G-class of `rows`: each
-    generator permutes the row indices by conjugation, looked up in the
-    sorted row keys; a class is a connected component of these moves.
-
-    Keys are the rows cast to the smallest unsigned dtype that holds a
-    point, big-endian, so their byte order is the rows' lexicographic
-    order and a class's least row is its member of least sort rank."""
-    compact = np.min_scalar_type(G.degree - 1).newbyteorder(">")
-    small = rows.astype(compact)
-    keys = _row_keys(small)
-    order = np.argsort(keys)
-    step = max(1, _BATCH_ENTRIES // max(1, rows.shape[1]))
-    moves = []  # per generator g: row k -> row of g^-1 * rows[k] * g
-    for g in G.generators:
-        gi, gv = g.images.astype(compact), g.inverse().images
-        move = np.empty(len(rows), dtype=np.int64)
-        for lo in range(0, len(rows), step):
-            conj_keys = _row_keys(gi[small[lo:lo + step, gv]])
-            pos = np.searchsorted(keys, conj_keys, sorter=order)
-            move[lo:lo + step] = order[np.minimum(pos, len(rows) - 1)]
-            if not (keys[move[lo:lo + step]] == conj_keys).all():
-                raise CertificateError("conjugation left the scanned row set")
-        moves.append(move)
-    rank = np.empty(len(rows), dtype=np.int64)
-    rank[order] = np.arange(len(rows))
-    return [(rows[members[rank[members].argmin()]], members)
-            for members in _cells(_components(len(rows), np.arange(len(rows)), moves))]
-
-
-def partition_rows_by_conjugacy(G, rows: np.ndarray) -> list:
-    """Split rows (closed under G-conjugation) into classes.
-
-    Returns a list of (representative_row, member_indices) with the
-    representative the lexicographically least row of its class, sorted
-    by representative.  Raises CertificateError when a conjugate is not in
-    the given row set.
-    """
-    return sorted(_classes(G, rows), key=lambda t: tuple(t[0]))
-
-
-def exhaustive_class_partition(G, budget: int = DEFAULT_BUDGETS.exhaustive) -> list:
-    """Conjugacy classes of G as (representative, class_size), all orders.
-
-    Representatives are lexicographically least in their class; the list is
-    sorted by (element order, representative images).
-    """
-    order = G.order()
-    if order > budget:
-        raise _budget_error(G, budget)
-    rows = np.concatenate(list(G.element_batches()))
-    reps = [(Permutation._raw(rep.copy()), len(members))
-            for rep, members in _classes(G, rows)]
-    if sum(size for _, size in reps) != order:
-        raise CertificateError("class sizes do not sum to the group order")
-    reps.sort(key=lambda t: (t[0].order(), tuple(t[0].images)))
-    return reps
-
-
 # ---------------------------------------------------------------------------
-# class walks and the Sylow route
-
-_DRAW = 32  # random elements per batch of the search for order-r elements
+# class walks
 
 
 class _Walk(NamedTuple):
@@ -253,6 +186,65 @@ class _ClassWalker:
             return _Walk(least, size, (lo, hi))
         return _Walk(least, size, (lo, hi), np.concatenate(reps_seen),
                      np.array(succ, dtype=np.int64))
+
+
+def _walk_rows(G, rows: np.ndarray) -> tuple:
+    """(walks, labels): the walk of the G-class of each of `rows` not
+    covered yet, in row order, and for row i the index of its class in
+    `walks`.  The rows are elements of G; raises CertificateError unless
+    the walks cover exactly the distinct rows given, that is, unless the
+    rows are closed under G-conjugation."""
+    walker = _ClassWalker(G)
+    compact = rows.astype(walker.dtype)
+    keys = walker.keys(compact[:, walker.base])
+    walks, starts = [], []
+    for x, k in zip(compact, keys):
+        if k not in walker.seen:
+            starts.append(len(walker.seen))
+            walks.append(walker.walk(x))
+    if sum(w.size for w in walks) != len(set(keys)):
+        raise CertificateError("the class walks do not cover exactly the given rows")
+    found = np.array([walker.seen[k] for k in keys], dtype=np.int64)
+    return walks, np.searchsorted(starts, found, side="right") - 1
+
+
+def partition_rows_by_conjugacy(G, rows: np.ndarray) -> list:
+    """Split rows of G, closed under G-conjugation, into classes.
+
+    Returns a list of (representative_row, member_indices) with the
+    representative the lexicographically least (int64) row of its class
+    and the indices sorted, in order of representative.  Raises
+    CertificateError when the rows are not closed under conjugation.
+    """
+    walks, labels = _walk_rows(G, rows)
+    order = np.argsort(labels, kind="stable")
+    members = np.split(order, np.cumsum(np.bincount(labels, minlength=len(walks)))[:-1])
+    return sorted(((w.least.astype(np.int64), m) for w, m in zip(walks, members)),
+                  key=lambda t: tuple(t[0]))
+
+
+def exhaustive_class_partition(G, budget: int = DEFAULT_BUDGETS.exhaustive) -> list:
+    """Conjugacy classes of G as (representative, class_size), all orders,
+    walked from every element of G.
+
+    Representatives are lexicographically least in their class; the list is
+    sorted by (element order, representative images).
+    """
+    order = G.order()
+    if order > budget:
+        raise _budget_error(G, budget)
+    walks, _ = _walk_rows(G, np.concatenate(list(G.element_batches())))
+    reps = [(Permutation._raw(w.least), w.size) for w in walks]
+    if sum(size for _, size in reps) != order:
+        raise CertificateError("class sizes do not sum to the group order")
+    reps.sort(key=lambda t: (t[0].order(), tuple(t[0].images)))
+    return reps
+
+
+# ---------------------------------------------------------------------------
+# the Sylow route
+
+_DRAW = 32  # random elements per batch of the search for order-r elements
 
 
 def _order_r_sample(G, r: int, sylow: int):

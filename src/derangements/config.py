@@ -10,10 +10,11 @@ so certificates stay auditable.  The defaults here are deliberate choices:
 * ``chain_degree`` — largest degree at which a stabilizer chain may be
   constructed.  Product actions beyond this are handled structurally; an
   accidental attempt to chain them is an error, not a hang.
-* ``scan`` — largest group order analysed directly on its own point set;
-  bigger groups with a smaller faithful parent are analysed there instead.
-  Also the largest order whose prime-order classes are found by scanning
-  every element; above it they are walked from a Sylow subgroup.
+* ``scan`` — largest group order whose prime-order classes are found by
+  scanning every element, then walking the class of each order-r element
+  not covered yet.  Above it the classes are walked from a Sylow
+  subgroup, and an action with a smaller faithful parent is decided on
+  the parent instead of on its own point set.
 """
 
 from __future__ import annotations

@@ -7,6 +7,11 @@ faithful parent action, backtrack search, or the structural wreath-product
 criterion) together with the budgets in force, and NotElusive witnesses are
 re-verified at construction.
 
+Fixed-point counts are class functions, so one representative of each
+class of order-r elements decides.  An exhaustive-enumeration verdict
+reads the classes of the acting group itself, a class-coverage verdict
+those of a faithful parent, pushed through the coset action.
+
 Class coverage needs one representative of each class of elements of
 order r.  `prime_order_class_reps` is the one route to them.  Above the
 scan budget it takes the Sylow route of `classes.sylow_classes`: find an
@@ -18,7 +23,8 @@ G-class of each order-r element of P not covered yet.  By Sylow's theorem
 these are all the classes, and each is walked whole, so sizes, least
 representatives and fixed-point counts are exact.  When no rule applies
 (M11 or D600 at r=2, say), and for every group within the scan budget,
-it streams all of G and buckets the order-r elements instead.
+it streams all of G and walks the class of each order-r element not
+covered yet instead (`classes._walk_rows`).
 """
 
 from __future__ import annotations
@@ -29,13 +35,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .classes import (
-    fixed_point_counts,
-    order_r_rows,
-    partition_rows_by_conjugacy,
-    sylow_classes,
-    _budget_error,
-)
+from .classes import order_r_rows, sylow_classes, _budget_error, _walk_rows
 from .config import DEFAULT_BUDGETS, Budgets, BudgetExceeded, CertificateError
 from .numbers import is_prime, prime_divisors
 from .perm import Permutation, PermGroup, derangement_backtrack
@@ -87,6 +87,15 @@ class ClassInfo:
 
 @dataclass
 class ElusivityVerdict:
+    """The r-elusivity of a transitive action and the method behind it.
+
+    An `exhaustive-enumeration` verdict reads every order-r class of the
+    acting group, each scanned or walked whole, so every order-r element
+    is enumerated; its witness is the lexicographically least order-r
+    derangement, the least representative of the least fixed-point-free
+    class.
+    """
+
     prime: int
     status: str
     witness: Optional[Union[Permutation, WreathElement]] = None
@@ -166,27 +175,10 @@ class ElusivityReport:
 
 
 def count_order_r_elements(G: PermGroup, r: int, budgets: Budgets = DEFAULT_BUDGETS) -> int:
-    """The number of elements of order r in G: the scan's row count, or,
-    above the scan budget, the sum of the class sizes that
-    `prime_order_class_reps` finds (by the Sylow route where it applies)."""
-    if G.order() > budgets.scan:
-        return sum(ci.class_size
-                   for ci in prime_order_class_reps(G, r, budgets=budgets))
-    return len(_order_r_rows_cached(G, [r], budgets)[r])
-
-
-def _order_r_rows_cached(G: PermGroup, primes: Sequence[int],
-                         budgets: Budgets) -> dict:
-    """{r: order_r_rows of G at r} for each prime of `primes`; the ones not
-    cached yet are scanned together in one pass."""
-    # The budget check comes first, so a warm cache cannot skip it.
-    if G.order() > budgets.exhaustive:
-        raise _budget_error(G, budgets.exhaustive)
-    cache = G._order_r_rows_cache
-    missing = [r for r in dict.fromkeys(primes) if r not in cache]
-    if missing:
-        cache.update(order_r_rows(G, missing, budgets.exhaustive))
-    return {r: cache[r] for r in primes}
+    """The number of elements of order r in G: the sum of the sizes of the
+    classes that `prime_order_class_reps` finds."""
+    return sum(ci.class_size
+               for ci in prime_order_class_reps(G, r, budgets=budgets))
 
 
 def prime_order_class_reps(
@@ -196,16 +188,16 @@ def prime_order_class_reps(
     """Conjugacy classes of order-r elements of G, as ClassInfo records,
     sorted by representative, the lexicographically least row of its class.
 
-    The order must fit the exhaustive budget.  Above the scan budget, and
-    unless the order-r rows are cached already, the classes come from the
-    Sylow route (`classes.sylow_classes`): the classes meeting a certified
-    Sylow r-subgroup, each walked whole, with no scan of G.  Within the
-    scan budget, or when no rule finds the Sylow subgroup, every element
-    is streamed and the order-r ones are bucketed into the components of
-    conjugation.  A caller that asks for further primes next names them
-    in `scan_primes`, and a cold scan covers them in the same pass.
-    Either way each class is checked to have a constant fixed-point count
-    and a size dividing |G|.
+    The order must fit the exhaustive budget.  Above the scan budget the
+    classes come from the Sylow route (`classes.sylow_classes`): the
+    classes meeting a certified Sylow r-subgroup, each walked whole, with
+    no scan of G.  Within the scan budget, or when no rule finds the Sylow
+    subgroup, every element is streamed and the class of each order-r one
+    not covered yet is walked.  A caller that asks for further primes next
+    names them in `scan_primes`: a cold scan covers them in the same pass,
+    and the classes of every prime it scanned are cached.  Either way each
+    class is checked to have a constant fixed-point count and a size
+    dividing |G|.
     """
     if not is_prime(r):
         raise ValueError(f"r={r} is not prime")
@@ -216,17 +208,25 @@ def prime_order_class_reps(
     cache = G._class_reps_cache
     if r in cache:
         return cache[r]
-    classes = None
-    if order > budgets.scan and r not in G._order_r_rows_cache:
-        classes = sylow_classes(G, r)
-    if classes is None:
-        rows = _order_r_rows_cached(G, [r, *scan_primes], budgets)[r]
-        counts = fixed_point_counts(rows)
-        classes = [(rep, len(members),
-                    (counts[members].min(), counts[members].max()))
-                   for rep, members in partition_rows_by_conjugacy(G, rows)]
+    classes = sylow_classes(G, r) if order > budgets.scan else None
+    if classes is not None:
+        cache[r] = _class_infos(G, r, classes)
+        return cache[r]
+    missing = [p for p in dict.fromkeys([r, *scan_primes]) if p not in cache]
+    for p, rows in order_r_rows(G, missing, budgets.exhaustive).items():
+        walks, _ = _walk_rows(G, rows)
+        cache[p] = _class_infos(G, p, [(w.least, w.size, w.fixed)
+                                       for w in walks])
+    return cache[r]
+
+
+def _class_infos(G: PermGroup, r: int, classes: list) -> list:
+    """ClassInfo records of (least row, size, (least, greatest) fixed-point
+    count) triples, each checked, in order of least row."""
+    order = G.order()
     infos = []
-    for rep_row, size, (least, most) in classes:
+    for rep_row, size, (least, most) in sorted(classes,
+                                               key=lambda t: tuple(t[0])):
         if least != most:
             raise CertificateError("fixed-point count varies inside a conjugacy class")
         if order % size != 0:
@@ -239,7 +239,6 @@ def prime_order_class_reps(
                 min_fixed_points=int(least),
             )
         )
-    cache[r] = infos
     return infos
 
 
@@ -458,23 +457,14 @@ def _verdict(r: int, method: str, budgets: Budgets, witness=None,
                             budgets=asdict(budgets), spec=spec)
 
 
-def _direct_exhaustive(A: GroupAction, r: int, budgets: Budgets,
-                       scan_primes: Sequence[int]) -> ElusivityVerdict:
-    rows = _order_r_rows_cached(A.group, [r, *scan_primes], budgets)[r]
-    bad = rows[fixed_point_counts(rows) == 0]
-    w = None
-    if len(bad):
-        w = Permutation._raw(bad[np.lexsort(bad.T[::-1])[0]].copy())
-    return _verdict(r, METHOD_ENUM, budgets, w)
-
-
-def _class_coverage(A: GroupAction, r: int, budgets: Budgets,
-                    scan_primes: Sequence[int]) -> ElusivityVerdict:
-    infos = action_prime_order_class_reps(A, r, budgets=budgets,
-                                          scan_primes=scan_primes)
+def _coverage(r: int, infos: list, method: str,
+              budgets: Budgets) -> ElusivityVerdict:
+    """The verdict from one ClassInfo per order-r class: fixed-point counts
+    are class functions, so a class with no fixed point decides, and the
+    least such representative is the witness."""
     w = min((ci.representative for ci in infos if ci.min_fixed_points == 0),
             key=lambda p: tuple(p.images), default=None)
-    return _verdict(r, METHOD_COVER, budgets, w)
+    return _verdict(r, method, budgets, w)
 
 
 def _parent_coverage_available(A: GroupAction, budgets: Budgets) -> bool:
@@ -500,12 +490,14 @@ def is_r_elusive(
 ) -> ElusivityVerdict:
     """Certified r-elusivity verdict for a transitive action.
 
-    Method selection: small groups are scanned outright; coset actions
-    with an enumerable faithful parent go through class coverage (fixed
-    point counts are class functions, so one representative per class
-    decides); wreath-built actions use the structural criterion; the rest
-    fall back to backtrack search.  An element scan also covers the primes
-    named in `scan_primes`, for a caller that asks them next.
+    Method selection: small groups, and groups within the exhaustive
+    budget that have neither a parent nor a wreath spec, read their own
+    order-r classes (exhaustive-enumeration); coset actions with an
+    enumerable faithful parent go through class coverage on the parent;
+    wreath-built actions use the structural criterion; the rest fall back
+    to backtrack search.  Fixed-point counts are class functions, so one
+    representative per class decides.  An element scan also covers the
+    primes named in `scan_primes`, for a caller that asks them next.
     """
     if not is_prime(r):
         raise ValueError(f"r={r} is not prime")
@@ -518,16 +510,19 @@ def is_r_elusive(
             reason=f"{r} does not divide the group order {worder}",
             budgets=asdict(budgets),
         )
-    if worder <= budgets.scan:
-        return _direct_exhaustive(A, r, budgets, scan_primes)
-    if _parent_coverage_available(A, budgets):
-        return _class_coverage(A, r, budgets, scan_primes)
-    if A.wreath is not None:
-        return _structural_verdict(A.wreath, r, budgets)
-    if worder <= budgets.exhaustive:
-        return _direct_exhaustive(A, r, budgets, scan_primes)
-    w = derangement_backtrack(A.group, r, determinism=determinism)
-    return _verdict(r, METHOD_BACKTRACK, budgets, w)
+    if worder > budgets.scan:
+        if _parent_coverage_available(A, budgets):
+            infos = action_prime_order_class_reps(A, r, budgets=budgets,
+                                                  scan_primes=scan_primes)
+            return _coverage(r, infos, METHOD_COVER, budgets)
+        if A.wreath is not None:
+            return _structural_verdict(A.wreath, r, budgets)
+        if worder > budgets.exhaustive:
+            w = derangement_backtrack(A.group, r, determinism=determinism)
+            return _verdict(r, METHOD_BACKTRACK, budgets, w)
+    infos = prime_order_class_reps(A.group, r, budgets=budgets,
+                                   scan_primes=scan_primes)
+    return _coverage(r, infos, METHOD_ENUM, budgets)
 
 
 def _report(A: GroupAction, primes: Sequence[int], kind: str, budgets, determinism) -> ElusivityReport:

@@ -617,7 +617,6 @@ class PermGroup:
         self._chain: Optional[StabilizerChain] = None
         self._stab_cache: dict = {}
         self._normal: list = []  # proper closures certified normal in self
-        self._order_r_rows_cache: dict = {}  # r -> order_r_rows result
         self._class_reps_cache: dict = {}  # r -> ClassInfo list
         self._labels: Optional[np.ndarray] = None  # see _orbit_labels
 

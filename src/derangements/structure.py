@@ -23,9 +23,8 @@ from .config import (Budgets, DEFAULT_BUDGETS, DEFAULT_SEED, BudgetExceeded,
                      CertificateError)
 from .perm import Permutation, PermGroup
 from .zoo import GroupAction
-from .classes import exhaustive_class_partition
 from .elusive import action_prime_order_class_reps, prime_order_class_reps
-from .numbers import is_prime, prime_divisors
+from .numbers import prime_divisors
 
 PRIMITIVE = "primitive"
 QUASIPRIMITIVE = "quasiprimitive"
@@ -204,17 +203,20 @@ def _prime_order_reps_of_subgroup(A: GroupAction, N: PermGroup,
                                   budgets: Budgets):
     """Prime-order class representatives of N (reps of N-classes suffice).
 
-    Small N is enumerated outright.  Otherwise, when N is the declared
-    socle of the action with literal per-factor supports or a direct
-    product pushed through a coset table, representatives are assembled as
-    products of factor class representatives (one choice of order-r-or-1
-    per factor, not all trivial); these hit every N-class since classes of
-    a direct product are products of factor classes.
+    Small N reads its own order-r classes, prime by prime in increasing
+    order (`prime_order_class_reps`, one scan for all primes).  Otherwise,
+    when N is the declared socle of the action with literal per-factor
+    supports or a direct product pushed through a coset table,
+    representatives are assembled as products of factor class
+    representatives (one choice of order-r-or-1 per factor, not all
+    trivial); these hit every N-class since classes of a direct product
+    are products of factor classes.
     """
     if N.order() <= budgets.scan:
-        return [rep for rep, _size in
-                exhaustive_class_partition(N, budget=budgets.scan)
-                if is_prime(rep.order())]
+        primes = prime_divisors(N.order())
+        return [ci.representative for r in primes
+                for ci in prime_order_class_reps(N, r, budgets=budgets,
+                                                 scan_primes=primes)]
 
     socle = A.declared_socle
     if socle is not None and socle.subgroup.order() == N.order() \

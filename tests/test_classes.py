@@ -1,17 +1,24 @@
 """The prefiltered order-r scan against the plain power test, and the
-compact-key class partition against the int64-key one it replaced.
+class walks against reference partitions.
 
 `order_r_rows` scans every prime it is given in one pass: it takes the
 compact enumerated batches and drops rows by two necessary conditions
 before the exact x^r = 1 test (`perm._order_r_filter`, which the derangement
 backtrack's leaves share).  The reference below is that exact test over
 every enumerated row, one prime at a time; the two must agree row for row.
+
+Classes are formed by one kernel, the class walk (`classes._walk_rows`).
+`partition_rows_by_conjugacy` is checked against two reference partitions:
+a row-by-row conjugation BFS, and the int64-key sort-and-search partition
+that the walk replaced.  `exhaustive_class_partition` is checked against
+brute-force conjugation of each element by every element of G.
 """
 
 import numpy as np
 import pytest
 
-from derangements.classes import (batch_power, order_r_rows,
+from derangements.classes import (_walk_rows, batch_power,
+                                  exhaustive_class_partition, order_r_rows,
                                   partition_rows_by_conjugacy)
 from derangements.config import CertificateError
 from derangements.numbers import prime_divisors
@@ -150,6 +157,52 @@ def test_partition_rejects_rows_not_closed_under_conjugation():
     rows = order_r_rows(G, [3])[3]  # the eight 3-cycles, one class
     with pytest.raises(CertificateError):
         partition_rows_by_conjugacy(G, rows[1:])
+
+
+def test_walks_must_cover_exactly_the_rows_given():
+    G = symmetric(4)
+    rows = order_r_rows(G, [2])[2]  # transpositions and double transpositions
+    walks, labels = _walk_rows(G, rows)
+    assert sorted(w.size for w in walks) == [3, 6]
+    assert sorted(np.bincount(labels).tolist()) == [3, 6]
+    with pytest.raises(CertificateError, match="cover exactly"):
+        _walk_rows(G, np.delete(rows, 4, axis=0))
+
+
+def brute_force_classes(G):
+    """(least row, size) of every class of G, sorted by (element order,
+    row): each element not placed yet is conjugated by every element."""
+    elems = np.concatenate(list(G.element_batches())).astype(np.int64)
+    inverses = np.argsort(elems, axis=1)
+    placed, out = set(), []
+    for x in elems:
+        if x.tobytes() in placed:
+            continue
+        cls = np.unique(np.take_along_axis(elems, x[inverses], axis=1),
+                        axis=0)  # g[x[g^-1]] = g^-1 x g, sorted
+        placed.update(row.tobytes() for row in cls)
+        out.append((tuple(cls[0].tolist()), len(cls)))
+    out.sort(key=lambda t: (Permutation(np.array(t[0])).order(), t[0]))
+    return out
+
+
+def assert_class_partition_matches_brute_force(G):
+    got = [(tuple(rep.images.tolist()), size)
+           for rep, size in exhaustive_class_partition(G)]
+    assert got == brute_force_classes(G)
+    assert sum(size for _, size in got) == G.order()
+
+
+@pytest.mark.parametrize("factory", [
+    lambda: symmetric(4),
+    lambda: alternating(5),
+], ids=["S4", "A5"])
+def test_class_partition_matches_brute_force(factory):
+    assert_class_partition_matches_brute_force(factory())
+
+
+def test_class_partition_matches_brute_force_on_m11_12(m11_12):
+    assert_class_partition_matches_brute_force(m11_12.group)
 
 
 def int64_key_partition(G, rows):

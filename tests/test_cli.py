@@ -87,7 +87,7 @@ def test_unknown_subcommand():
 
 def test_check_natural_action(c6_file, capsys):
     assert main(["check", "--group", c6_file]) == 0
-    out = capsys.readouterr().out
+    out = capsys.readouterr().out.splitlines()
     assert "degree 6, order 6" in out
     assert "subdegrees [1, 1, 1, 1, 1, 1]" in out
     # the square of the 6-cycle is an order-3 derangement

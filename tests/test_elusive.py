@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,22 @@ from tests.conftest import (alternating, cyclic, dihedral,
                             enumerate_elements, symmetric)
 
 
+@contextlib.contextmanager
+def recorded_scans():
+    """The primes of every `order_r_rows` call that `elusive` makes inside
+    the block, one list per call."""
+    calls = []
+    real = elusive.order_r_rows
+
+    def recording(G, primes, budget):
+        calls.append(list(primes))
+        return real(G, primes, budget)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("derangements.elusive.order_r_rows", recording)
+        yield calls
+
+
 def naive_order_r_count(G, r):
     return sum(1 for x in enumerate_elements(G) if x.order() == r)
 
@@ -37,9 +55,9 @@ def test_count_order_r_elements_oracle(factory, r):
     assert count_order_r_elements(G, r) == want
     # above a lowered scan budget the count is the sum of the class sizes,
     # here all found by the Sylow route, with no scan
-    fresh = factory()
-    assert count_order_r_elements(fresh, r, budgets=SYLOW) == want
-    assert fresh._order_r_rows_cache == {}
+    with recorded_scans() as scans:
+        assert count_order_r_elements(factory(), r, budgets=SYLOW) == want
+    assert scans == []
 
 
 # Every group is above the first scan budget and within the second, so
@@ -52,11 +70,12 @@ SCAN = Budgets(scan=DEFAULT_BUDGETS.exhaustive)
 def class_records(G, r, budgets, scan_primes=()):
     """(representative images, class size, min fixed points) per class,
     and whether G was scanned."""
-    infos = prime_order_class_reps(G, r, budgets=budgets,
-                                   scan_primes=scan_primes)
+    with recorded_scans() as scans:
+        infos = prime_order_class_reps(G, r, budgets=budgets,
+                                       scan_primes=scan_primes)
     return ([(tuple(ci.representative.images.tolist()), ci.class_size,
               ci.min_fixed_points) for ci in infos],
-            bool(G._order_r_rows_cache))
+            bool(scans))
 
 
 def fresh(G):
@@ -389,9 +408,11 @@ def test_class_coverage_passes_caller_budget_to_the_scan(monkeypatch):
 def test_cold_single_prime_verdict_scans_that_prime_alone():
     env = ScenarioEnv()
     A = env.m11_on_12()
-    v = is_r_elusive(A, 3, budgets=Budgets(scan=10))
+    with recorded_scans() as scans:
+        v = is_r_elusive(A, 3, budgets=Budgets(scan=10))
     assert v.method == "class-coverage"
-    assert set(A.parent.parent_group._order_r_rows_cache) == {3}
+    assert scans == [[3]]
+    assert set(A.parent.parent_group._class_reps_cache) == {3}
 
 
 def test_normal_structure_scans_its_missing_primes_in_one_pass(monkeypatch):
@@ -451,6 +472,26 @@ def test_sylow_route_agrees_with_the_scan_on_line127(line127_scanned, name):
         assert sorted(size for _, size, _ in scanned[2]) == [8001, 8128]
 
 
+@pytest.mark.parametrize("r", [2, 3])
+def test_own_classes_verdict_agrees_with_the_scan_on_psl127(env, r):
+    """PSL(2,127) on the projective line has no parent and no wreath spec,
+    and its order 1,024,128 is above the scan budget: the verdict reads
+    its own classes by the Sylow route.  Under a scan budget that holds
+    the group it scans instead, with the same verdict and witness."""
+    G = env.line127().subgroups["PSL"]
+    with recorded_scans() as scans:
+        got = is_r_elusive(natural_action(fresh(G), "PSL(2,127)"), r)
+    assert scans == []
+    want = is_r_elusive(natural_action(fresh(G), "PSL(2,127)"), r,
+                        budgets=SCAN)
+    assert got.method == want.method == "exhaustive-enumeration"
+    assert got.status == want.status
+    assert got.witness == want.witness
+    # involutions derange the line (127 = 3 mod 4); order-3 elements fix
+    # two points (3 divides 127 - 1)
+    assert got.status == {2: "NotElusive", 3: "Elusive"}[r]
+
+
 @pytest.mark.parametrize("group,r,falls_back", [
     (lambda env: env.line127().subgroups["PSL"], 7, False),
     (lambda env: env.line127().subgroups["PSL"], 2, False),
@@ -485,7 +526,7 @@ def test_class_discovery_on_psl127_scans_nothing(monkeypatch):
     assert normal_structure(A).verdict == "quasiprimitive"
     assert calls == []
     assert A.parent.parent_group.order() == 1_024_128
-    assert A.parent.parent_group._order_r_rows_cache == {}
+    assert 3 in A.parent.parent_group._class_reps_cache
 
 
 def test_elusivity_needs_two_points():
