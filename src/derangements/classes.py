@@ -217,10 +217,8 @@ def partition_rows_by_conjugacy(G, rows: np.ndarray) -> list:
     CertificateError when the rows are not closed under conjugation.
     """
     walks, labels = _walk_rows(G, rows)
-    order = np.argsort(labels, kind="stable")
-    members = np.split(order, np.cumsum(np.bincount(labels, minlength=len(walks)))[:-1])
-    return sorted(((w.least.astype(np.int64), m) for w, m in zip(walks, members)),
-                  key=lambda t: tuple(t[0]))
+    return sorted(((w.least.astype(np.int64), np.flatnonzero(labels == c))
+                   for c, w in enumerate(walks)), key=lambda t: tuple(t[0]))
 
 
 def exhaustive_class_partition(G, budget: int = DEFAULT_BUDGETS.exhaustive) -> list:
