@@ -4,16 +4,15 @@ Everything here works on image rows: an (m, n) array whose rows are
 permutation image arrays, compact as enumerated or int64.  Used by the
 elusivity checkers and the subgroup search.
 
-`order_r_rows` serves every prime its caller names in one pass over the
-elements.  Enumerated batches arrive compact, in the smallest unsigned
-dtype that holds a point (uint8 up to 256 points, uint16 up to 65536,
-uint32 beyond), so nothing is cast and the filter moves a fraction of the
-bytes.  Each batch goes to `perm._order_r_filter`, the order-r test the
-derangement backtrack's leaves share.  The moved-point counts and the
-first moved point are shared by the primes; each prime then asks for a
-moved-point count that is a positive multiple of r, the trajectory of the
-first moved point under x^r, and the exact x^r = 1 on the survivors.
-Only the kept rows are widened to int64.
+`order_r_rows` finds the elements of order r, for one prime r, in one
+pass over the elements.  Enumerated batches arrive compact, in the
+smallest unsigned dtype that holds a point (uint8 up to 256 points,
+uint16 up to 65536, uint32 beyond), so nothing is cast and the filter
+moves a fraction of the bytes.  Each batch goes to `perm._order_r_filter`,
+the order-r test the derangement backtrack's leaves share: a moved-point
+count that is a positive multiple of r, the trajectory of the first moved
+point under x^r, and the exact x^r = 1 on the survivors.  Only the kept
+rows are widened to int64.
 
 Classes are formed one way only: `_ClassWalker` walks a class x^G whole,
 breadth first under conjugation by G's generators, one gather per
@@ -25,21 +24,21 @@ counts as it goes.  `partition_rows_by_conjugacy` and
 `exhaustive_class_partition` walk the class of every given row not
 covered yet, then check that the walks cover exactly the rows given.
 
-`sylow_classes` finds the order-r classes of a large group without the
-scan.  By Sylow's theorem every element of order r is conjugate into a
-Sylow r-subgroup P, so the classes that meet P are all of them
+`sylow_classes` finds the order-r classes of a group without the scan.
+By Sylow's theorem every element of order r is conjugate into a Sylow
+r-subgroup P, so the classes that meet P are all of them
 (Holt-Eick-O'Brien, ch. 4).  P is certified by its chain order |G|_r:
 it is <x> when r^2 does not divide |G|; otherwise C_G(x) for an x whose
 class size is prime to r (so C_G(x) holds a Sylow r-subgroup), when that
 is an r-group, or the r-parts of its generators, when it is abelian.
 C_G(x) comes from the Schreier generators of the walk of x's class, on a
 chain bounded by |G|/|x^G| (the known-order stop).  Every other case
-returns None, and the caller scans.
+returns None (M11 and D600 at r=2, say), and the caller scans for r.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -58,22 +57,18 @@ __all__ = [
 ]
 
 
-def order_r_rows(G, primes: Sequence[int],
-                 budget: int = DEFAULT_BUDGETS.exhaustive) -> dict:
-    """{r: image rows of the elements of exact order r in G} for each prime
-    r of `primes`, from one pass over G's elements.  A prime that does not
-    divide |G| gets no rows (Lagrange) and no share of the pass."""
+def order_r_rows(G, r: int,
+                 budget: int = DEFAULT_BUDGETS.exhaustive) -> np.ndarray:
+    """Image rows (int64) of the elements of exact order r in G, r prime,
+    from one pass over G's elements.  When r does not divide |G| there
+    are none (Lagrange), and there is no pass."""
     order = G.order()
     if order > budget:
         raise _budget_error(G, budget)
-    scan = [r for r in dict.fromkeys(primes) if order % r == 0]
-    kept = {r: [] for r in scan}
-    if scan:
-        for batch in G.element_batches():
-            for r, rows in zip(scan, _order_r_filter(batch, scan)):
-                kept[r].append(rows)
-    return {r: np.concatenate(kept[r], axis=0, dtype=np.int64) if kept.get(r)
-            else np.empty((0, G.degree), dtype=np.int64) for r in primes}
+    kept = [_order_r_filter(batch, r) for batch in G.element_batches()] \
+        if order % r == 0 else []
+    return np.concatenate(kept, axis=0, dtype=np.int64) if kept \
+        else np.empty((0, G.degree), dtype=np.int64)
 
 
 def _budget_error(G, budget):
@@ -331,7 +326,7 @@ def sylow_classes(G, r: int) -> Optional[list]:
     if chain.order() != sylow:
         raise CertificateError("the Sylow subgroup has the wrong order")
     for leaves in _leaf_chunks(chain, prune=False):
-        (found,) = _order_r_filter(leaves, (r,))
+        found = _order_r_filter(leaves, r)
         for y, k in zip(found, walker.keys(found[:, walker.base])):
             if k not in walker.seen:
                 walks.append(walker.walk(y))

@@ -54,9 +54,7 @@ def _env_from(args) -> ScenarioEnv:
     budgets = DEFAULT_BUDGETS
     if args.budget_exhaustive is not None:
         budgets = dataclasses.replace(budgets,
-                                      exhaustive=args.budget_exhaustive,
-                                      scan=min(budgets.scan,
-                                               args.budget_exhaustive))
+                                      exhaustive=args.budget_exhaustive)
     if args.budget_degree is not None:
         budgets = dataclasses.replace(budgets, degree=args.budget_degree)
     return ScenarioEnv(budgets=budgets, seed=args.seed,

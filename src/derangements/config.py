@@ -10,11 +10,6 @@ so certificates stay auditable.  The defaults here are deliberate choices:
 * ``chain_degree`` — largest degree at which a stabilizer chain may be
   constructed.  Product actions beyond this are handled structurally; an
   accidental attempt to chain them is an error, not a hang.
-* ``scan`` — largest group order whose prime-order classes are found by
-  scanning every element, then walking the class of each order-r element
-  not covered yet.  Above it the classes are walked from a Sylow
-  subgroup, and an action with a smaller faithful parent is decided on
-  the parent instead of on its own point set.
 """
 
 from __future__ import annotations
@@ -27,7 +22,6 @@ class Budgets:
     exhaustive: int = 10_000_000
     degree: int = 100_000
     chain_degree: int = 20_000
-    scan: int = 100_000
     materialize: int = 1_000_000  # largest degree for explicit image arrays
 
 

@@ -13,18 +13,18 @@ reads the classes of the acting group itself, a class-coverage verdict
 those of a faithful parent, pushed through the coset action.
 
 Class coverage needs one representative of each class of elements of
-order r.  `prime_order_class_reps` is the one route to them.  Above the
-scan budget it takes the Sylow route of `classes.sylow_classes`: find an
-element x of order r among seeded random elements, certify a Sylow
+order r.  `prime_order_class_reps` is the one route to them, for every
+group: the Sylow route of `classes.sylow_classes` first.  It finds an
+element x of order r among seeded random elements, certifies a Sylow
 r-subgroup P by its chain order (<x> when r^2 does not divide |G|, else
 C_G(x) for a class of size prime to r when that centralizer is an r-group,
-or the r-parts of its generators when it is abelian), then walk the
+or the r-parts of its generators when it is abelian), then walks the
 G-class of each order-r element of P not covered yet.  By Sylow's theorem
 these are all the classes, and each is walked whole, so sizes, least
-representatives and fixed-point counts are exact.  When no rule applies
-(M11 or D600 at r=2, say), and for every group within the scan budget,
-it streams all of G and walks the class of each order-r element not
-covered yet instead (`classes._walk_rows`).
+representatives and fixed-point counts are exact.  Only when no rule
+applies (M11 or D600 at r=2, say) does it stream all of G for the
+elements of order r and walk the class of each one not covered yet
+(`classes._walk_rows`).
 """
 
 from __future__ import annotations
@@ -183,21 +183,17 @@ def count_order_r_elements(G: PermGroup, r: int, budgets: Budgets = DEFAULT_BUDG
 
 def prime_order_class_reps(
     G: PermGroup, r: int, *, budgets: Budgets = DEFAULT_BUDGETS,
-    scan_primes: Sequence[int] = (),
 ) -> list:
     """Conjugacy classes of order-r elements of G, as ClassInfo records,
     sorted by representative, the lexicographically least row of its class.
 
-    The order must fit the exhaustive budget.  Above the scan budget the
-    classes come from the Sylow route (`classes.sylow_classes`): the
-    classes meeting a certified Sylow r-subgroup, each walked whole, with
-    no scan of G.  Within the scan budget, or when no rule finds the Sylow
-    subgroup, every element is streamed and the class of each order-r one
-    not covered yet is walked.  A caller that asks for further primes next
-    names them in `scan_primes`: a cold scan covers them in the same pass,
-    and the classes of every prime it scanned are cached.  Either way each
-    class is checked to have a constant fixed-point count and a size
-    dividing |G|.
+    The order must fit the exhaustive budget.  The classes come from the
+    Sylow route (`classes.sylow_classes`): the classes meeting a certified
+    Sylow r-subgroup, each walked whole, with no scan of G.  Only when no
+    rule finds the Sylow subgroup are the elements of order r streamed
+    from G, and the class of each one not covered yet walked.  Either way
+    each class is checked to have a constant fixed-point count and a size
+    dividing |G|, and the result is cached per prime.
     """
     if not is_prime(r):
         raise ValueError(f"r={r} is not prime")
@@ -208,15 +204,11 @@ def prime_order_class_reps(
     cache = G._class_reps_cache
     if r in cache:
         return cache[r]
-    classes = sylow_classes(G, r) if order > budgets.scan else None
-    if classes is not None:
-        cache[r] = _class_infos(G, r, classes)
-        return cache[r]
-    missing = [p for p in dict.fromkeys([r, *scan_primes]) if p not in cache]
-    for p, rows in order_r_rows(G, missing, budgets.exhaustive).items():
-        walks, _ = _walk_rows(G, rows)
-        cache[p] = _class_infos(G, p, [(w.least, w.size, w.fixed)
-                                       for w in walks])
+    classes = sylow_classes(G, r)
+    if classes is None:
+        walks, _ = _walk_rows(G, order_r_rows(G, r, budgets.exhaustive))
+        classes = [(w.least, w.size, w.fixed) for w in walks]
+    cache[r] = _class_infos(G, r, classes)
     return cache[r]
 
 
@@ -244,13 +236,12 @@ def _class_infos(G: PermGroup, r: int, classes: list) -> list:
 
 def action_prime_order_class_reps(
     A: GroupAction, r: int, *, budgets: Budgets = DEFAULT_BUDGETS,
-    scan_primes: Sequence[int] = (),
 ) -> list:
     """Order-r ClassInfo records for an action group, computed the cheapest
     exact way available: wreath decomposition when the action was built as a
-    wreath product, a scan of the smaller faithful parent pushed through the
-    coset homomorphism, or a direct scan.  `scan_primes` names the primes
-    the caller asks next, which an element scan covers in the same pass."""
+    wreath product, the classes of the smaller faithful parent pushed
+    through the coset homomorphism, or the action group's own classes
+    (`prime_order_class_reps`)."""
     if not is_prime(r):
         raise ValueError(f"r={r} is not prime")
     if A.wreath is not None:
@@ -263,12 +254,10 @@ def action_prime_order_class_reps(
             return [_push_class_info(A, ci) for ci in parent_infos]
         P = A.parent.parent_group
         if P.order() <= budgets.exhaustive:
-            parent_infos = prime_order_class_reps(P, r, budgets=budgets,
-                                                  scan_primes=scan_primes)
+            parent_infos = prime_order_class_reps(P, r, budgets=budgets)
             return [_push_class_info(A, ci) for ci in parent_infos]
     if G.order() <= budgets.exhaustive:
-        return prime_order_class_reps(G, r, budgets=budgets,
-                                      scan_primes=scan_primes)
+        return prime_order_class_reps(G, r, budgets=budgets)
     raise BudgetExceeded(
         f"no exact class-representative route for order {G.order()} at degree {G.degree}"
     )
@@ -476,6 +465,12 @@ def _parent_coverage_available(A: GroupAction, budgets: Budgets) -> bool:
     return A.parent.parent_group.order() <= budgets.exhaustive
 
 
+# Largest acting order at which a coset action or a wreath-built action
+# still reads its own classes rather than its parent's or the wreath
+# decomposition's.
+_OWN_CLASSES = 100_000
+
+
 def _acting_order(A: GroupAction) -> int:
     return A.wreath.order() if A.wreath is not None else A.group.order()
 
@@ -485,19 +480,17 @@ def is_r_elusive(
     r: int,
     budgets: Budgets = DEFAULT_BUDGETS,
     determinism: bool = False,
-    *,
-    scan_primes: Sequence[int] = (),
 ) -> ElusivityVerdict:
     """Certified r-elusivity verdict for a transitive action.
 
-    Method selection: small groups, and groups within the exhaustive
-    budget that have neither a parent nor a wreath spec, read their own
-    order-r classes (exhaustive-enumeration); coset actions with an
-    enumerable faithful parent go through class coverage on the parent;
-    wreath-built actions use the structural criterion; the rest fall back
-    to backtrack search.  Fixed-point counts are class functions, so one
-    representative per class decides.  An element scan also covers the
-    primes named in `scan_primes`, for a caller that asks them next.
+    Method selection: groups of order at most `_OWN_CLASSES` (and at most
+    the exhaustive budget), and groups within the exhaustive budget that
+    have neither a parent nor a wreath spec, read their own order-r
+    classes (exhaustive-enumeration); coset actions with an enumerable
+    faithful parent go through class coverage on the parent; wreath-built
+    actions use the structural criterion; the rest fall back to backtrack
+    search.  Fixed-point counts are class functions, so one representative
+    per class decides.
     """
     if not is_prime(r):
         raise ValueError(f"r={r} is not prime")
@@ -510,26 +503,21 @@ def is_r_elusive(
             reason=f"{r} does not divide the group order {worder}",
             budgets=asdict(budgets),
         )
-    if worder > budgets.scan:
+    if worder > min(_OWN_CLASSES, budgets.exhaustive):
         if _parent_coverage_available(A, budgets):
-            infos = action_prime_order_class_reps(A, r, budgets=budgets,
-                                                  scan_primes=scan_primes)
+            infos = action_prime_order_class_reps(A, r, budgets=budgets)
             return _coverage(r, infos, METHOD_COVER, budgets)
         if A.wreath is not None:
             return _structural_verdict(A.wreath, r, budgets)
         if worder > budgets.exhaustive:
             w = derangement_backtrack(A.group, r, determinism=determinism)
             return _verdict(r, METHOD_BACKTRACK, budgets, w)
-    infos = prime_order_class_reps(A.group, r, budgets=budgets,
-                                   scan_primes=scan_primes)
+    infos = prime_order_class_reps(A.group, r, budgets=budgets)
     return _coverage(r, infos, METHOD_ENUM, budgets)
 
 
 def _report(A: GroupAction, primes: Sequence[int], kind: str, budgets, determinism) -> ElusivityReport:
-    order = _acting_order(A)
-    scan = [r for r in primes if order % r == 0]
-    verdicts = [is_r_elusive(A, r, budgets, determinism, scan_primes=scan)
-                for r in primes]
+    verdicts = [is_r_elusive(A, r, budgets, determinism) for r in primes]
     aggregate = all(v.status == ELUSIVE for v in verdicts)
     return ElusivityReport(kind, A.degree, verdicts, aggregate)
 
@@ -649,16 +637,15 @@ def semiregular_search(
 ) -> SemiregularResult:
     """Look for a semiregular element: a prime-order derangement.
 
-    Tries each prime dividing the group order in increasing order; an
-    element scan covers them all in one pass.  Every per-prime check is
-    exact, so "none" is a certificate.
+    Tries each prime dividing the group order in increasing order.  Every
+    per-prime check is exact, so "none" is a certificate.
     """
     G = A.group
     primes = prime_divisors(_acting_order(A))
     transitive = G.is_transitive()
     for p in primes:
         if transitive:
-            v = is_r_elusive(A, p, budgets, determinism, scan_primes=primes)
+            v = is_r_elusive(A, p, budgets, determinism)
             if v.status == NOT_ELUSIVE:
                 w = v.witness
                 if isinstance(w, WreathElement):

@@ -23,8 +23,8 @@ gather, on compact rows (the smallest unsigned dtype that holds a point).
 Element enumeration (element_batches) is the unpruned walk; the backtrack
 search for fixed-point-free elements of prime order
 (derangement_backtrack) is the walk pruned at nodes fixing their level's
-base point.  Its leaves and the class scan's batches pass the one order-r
-filter, _order_r_filter.
+base point.  Its leaves, the class scan's batches and the Sylow subgroup's
+elements pass the one single-prime order-r filter, _order_r_filter.
 
 Known-order early stop (Sims 1970; Seress, Permutation Group Algorithms,
 section 4.5).  The product of the basic orbit lengths of a partial chain
@@ -231,43 +231,31 @@ def batch_power(rows: np.ndarray, e: int) -> np.ndarray:
     return acc
 
 
-def _order_r_filter(rows: np.ndarray, primes: Sequence[int],
-                    fixed_point_free: bool = False) -> list:
-    """For each prime r of `primes`, the rows of exact order r among
-    compact image rows.
+def _order_r_filter(rows: np.ndarray, r: int,
+                    fixed_point_free: bool = False) -> np.ndarray:
+    """The rows of exact order r among compact image rows, r prime.
 
     An element of prime order r has only cycles of length 1 and r, so the
     points it moves number a positive multiple of r (all n of them when
     `fixed_point_free` asks for derangements only), and x^r fixes the
     first point x moves, a trajectory of r one-dimensional gathers.  The
     exact test x^r = 1 runs on the survivors, none of them the identity.
-    The moved-point mask, counts and first moved point are shared by all
-    the primes; the residue, the trajectory and the power test are not.
     """
     n = rows.shape[1]
     ident = np.arange(n, dtype=rows.dtype)
     moved = rows != ident
     if fixed_point_free:
-        rows = rows[moved.all(axis=1)]
-        start = np.zeros(len(rows), dtype=np.int64)
-        keeps = [np.arange(len(rows))] * len(primes)
+        keep = np.flatnonzero(moved.all(axis=1))
+        first = np.zeros(len(keep), dtype=np.int64)
     else:
-        counts = moved.sum(axis=1, dtype=np.min_scalar_type(max(n, *primes)))
-        keeps = [(counts > 0) & (counts % r == 0) for r in primes]
-        union = np.logical_or.reduce(keeps)
-        start = np.zeros(len(rows), dtype=np.int64)
-        start[union] = moved[union].argmax(axis=1)
-        keeps = [np.flatnonzero(keep) for keep in keeps]
-    flat = rows.ravel()
-    out = []
-    for r, keep in zip(primes, keeps):
-        base, first = keep * n, start[keep]
-        pts = first
-        for _ in range(r):
-            pts = flat[base + pts]
-        cand = rows[keep[pts == first]]
-        out.append(cand[(batch_power(cand, r) == ident).all(axis=1)])
-    return out
+        counts = moved.sum(axis=1, dtype=np.min_scalar_type(max(n, r)))
+        keep = np.flatnonzero((counts > 0) & (counts % r == 0))
+        first = moved[keep].argmax(axis=1)
+    flat, base, pts = rows.ravel(), keep * n, first
+    for _ in range(r):
+        pts = flat[base + pts]
+    cand = rows[keep[pts == first]]
+    return cand[(batch_power(cand, r) == ident).all(axis=1)]
 
 
 def _components(n: int, u, v) -> np.ndarray:
@@ -900,7 +888,7 @@ def derangement_backtrack(G: PermGroup, r: int, determinism: bool = False) -> Op
         return None
     best = None
     for leaves in _leaf_chunks(G.chain, prune=True):
-        (found,) = _order_r_filter(leaves, (r,), fixed_point_free=True)
+        found = _order_r_filter(leaves, r, fixed_point_free=True)
         if not len(found):
             continue
         if not determinism:

@@ -104,10 +104,8 @@ def normal_structure(A: GroupAction, *, budgets: Budgets = DEFAULT_BUDGETS,
     closures = []
     two_orbit_group = None
     two_orbit_order = None
-    primes = prime_divisors(order)
-    for r in primes:
-        for ci in action_prime_order_class_reps(A, r, budgets=budgets,
-                                                scan_primes=primes):
+    for r in prime_divisors(order):
+        for ci in action_prime_order_class_reps(A, r, budgets=budgets):
             rep = ci.representative
             closure = G.normal_closure([rep])
             if not G.is_normal(closure):
@@ -203,8 +201,8 @@ def _prime_order_reps_of_subgroup(A: GroupAction, N: PermGroup,
                                   budgets: Budgets):
     """Prime-order class representatives of N (reps of N-classes suffice).
 
-    Small N reads its own order-r classes, prime by prime in increasing
-    order (`prime_order_class_reps`, one scan for all primes).  Otherwise,
+    N within the exhaustive budget reads its own order-r classes, prime by
+    prime in increasing order (`prime_order_class_reps`).  Otherwise,
     when N is the declared socle of the action with literal per-factor
     supports or a direct product pushed through a coset table,
     representatives are assembled as products of factor class
@@ -212,24 +210,17 @@ def _prime_order_reps_of_subgroup(A: GroupAction, N: PermGroup,
     trivial); these hit every N-class since classes of a direct product
     are products of factor classes.
     """
-    if N.order() <= budgets.scan:
-        primes = prime_divisors(N.order())
-        return [ci.representative for r in primes
-                for ci in prime_order_class_reps(N, r, budgets=budgets,
-                                                 scan_primes=primes)]
+    if N.order() <= budgets.exhaustive:
+        return [ci.representative for r in prime_divisors(N.order())
+                for ci in prime_order_class_reps(N, r, budgets=budgets)]
 
     socle = A.declared_socle
     if socle is not None and socle.subgroup.order() == N.order() \
             and all(N.contains(g) for g in socle.subgroup.generators):
-        factor_reps = []
-        for T in socle.factors:
-            per_prime = {}
-            primes = prime_divisors(T.order())  # one scan covers them all
-            for r in primes:
-                per_prime[r] = [ci.representative for ci in
-                                prime_order_class_reps(T, r, budgets=budgets,
-                                                       scan_primes=primes)]
-            factor_reps.append(per_prime)
+        factor_reps = [{r: [ci.representative for ci in
+                            prime_order_class_reps(T, r, budgets=budgets)]
+                        for r in prime_divisors(T.order())}
+                       for T in socle.factors]
         reps = []
         all_primes = sorted({r for pp in factor_reps for r in pp})
         k = len(socle.factors)
@@ -246,8 +237,8 @@ def _prime_order_reps_of_subgroup(A: GroupAction, N: PermGroup,
         return reps
 
     raise BudgetExceeded(
-        "subgroup of order %d exceeds the scan budget and is not a declared "
-        "socle; cannot enumerate its prime-order classes" % N.order())
+        "subgroup of order %d exceeds the exhaustive budget and is not a "
+        "declared socle; cannot enumerate its prime-order classes" % N.order())
 
 
 def verify_minimal_normal(A: GroupAction, N: PermGroup,
@@ -282,10 +273,8 @@ def verify_minimal_normal(A: GroupAction, N: PermGroup,
 
     unique = True
     independent = None
-    primes = prime_divisors(G.order())
-    for r in primes:
-        for ci in action_prime_order_class_reps(A, r, budgets=budgets,
-                                                scan_primes=primes):
+    for r in prime_divisors(G.order()):
+        for ci in action_prime_order_class_reps(A, r, budgets=budgets):
             y = ci.representative
             if N.contains(y):
                 continue

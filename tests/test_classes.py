@@ -1,11 +1,11 @@
 """The prefiltered order-r scan against the plain power test, and the
 class walks against reference partitions.
 
-`order_r_rows` scans every prime it is given in one pass: it takes the
-compact enumerated batches and drops rows by two necessary conditions
-before the exact x^r = 1 test (`perm._order_r_filter`, which the derangement
-backtrack's leaves share).  The reference below is that exact test over
-every enumerated row, one prime at a time; the two must agree row for row.
+`order_r_rows` scans for one prime r: it takes the compact enumerated
+batches and drops rows by two necessary conditions before the exact
+x^r = 1 test (`perm._order_r_filter`, which the derangement backtrack's
+leaves share).  The reference below is that exact test over every
+enumerated row; the two must agree row for row at every prime.
 
 Classes are formed by one kernel, the class walk (`classes._walk_rows`).
 `partition_rows_by_conjugacy` is checked against two reference partitions:
@@ -38,15 +38,12 @@ def reference_order_r_rows(G, r):
 
 
 def assert_agrees_at_every_prime(G):
-    primes = prime_divisors(G.order())
-    shared = order_r_rows(G, primes)
-    assert list(shared) == primes
-    for r in primes:
+    for r in prime_divisors(G.order()):
         want = reference_order_r_rows(G, r)
         assert len(want) > 0
-        for got in (shared[r], order_r_rows(G, [r])[r]):
-            assert got.dtype == np.int64
-            assert np.array_equal(got, want), (G.degree, r)
+        got = order_r_rows(G, r)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want), (G.degree, r)
 
 
 @pytest.mark.parametrize("factory", [
@@ -74,26 +71,10 @@ def test_scan_matches_reference_on_psl2_9_line(line9):
     (cyclic(1), 2),
 ], ids=["S4 r=5", "C300 r=7", "trivial"])
 def test_empty_result_keeps_its_shape(G, r):
-    got = order_r_rows(G, [r])[r]
+    got = order_r_rows(G, r)
     assert got.shape == (0, G.degree)
     assert got.dtype == np.int64
     assert partition_rows_by_conjugacy(G, got) == []
-
-
-@pytest.mark.parametrize("G,primes", [
-    (symmetric(5), [7, 2, 11, 5, 3]),
-    (cyclic(300), [2, 7, 3, 13, 5]),
-    (cyclic(1), [2, 3]),
-], ids=["S5", "C300", "trivial"])
-def test_scan_of_a_mixed_prime_list(G, primes):
-    got = order_r_rows(G, primes)
-    assert list(got) == primes
-    for r in primes:
-        assert got[r].dtype == np.int64
-        if G.order() % r:
-            assert got[r].shape == (0, G.degree)
-        else:
-            assert np.array_equal(got[r], reference_order_r_rows(G, r)), r
 
 
 def conjugacy_class_keys(G, seed_row):
@@ -134,7 +115,7 @@ def reference_partition(G, rows):
 def test_partition_matches_conjugation_bfs(factory):
     G = factory()
     for r in prime_divisors(G.order()):
-        rows = order_r_rows(G, [r])[r]
+        rows = order_r_rows(G, r)
         got = partition_rows_by_conjugacy(G, rows)
         want = reference_partition(G, rows)
         assert len(got) == len(want), r
@@ -145,7 +126,7 @@ def test_partition_matches_conjugation_bfs(factory):
 def test_partition_matches_conjugation_bfs_on_m11_12(m11_12):
     G = m11_12.group
     for r in prime_divisors(G.order()):
-        rows = order_r_rows(G, [r])[r]
+        rows = order_r_rows(G, r)
         got = partition_rows_by_conjugacy(G, rows)
         want = reference_partition(G, rows)
         assert [(tuple(a), tuple(m)) for a, m in got] == \
@@ -154,14 +135,14 @@ def test_partition_matches_conjugation_bfs_on_m11_12(m11_12):
 
 def test_partition_rejects_rows_not_closed_under_conjugation():
     G = symmetric(4)
-    rows = order_r_rows(G, [3])[3]  # the eight 3-cycles, one class
+    rows = order_r_rows(G, 3)  # the eight 3-cycles, one class
     with pytest.raises(CertificateError):
         partition_rows_by_conjugacy(G, rows[1:])
 
 
 def test_walks_must_cover_exactly_the_rows_given():
     G = symmetric(4)
-    rows = order_r_rows(G, [2])[2]  # transpositions and double transpositions
+    rows = order_r_rows(G, 2)  # transpositions and double transpositions
     walks, labels = _walk_rows(G, rows)
     assert sorted(w.size for w in walks) == [3, 6]
     assert sorted(np.bincount(labels).tolist()) == [3, 6]
@@ -229,8 +210,8 @@ def int64_key_partition(G, rows):
 
 
 def assert_partition_matches_int64_keys(G):
-    rows_at = order_r_rows(G, prime_divisors(G.order()))
-    for r, rows in rows_at.items():
+    for r in prime_divisors(G.order()):
+        rows = order_r_rows(G, r)
         got = partition_rows_by_conjugacy(G, rows)
         want = int64_key_partition(G, rows)
         assert len(got) == len(want), r

@@ -3,8 +3,8 @@ import contextlib
 import numpy as np
 import pytest
 
-from derangements import (Budgets, BudgetExceeded, DEFAULT_BUDGETS,
-                          PermGroup, Permutation, WreathSpec,
+from derangements import (Budgets, BudgetExceeded, PermGroup,
+                          Permutation, WreathSpec,
                           action_prime_order_class_reps,
                           count_order_r_elements, is_2prime_elusive,
                           is_elusive, is_r_elusive, natural_action,
@@ -13,8 +13,10 @@ from derangements import (Budgets, BudgetExceeded, DEFAULT_BUDGETS,
                           wreath_fixed_point_check,
                           wreath_prime_order_class_reps)
 from derangements import coset_action, elusive, normal_structure
+from derangements.classes import _walk_rows, order_r_rows, sylow_classes
 from derangements.numbers import prime_divisors
 from derangements.elusive import ClassInfo
+from derangements.perm import _order_r_filter
 from derangements.harness import ScenarioEnv
 
 from tests.conftest import (alternating, cyclic, dihedral,
@@ -23,14 +25,14 @@ from tests.conftest import (alternating, cyclic, dihedral,
 
 @contextlib.contextmanager
 def recorded_scans():
-    """The primes of every `order_r_rows` call that `elusive` makes inside
-    the block, one list per call."""
+    """The prime of every `order_r_rows` call that `elusive` makes inside
+    the block, one per call."""
     calls = []
     real = elusive.order_r_rows
 
-    def recording(G, primes, budget):
-        calls.append(list(primes))
-        return real(G, primes, budget)
+    def recording(G, r, budget):
+        calls.append(r)
+        return real(G, r, budget)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("derangements.elusive.order_r_rows", recording)
@@ -52,30 +54,33 @@ def naive_order_r_count(G, r):
 def test_count_order_r_elements_oracle(factory, r):
     G = factory()
     want = naive_order_r_count(G, r)
-    assert count_order_r_elements(G, r) == want
-    # above a lowered scan budget the count is the sum of the class sizes,
-    # here all found by the Sylow route, with no scan
+    # the sum of the class sizes, here all found by the Sylow route, with
+    # no scan
     with recorded_scans() as scans:
-        assert count_order_r_elements(factory(), r, budgets=SYLOW) == want
+        assert count_order_r_elements(G, r) == want
     assert scans == []
 
 
-# Every group is above the first scan budget and within the second, so
-# prime_order_class_reps takes the Sylow route (where a rule finds the
-# Sylow subgroup) under SYLOW and scans under SCAN.
-SYLOW = Budgets(scan=1)
-SCAN = Budgets(scan=DEFAULT_BUDGETS.exhaustive)
+def records(classes):
+    """(representative images, class size, (least, greatest) fixed-point
+    count) per class, from (least row, size, fixed) triples, sorted."""
+    return sorted((tuple(row.tolist()), size, tuple(map(int, fixed)))
+                  for row, size, fixed in classes)
 
 
-def class_records(G, r, budgets, scan_primes=()):
-    """(representative images, class size, min fixed points) per class,
-    and whether G was scanned."""
-    with recorded_scans() as scans:
-        infos = prime_order_class_reps(G, r, budgets=budgets,
-                                       scan_primes=scan_primes)
-    return ([(tuple(ci.representative.images.tolist()), ci.class_size,
-              ci.min_fixed_points) for ci in infos],
-            bool(scans))
+def scan_reference(G, r, rows=None):
+    """The records of the order-r classes of G by the scan: the class walk
+    of each order-r element not covered yet, from `rows` when given, else
+    from `order_r_rows`."""
+    walks, _ = _walk_rows(G, order_r_rows(G, r) if rows is None else rows)
+    return records((w.least, w.size, w.fixed) for w in walks)
+
+
+def public_records(G, r):
+    """The records of `prime_order_class_reps`."""
+    return [(tuple(ci.representative.images.tolist()), ci.class_size,
+             (ci.min_fixed_points,) * 2)
+            for ci in prime_order_class_reps(G, r)]
 
 
 def fresh(G):
@@ -334,14 +339,14 @@ def test_action_class_reps_pushed_through_coset_table(m11_12, env):
 
 def test_budget_exceeded_is_loud():
     tiny = Budgets(exhaustive=10, degree=10**5, chain_degree=2 * 10**4,
-                   scan=10, materialize=10**6)
+                   materialize=10**6)
     G = symmetric(5)
     with pytest.raises(BudgetExceeded):
         prime_order_class_reps(G, 2, budgets=tiny)
 
 
 def test_budget_is_checked_on_a_warm_cache():
-    tiny = Budgets(exhaustive=10, scan=10)
+    tiny = Budgets(exhaustive=10)
     G = symmetric(6)
     assert len(prime_order_class_reps(G, 2)) == 3  # warms both caches
     with pytest.raises(BudgetExceeded):
@@ -373,64 +378,41 @@ def test_semiregular_none_on_m11_12(m11_12):
     assert res.exact
 
 
-def test_cold_semiregular_search_scans_once(monkeypatch):
-    calls = []
-    real = elusive.order_r_rows
-
-    def recording(G, primes, budget):
-        calls.append(list(primes))
-        return real(G, primes, budget)
-
-    monkeypatch.setattr("derangements.elusive.order_r_rows", recording)
-    # a fresh env, so the parent M11 has no cached rows and must be scanned
-    res = semiregular_search(ScenarioEnv().m11_on_12())
-    assert res.witness is None  # every prime is asked
-    assert calls == [[2, 3, 5, 11]]
-
-
-def test_class_coverage_passes_caller_budget_to_the_scan(monkeypatch):
+def test_class_coverage_passes_caller_budget_to_the_scan():
+    # S9 on the 36 cosets of S7 x S2: above the 100,000 elements up to
+    # which an action reads its own classes, so the parent S9 is read; at
+    # r=2 no Sylow rule applies (the involutions of type 2^4, a class of
+    # odd size 945, have the centralizer C2 wr S4, neither a 2-group nor
+    # abelian), so S9 is scanned under the caller's budget
     received = []
     real = elusive.order_r_rows
 
-    def recording(G, primes, budget):
+    def recording(G, r, budget):
         received.append(budget)
-        return real(G, primes, budget)
+        return real(G, r, budget)
 
-    monkeypatch.setattr("derangements.elusive.order_r_rows", recording)
-    budgets = Budgets(exhaustive=9_000, scan=10)
-    # a fresh env, so the parent M11 has no cached rows and must be scanned
-    v = is_r_elusive(ScenarioEnv().m11_on_12(), 3, budgets=budgets)
+    S9 = symmetric(9)
+    H = PermGroup([Permutation.from_cycles(9, [(0, 1)]),
+                   Permutation.from_cycles(9, [(0, 1, 2, 3, 4, 5, 6)]),
+                   Permutation.from_cycles(9, [(7, 8)])], degree=9)
+    A = coset_action(natural_action(S9, "S9"), H)
+    assert A.degree == 36
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("derangements.elusive.order_r_rows", recording)
+        v = is_r_elusive(A, 2, budgets=Budgets(exhaustive=400_000))
     assert v.method == "class-coverage"
-    assert v.budgets["exhaustive"] == 9_000
-    assert received == [9_000]
+    assert v.budgets["exhaustive"] == 400_000
+    assert received == [400_000]
 
 
-def test_cold_single_prime_verdict_scans_that_prime_alone():
-    env = ScenarioEnv()
-    A = env.m11_on_12()
-    with recorded_scans() as scans:
-        v = is_r_elusive(A, 3, budgets=Budgets(scan=10))
-    assert v.method == "class-coverage"
-    assert scans == [[3]]
-    assert set(A.parent.parent_group._class_reps_cache) == {3}
-
-
-def test_normal_structure_scans_its_missing_primes_in_one_pass(monkeypatch):
-    from derangements import normal_structure
-    from derangements.numbers import prime_divisors
-    calls = []
-    real = elusive.order_r_rows
-
-    def recording(G, primes, budget):
-        calls.append(list(primes))
-        return real(G, primes, budget)
-
-    monkeypatch.setattr("derangements.elusive.order_r_rows", recording)
-    A = ScenarioEnv().m11_on_12()  # fresh: the parent M11 has no cached rows
-    is_r_elusive(A, 3, budgets=Budgets(scan=10))
-    normal_structure(A)
-    primes = prime_divisors(A.group.order())
-    assert calls == [[3], [r for r in primes if r != 3]]
+def test_exhaustive_budget_below_the_group_order_means_backtrack():
+    # M11 on 12 points, |M11| = 7920: under a budget of 7000 neither the
+    # action's own classes nor its parent's may be enumerated, so the
+    # verdict is the backtrack search's, as on the command line
+    v = is_r_elusive(ScenarioEnv().m11_on_12(), 3,
+                     budgets=Budgets(exhaustive=7000))
+    assert v.method == "backtrack"
+    assert v.status == "Elusive"
 
 
 # ---------------------------------------------------------------------------
@@ -438,23 +420,33 @@ def test_normal_structure_scans_its_missing_primes_in_one_pass(monkeypatch):
 
 
 def test_sylow_route_agrees_with_the_scan_on_the_corpus(corpus):
+    found = 0
     for name, A in corpus:
         for r in prime_divisors(A.group.order()):
-            got, _ = class_records(fresh(A.group), r, SYLOW)
-            want, _ = class_records(fresh(A.group), r, SCAN)
-            assert got == want, (name, r)
+            want = scan_reference(A.group, r)
+            got = sylow_classes(A.group, r)
+            if got is not None:
+                found += 1
+                assert records(got) == want, (name, r)
+            assert public_records(fresh(A.group), r) == want, (name, r)
+    assert found > 0
 
 
 @pytest.fixture(scope="module")
 def line127_scanned(env):
-    """PSL(2,127) and PGL(2,127) with the scan's classes at every prime
-    of their order (2, 3, 7 and 127), from one pass each."""
+    """PSL(2,127) and PGL(2,127) with the scan's class records at every
+    prime of their order (2, 3, 7 and 127), from one enumeration pass
+    each: every batch is filtered once per prime."""
     out = {}
     for name in ("PSL", "PGL"):
         G = env.line127().subgroups[name]
-        cold, primes = fresh(G), prime_divisors(G.order())
-        out[name] = (G, {r: class_records(cold, r, SCAN, primes)[0]
-                         for r in primes})
+        primes = prime_divisors(G.order())
+        kept = {r: [] for r in primes}
+        for batch in G.element_batches():
+            for r in primes:
+                kept[r].append(_order_r_filter(batch, r))
+        out[name] = (G, {r: scan_reference(G, r, np.concatenate(
+            kept[r], dtype=np.int64)) for r in primes})
     return out
 
 
@@ -463,9 +455,7 @@ def test_sylow_route_agrees_with_the_scan_on_line127(line127_scanned, name):
     G, scanned = line127_scanned[name]
     assert list(scanned) == [2, 3, 7, 127]
     for r, want in scanned.items():
-        got, did_scan = class_records(fresh(G), r, SYLOW)
-        assert not did_scan, r
-        assert got == want, r
+        assert records(sylow_classes(G, r)) == want, r
     if name == "PGL":
         # two involution classes: a walk of the first x's class alone
         # would miss one
@@ -473,20 +463,18 @@ def test_sylow_route_agrees_with_the_scan_on_line127(line127_scanned, name):
 
 
 @pytest.mark.parametrize("r", [2, 3])
-def test_own_classes_verdict_agrees_with_the_scan_on_psl127(env, r):
-    """PSL(2,127) on the projective line has no parent and no wreath spec,
-    and its order 1,024,128 is above the scan budget: the verdict reads
-    its own classes by the Sylow route.  Under a scan budget that holds
-    the group it scans instead, with the same verdict and witness."""
-    G = env.line127().subgroups["PSL"]
+def test_own_classes_verdict_agrees_with_the_scan_on_psl127(
+        line127_scanned, r):
+    """PSL(2,127) on the projective line has no parent and no wreath spec:
+    the verdict reads its own classes, by the Sylow route.  Its witness is
+    the least representative of the scan's least fixed-point-free class."""
+    G, scanned = line127_scanned["PSL"]
     with recorded_scans() as scans:
         got = is_r_elusive(natural_action(fresh(G), "PSL(2,127)"), r)
     assert scans == []
-    want = is_r_elusive(natural_action(fresh(G), "PSL(2,127)"), r,
-                        budgets=SCAN)
-    assert got.method == want.method == "exhaustive-enumeration"
-    assert got.status == want.status
-    assert got.witness == want.witness
+    assert got.method == "exhaustive-enumeration"
+    free = [images for images, _, (least, _) in scanned[r] if least == 0]
+    assert got.witness == (Permutation(free[0]) if free else None)
     # involutions derange the line (127 = 3 mod 4); order-3 elements fix
     # two points (3 divides 127 - 1)
     assert got.status == {2: "NotElusive", 3: "Elusive"}[r]
@@ -505,20 +493,25 @@ def test_own_classes_verdict_agrees_with_the_scan_on_psl127(env, r):
     "fallback, C(t) = GL(2,3): M11 r=2",
     "fallback, C(z) = D600: D600 r=2",
 ])
-def test_sylow_route_rules(env, group, r, falls_back):
+def test_sylow_route_rules(env, line127_scanned, group, r, falls_back):
     G = group(env)
-    got, did_scan = class_records(fresh(G), r, SYLOW)
-    assert did_scan == falls_back
-    assert got == class_records(fresh(G), r, SCAN)[0]
+    psl, scanned = line127_scanned["PSL"]
+    want = scanned[r] if G is psl else scan_reference(G, r)
+    got = sylow_classes(G, r)
+    if falls_back:
+        assert got is None
+    else:
+        assert records(got) == want
+    assert public_records(fresh(G), r) == want
 
 
 def test_class_discovery_on_psl127_scans_nothing(monkeypatch):
     calls = []
     real = elusive.order_r_rows
 
-    def recording(G, primes, budget):
-        calls.append(list(primes))
-        return real(G, primes, budget)
+    def recording(G, r, budget):
+        calls.append(r)
+        return real(G, r, budget)
 
     monkeypatch.setattr("derangements.elusive.order_r_rows", recording)
     A = ScenarioEnv().a384()  # fresh: the parent PSL(2,127) is cold

@@ -95,7 +95,7 @@ def test_report_json_schema(env):
     assert doc["version"] == __version__
     assert doc["seed"] == env.seed
     assert set(doc["budgets"]) == {"exhaustive", "degree", "chain_degree",
-                                   "scan", "materialize"}
+                                   "materialize"}
     ids = [s["scenario"] for s in doc["scenarios"]]
     assert ids == sorted(ids)
     for s in doc["scenarios"]:

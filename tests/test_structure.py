@@ -280,15 +280,15 @@ def test_minimal_normal_guards():
 
 
 def test_socle_route_certifies_a5_squared(monkeypatch):
-    # A5 wr C2 in product action: the socle A5 x A5 is too large for the
-    # scan budget, so the certificate is assembled from per-factor class
-    # representatives hung off the declared socle.
+    # A5 wr C2 in product action: the socle A5 x A5 (order 3600) is above
+    # an exhaustive budget of 1000, so the certificate is assembled from
+    # per-factor class representatives hung off the declared socle.
     scanned = []
     real = elusive.order_r_rows
 
-    def recording(G, primes, budget):
+    def recording(G, r, budget):
         scanned.append(G)
-        return real(G, primes, budget)
+        return real(G, r, budget)
 
     monkeypatch.setattr("derangements.elusive.order_r_rows", recording)
     c2 = PermGroup([Permutation(__import__("numpy").array([1, 0]))])
@@ -296,13 +296,13 @@ def test_socle_route_certifies_a5_squared(monkeypatch):
     A = wreath(spec, declare_socle=True)
     N = A.declared_socle.subgroup
     assert N.order() == 3600
-    tight = dataclasses.replace(DEFAULT_BUDGETS, scan=1000)
+    tight = dataclasses.replace(DEFAULT_BUDGETS, exhaustive=1000)
     rep = verify_minimal_normal(A, N, budgets=tight)
     assert rep.minimal and rep.unique and rep.exact
     assert set(rep.closure_orders) == {3600}
-    # one scan per factor covers all of its primes
-    factors = A.declared_socle.factors
-    assert [sum(G is T for G in scanned) for T in factors] == [1, 1]
+    # the Sylow route covers A5 at 2, 3 and 5, so neither factor (nor
+    # anything else) is scanned
+    assert scanned == []
 
     # without the declaration the same subgroup is undecidable in budget
     bare = wreath(spec)
