@@ -24,16 +24,13 @@ counts as it goes.  `partition_rows_by_conjugacy` and
 `exhaustive_class_partition` walk the class of every given row not
 covered yet, then check that the walks cover exactly the rows given.
 
-`sylow_classes` finds the order-r classes of a group without the scan.
-By Sylow's theorem every element of order r is conjugate into a Sylow
-r-subgroup P, so the classes that meet P are all of them
-(Holt-Eick-O'Brien, ch. 4).  P is certified by its chain order |G|_r:
-it is <x> when r^2 does not divide |G|; otherwise C_G(x) for an x whose
-class size is prime to r (so C_G(x) holds a Sylow r-subgroup), when that
-is an r-group, or the r-parts of its generators, when it is abelian.
-C_G(x) comes from the Schreier generators of the walk of x's class, on a
-chain bounded by |G|/|x^G| (the known-order stop).  Every other case
-returns None (M11 and D600 at r=2, say), and the caller scans for r.
+`sylow_classes` finds the order-r classes of a group from a subgroup H
+that holds a Sylow r-subgroup: by Sylow's theorem every element of order
+r is conjugate into it (Holt-Eick-O'Brien, ch. 4), so the G-classes of
+H's order-r elements are all of them.  H is <x> when r^2 does not divide
+|G|, else C_G(x) for a sampled x whose class size is prime to r, else G;
+|G|_r dividing |H| is checked.  C_G(x) comes from the Schreier generators
+of the walk of x's class, on a chain bounded by |G|/|x^G|.
 """
 
 from __future__ import annotations
@@ -45,7 +42,7 @@ import numpy as np
 from .config import (DEFAULT_BUDGETS, DEFAULT_SEED, BudgetExceeded,
                      CertificateError)
 from .numbers import factorize
-from .perm import (Permutation, StabilizerChain, _inverse_row, _leaf_chunks,
+from .perm import (Permutation, PermGroup, StabilizerChain, _inverse_row,
                    _order_r_filter, batch_power)
 
 __all__ = [
@@ -264,8 +261,8 @@ def _order_r_sample(G, r: int, sylow: int):
 
 
 def _centralizer(walker: _ClassWalker, x: np.ndarray, walk: _Walk,
-                 bound: int):
-    """Rows generating C_G(x), and their chain: Schreier generators
+                 bound: int) -> PermGroup:
+    """C_G(x), with its chain: generated by Schreier generators
     t_i g t_(i^g)^-1 of x's class walk, in a seeded random order and
     batches that double, until the chain bounded by |C_G(x)| = `bound`
     reaches it."""
@@ -283,52 +280,45 @@ def _centralizer(walker: _ClassWalker, x: np.ndarray, walk: _Walk,
         np.put_along_axis(inverse, t_next, points[:len(i)], axis=1)
         gens = np.concatenate([gens, np.take_along_axis(inverse, moved, axis=1)])
         lo, step = lo + step, 2 * step
-        chain = StabilizerChain(n, [Permutation._raw(g) for g in gens],
-                                bound=bound)
+        perms = [Permutation._raw(g) for g in gens]
+        chain = StabilizerChain(n, perms, bound=bound)
         if chain.order() == bound:
             if not (gens[:, x] == x[gens]).all():
                 raise CertificateError("a Schreier generator does not centralize x")
-            return gens, chain
+            C = PermGroup(perms, degree=n)
+            C._chain = chain
+            return C
     raise CertificateError("Schreier generators fall short of the centralizer order")
 
 
-def sylow_classes(G, r: int) -> Optional[list]:
+def sylow_classes(G, r: int,
+                  budget: int = DEFAULT_BUDGETS.exhaustive) -> list:
     """(least row, size, (least, greatest) fixed-point count) of each class
-    of elements of order r in G, sorted by least row, from the class walks
-    that meet a Sylow r-subgroup P (module docstring); None when no rule
-    finds P, or no class of size prime to r turns up among the sampled
-    elements."""
+    of elements of order r in G, sorted by least row: the G-classes of the
+    order-r elements of a subgroup H holding a Sylow r-subgroup (module
+    docstring), enumerated by `order_r_rows` under `budget`."""
     order = G.order()
     if order % r:
         return []
     sylow = r ** factorize(order)[r]
-    cyclic = order % (r * r) != 0
+    cyclic = sylow == r
     walker = _ClassWalker(G)
-    walks = []
+    walks, H = [], G
     for x in _order_r_sample(G, r, sylow):
         if walker.key(x) in walker.seen:
             continue
         walks.append(walker.walk(x, transversal=not cyclic))
-        if cyclic or walks[-1].size % r:
+        if cyclic:
+            H = PermGroup([Permutation._raw(x)])
             break
-    else:
-        return None
-    if cyclic:
-        chain = StabilizerChain(G.degree, [Permutation._raw(x)])
-    else:
-        bound = order // walks[-1].size
-        gens, chain = _centralizer(walker, x, walks[-1], bound)
-        if bound != sylow:  # C_G(x) is not an r-group
-            if not all((gens[:, g] == g[gens]).all() for g in gens):
-                return None
-            chain = StabilizerChain(G.degree, [
-                Permutation._raw(g) for g in batch_power(gens, bound // sylow)])
-    if chain.order() != sylow:
-        raise CertificateError("the Sylow subgroup has the wrong order")
-    for leaves in _leaf_chunks(chain, prune=False):
-        found = _order_r_filter(leaves, r)
-        for y, k in zip(found, walker.keys(found[:, walker.base])):
-            if k not in walker.seen:
-                walks.append(walker.walk(y))
+        if walks[-1].size % r:
+            H = _centralizer(walker, x, walks[-1], order // walks[-1].size)
+            break
+    if H.order() % sylow:
+        raise CertificateError("the subgroup holds no Sylow r-subgroup")
+    rows = order_r_rows(H, r, budget).astype(walker.dtype)
+    for y, k in zip(rows, walker.keys(rows[:, walker.base])):
+        if k not in walker.seen:
+            walks.append(walker.walk(y))
     return sorted(((w.least, w.size, w.fixed) for w in walks),
                   key=lambda t: tuple(t[0]))

@@ -12,19 +12,10 @@ class of order-r elements decides.  An exhaustive-enumeration verdict
 reads the classes of the acting group itself, a class-coverage verdict
 those of a faithful parent, pushed through the coset action.
 
-Class coverage needs one representative of each class of elements of
-order r.  `prime_order_class_reps` is the one route to them, for every
-group: the Sylow route of `classes.sylow_classes` first.  It finds an
-element x of order r among seeded random elements, certifies a Sylow
-r-subgroup P by its chain order (<x> when r^2 does not divide |G|, else
-C_G(x) for a class of size prime to r when that centralizer is an r-group,
-or the r-parts of its generators when it is abelian), then walks the
-G-class of each order-r element of P not covered yet.  By Sylow's theorem
-these are all the classes, and each is walked whole, so sizes, least
-representatives and fixed-point counts are exact.  Only when no rule
-applies (M11 or D600 at r=2, say) does it stream all of G for the
-elements of order r and walk the class of each one not covered yet
-(`classes._walk_rows`).
+`prime_order_class_reps` is the one route to those classes, for every
+group: `classes.sylow_classes`, the G-classes of the order-r elements of
+a subgroup holding a Sylow r-subgroup, each walked whole, so sizes, least
+representatives and fixed-point counts are exact.
 """
 
 from __future__ import annotations
@@ -35,7 +26,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .classes import order_r_rows, sylow_classes, _budget_error, _walk_rows
+from .classes import sylow_classes, _budget_error
 from .config import DEFAULT_BUDGETS, Budgets, BudgetExceeded, CertificateError
 from .numbers import is_prime, prime_divisors
 from .perm import Permutation, PermGroup, derangement_backtrack
@@ -90,8 +81,8 @@ class ElusivityVerdict:
     """The r-elusivity of a transitive action and the method behind it.
 
     An `exhaustive-enumeration` verdict reads every order-r class of the
-    acting group, each scanned or walked whole, so every order-r element
-    is enumerated; its witness is the lexicographically least order-r
+    acting group, each walked whole, so every order-r element is
+    enumerated; its witness is the lexicographically least order-r
     derangement, the least representative of the least fixed-point-free
     class.
     """
@@ -187,13 +178,10 @@ def prime_order_class_reps(
     """Conjugacy classes of order-r elements of G, as ClassInfo records,
     sorted by representative, the lexicographically least row of its class.
 
-    The order must fit the exhaustive budget.  The classes come from the
-    Sylow route (`classes.sylow_classes`): the classes meeting a certified
-    Sylow r-subgroup, each walked whole, with no scan of G.  Only when no
-    rule finds the Sylow subgroup are the elements of order r streamed
-    from G, and the class of each one not covered yet walked.  Either way
-    each class is checked to have a constant fixed-point count and a size
-    dividing |G|, and the result is cached per prime.
+    The order must fit the exhaustive budget, which also bounds the
+    subgroup `classes.sylow_classes` enumerates.  Each class is checked
+    to have a constant fixed-point count and a size dividing |G|, and the
+    result is cached per prime.
     """
     if not is_prime(r):
         raise ValueError(f"r={r} is not prime")
@@ -204,21 +192,16 @@ def prime_order_class_reps(
     cache = G._class_reps_cache
     if r in cache:
         return cache[r]
-    classes = sylow_classes(G, r)
-    if classes is None:
-        walks, _ = _walk_rows(G, order_r_rows(G, r, budgets.exhaustive))
-        classes = [(w.least, w.size, w.fixed) for w in walks]
-    cache[r] = _class_infos(G, r, classes)
+    cache[r] = _class_infos(G, r, sylow_classes(G, r, budgets.exhaustive))
     return cache[r]
 
 
 def _class_infos(G: PermGroup, r: int, classes: list) -> list:
     """ClassInfo records of (least row, size, (least, greatest) fixed-point
-    count) triples, each checked, in order of least row."""
+    count) triples, each checked, in the order given."""
     order = G.order()
     infos = []
-    for rep_row, size, (least, most) in sorted(classes,
-                                               key=lambda t: tuple(t[0])):
+    for rep_row, size, (least, most) in classes:
         if least != most:
             raise CertificateError("fixed-point count varies inside a conjugacy class")
         if order % size != 0:

@@ -23,8 +23,8 @@ gather, on compact rows (the smallest unsigned dtype that holds a point).
 Element enumeration (element_batches) is the unpruned walk; the backtrack
 search for fixed-point-free elements of prime order
 (derangement_backtrack) is the walk pruned at nodes fixing their level's
-base point.  Its leaves, the class scan's batches and the Sylow subgroup's
-elements pass the one single-prime order-r filter, _order_r_filter.
+base point.  Its leaves and the batches of the one class scan
+(classes.order_r_rows) pass the single-prime order-r filter, _order_r_filter.
 
 Known-order early stop (Sims 1970; Seress, Permutation Group Algorithms,
 section 4.5).  The product of the basic orbit lengths of a partial chain

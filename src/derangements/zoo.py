@@ -150,9 +150,10 @@ def _as_group(G) -> PermGroup:
 # generator files
 
 GENERATOR_FILE_DOC = """\
-Generator file format: one 'degree <n>' line, then one 'gen <cycles>' line
-per generator with cycles on points 1..n, e.g. 'gen (1 2 3)(4 5)'.  'gen ()'
-is the identity.  Blank lines are skipped and '#' starts a comment."""
+Generator file format: one 'degree <n>' line (n at most 1000000), then one
+'gen <cycles>' line per generator with cycles on points 1..n, e.g.
+'gen (1 2 3)(4 5)'.  'gen ()' is the identity.  Blank lines are skipped and
+'#' starts a comment."""
 
 
 class GeneratorFileError(ValueError):
@@ -180,6 +181,10 @@ def load_generators(path) -> PermGroup:
                     raise GeneratorFileError(lineno, f"bad degree {rest.strip()!r}") from None
                 if degree < 1:
                     raise GeneratorFileError(lineno, "degree must be positive")
+                if degree > DEFAULT_BUDGETS.materialize:
+                    raise GeneratorFileError(
+                        lineno, f"degree {degree} exceeds the materialize "
+                        f"budget {DEFAULT_BUDGETS.materialize}")
             elif head == "gen":
                 if degree is None:
                     raise GeneratorFileError(lineno, "gen before degree line")

@@ -149,6 +149,15 @@ def test_check_malformed_file(tmp_path, capsys):
     assert "cannot read group file" in capsys.readouterr().err
 
 
+def test_check_degree_past_the_materialize_budget(tmp_path, capsys):
+    # refused at the degree line, before any image array is allocated
+    g = write(tmp_path, "huge.gens", "degree 2000000\ngen (1 2)\n")
+    assert main(["check", "--group", g]) == 2
+    err = capsys.readouterr().err
+    assert "cannot read group file: line 1:" in err
+    assert "materialize budget 1000000" in err
+
+
 def test_check_stab_not_subgroup(c6_file, tmp_path, capsys):
     stab = write(tmp_path, "notsub.gens", "degree 6\ngen (1 2)\n")
     assert main(["check", "--group", c6_file, "--stab", stab]) == 2

@@ -3,7 +3,7 @@ import contextlib
 import numpy as np
 import pytest
 
-from derangements import (Budgets, BudgetExceeded, PermGroup,
+from derangements import (DEFAULT_BUDGETS, Budgets, BudgetExceeded, PermGroup,
                           Permutation, WreathSpec,
                           action_prime_order_class_reps,
                           count_order_r_elements, is_2prime_elusive,
@@ -12,7 +12,7 @@ from derangements import (Budgets, BudgetExceeded, PermGroup,
                           structural_wreath_elusivity, wreath,
                           wreath_fixed_point_check,
                           wreath_prime_order_class_reps)
-from derangements import coset_action, elusive, normal_structure
+from derangements import classes, coset_action, normal_structure
 from derangements.classes import _walk_rows, order_r_rows, sylow_classes
 from derangements.numbers import prime_divisors
 from derangements.elusive import ClassInfo
@@ -25,17 +25,17 @@ from tests.conftest import (alternating, cyclic, dihedral,
 
 @contextlib.contextmanager
 def recorded_scans():
-    """The prime of every `order_r_rows` call that `elusive` makes inside
-    the block, one per call."""
+    """(order of the group enumerated, budget) of every `order_r_rows` call
+    made inside the block, one per call."""
     calls = []
-    real = elusive.order_r_rows
+    real = classes.order_r_rows
 
     def recording(G, r, budget):
-        calls.append(r)
+        calls.append((G.order(), budget))
         return real(G, r, budget)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("derangements.elusive.order_r_rows", recording)
+        mp.setattr("derangements.classes.order_r_rows", recording)
         yield calls
 
 
@@ -54,11 +54,11 @@ def naive_order_r_count(G, r):
 def test_count_order_r_elements_oracle(factory, r):
     G = factory()
     want = naive_order_r_count(G, r)
-    # the sum of the class sizes, here all found by the Sylow route, with
-    # no scan
+    # the sum of the class sizes; the Sylow route enumerates a proper
+    # subgroup, never G
     with recorded_scans() as scans:
         assert count_order_r_elements(G, r) == want
-    assert scans == []
+    assert scans and all(size < G.order() for size, _ in scans)
 
 
 def records(classes):
@@ -381,28 +381,20 @@ def test_semiregular_none_on_m11_12(m11_12):
 def test_class_coverage_passes_caller_budget_to_the_scan():
     # S9 on the 36 cosets of S7 x S2: above the 100,000 elements up to
     # which an action reads its own classes, so the parent S9 is read; at
-    # r=2 no Sylow rule applies (the involutions of type 2^4, a class of
-    # odd size 945, have the centralizer C2 wr S4, neither a 2-group nor
-    # abelian), so S9 is scanned under the caller's budget
-    received = []
-    real = elusive.order_r_rows
-
-    def recording(G, r, budget):
-        received.append(budget)
-        return real(G, r, budget)
-
+    # r=2 the involutions of type 2^4, a class of odd size 945, have the
+    # centralizer C2 wr S4 (order 384), which is enumerated under the
+    # caller's budget
     S9 = symmetric(9)
     H = PermGroup([Permutation.from_cycles(9, [(0, 1)]),
                    Permutation.from_cycles(9, [(0, 1, 2, 3, 4, 5, 6)]),
                    Permutation.from_cycles(9, [(7, 8)])], degree=9)
     A = coset_action(natural_action(S9, "S9"), H)
     assert A.degree == 36
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("derangements.elusive.order_r_rows", recording)
+    with recorded_scans() as received:
         v = is_r_elusive(A, 2, budgets=Budgets(exhaustive=400_000))
     assert v.method == "class-coverage"
     assert v.budgets["exhaustive"] == 400_000
-    assert received == [400_000]
+    assert received == [(384, 400_000)]
 
 
 def test_exhaustive_budget_below_the_group_order_means_backtrack():
@@ -420,16 +412,11 @@ def test_exhaustive_budget_below_the_group_order_means_backtrack():
 
 
 def test_sylow_route_agrees_with_the_scan_on_the_corpus(corpus):
-    found = 0
     for name, A in corpus:
         for r in prime_divisors(A.group.order()):
             want = scan_reference(A.group, r)
-            got = sylow_classes(A.group, r)
-            if got is not None:
-                found += 1
-                assert records(got) == want, (name, r)
+            assert records(sylow_classes(A.group, r)) == want, (name, r)
             assert public_records(fresh(A.group), r) == want, (name, r)
-    assert found > 0
 
 
 @pytest.fixture(scope="module")
@@ -471,7 +458,7 @@ def test_own_classes_verdict_agrees_with_the_scan_on_psl127(
     G, scanned = line127_scanned["PSL"]
     with recorded_scans() as scans:
         got = is_r_elusive(natural_action(fresh(G), "PSL(2,127)"), r)
-    assert scans == []
+    assert scans and all(size < G.order() for size, _ in scans)
     assert got.method == "exhaustive-enumeration"
     free = [images for images, _, (least, _) in scanned[r] if least == 0]
     assert got.witness == (Permutation(free[0]) if free else None)
@@ -480,44 +467,44 @@ def test_own_classes_verdict_agrees_with_the_scan_on_psl127(
     assert got.status == {2: "NotElusive", 3: "Elusive"}[r]
 
 
-@pytest.mark.parametrize("group,r,falls_back", [
-    (lambda env: env.line127().subgroups["PSL"], 7, False),
-    (lambda env: env.line127().subgroups["PSL"], 2, False),
-    (lambda env: cyclic(300), 5, False),
-    (lambda env: env.m11_action().group, 2, True),
-    (lambda env: dihedral(300), 2, True),
+@pytest.mark.parametrize("group,r,h_order", [
+    (lambda env: env.line127().subgroups["PSL"], 7, 7),
+    (lambda env: env.line127().subgroups["PSL"], 2, 128),
+    (lambda env: cyclic(300), 5, 300),
+    (lambda env: env.m11_action().group, 2, 48),
+    (lambda env: env.m11_action().group, 3, 18),
+    (lambda env: dihedral(300), 2, 600),
+    (lambda env: symmetric(9), 2, 384),
 ], ids=[
     "cyclic P, r^2 not dividing |G|: PSL(2,127) r=7",
     "r-group centralizer D128: PSL(2,127) r=2",
     "abelian centralizer: C300 r=5",
-    "fallback, C(t) = GL(2,3): M11 r=2",
-    "fallback, C(z) = D600: D600 r=2",
+    "centralizer C(t) = GL(2,3): M11 r=2",
+    "centralizer C(x) = C3 x S3: M11 r=3",
+    "central z, C(z) = D600 = G: D600 r=2",
+    "centralizer C(t) = C2 wr S4: S9 r=2",
 ])
-def test_sylow_route_rules(env, line127_scanned, group, r, falls_back):
+def test_sylow_route_rules(env, line127_scanned, group, r, h_order):
+    """The subgroup H that the Sylow route enumerates, one per case, and
+    the classes it finds, against the scan."""
     G = group(env)
     psl, scanned = line127_scanned["PSL"]
     want = scanned[r] if G is psl else scan_reference(G, r)
-    got = sylow_classes(G, r)
-    if falls_back:
-        assert got is None
-    else:
-        assert records(got) == want
+    with recorded_scans() as scans:
+        got = sylow_classes(G, r)
+    assert scans == [(h_order, DEFAULT_BUDGETS.exhaustive)]
+    assert records(got) == want
     assert public_records(fresh(G), r) == want
 
 
-def test_class_discovery_on_psl127_scans_nothing(monkeypatch):
-    calls = []
-    real = elusive.order_r_rows
-
-    def recording(G, r, budget):
-        calls.append(r)
-        return real(G, r, budget)
-
-    monkeypatch.setattr("derangements.elusive.order_r_rows", recording)
+def test_class_discovery_on_psl127_scans_nothing():
     A = ScenarioEnv().a384()  # fresh: the parent PSL(2,127) is cold
-    assert is_r_elusive(A, 3).method == "class-coverage"
-    assert normal_structure(A).verdict == "quasiprimitive"
-    assert calls == []
+    with recorded_scans() as scans:
+        assert is_r_elusive(A, 3).method == "class-coverage"
+        assert normal_structure(A).verdict == "quasiprimitive"
+    # only subgroups holding a Sylow subgroup are enumerated, never the
+    # parent itself
+    assert scans and all(size < 1_024_128 for size, _ in scans)
     assert A.parent.parent_group.order() == 1_024_128
     assert 3 in A.parent.parent_group._class_reps_cache
 
