@@ -31,6 +31,33 @@ def enumerate_elements(G):
             yield Permutation._raw(row.copy())
 
 
+def bfs_transversal(G, x):
+    """The G-class of the row x walked breadth first under conjugation by
+    G's generators, with the transversal materialized: (rows, transversal)
+    in walk order, where each new element's row t is its parent's row
+    times the generator, t * g, so that x^t is the element.  The walk
+    order is the class walker's: level by level, per level generator by
+    generator, then row by row.  The reference for the rows that
+    `classes._ClassWalker.transversal` traces back."""
+    gens = [(g.images, g.inverse().images) for g in G.generators]
+    rows = [np.asarray(x, dtype=np.int64)]
+    trans = [np.arange(len(x))]
+    seen = {rows[0].tobytes()}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for gi, gv in gens:
+            for i in frontier:
+                conj = gi[rows[i][gv]]
+                if conj.tobytes() not in seen:
+                    seen.add(conj.tobytes())
+                    nxt.append(len(rows))
+                    rows.append(conj)
+                    trans.append(gi[trans[i]])  # t * g
+        frontier = nxt
+    return np.array(rows), np.array(trans)
+
+
 def cyclic(n):
     return PermGroup([Permutation.from_cycles(n, [tuple(range(n))])])
 

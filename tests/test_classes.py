@@ -8,23 +8,30 @@ leaves share).  The reference below is that exact test over every
 enumerated row; the two must agree row for row at every prime.
 
 Classes are formed by one kernel, the class walk (`classes._walk_rows`).
-`partition_rows_by_conjugacy` is checked against two reference partitions:
-a row-by-row conjugation BFS, and the int64-key sort-and-search partition
-that the walk replaced.  `exhaustive_class_partition` is checked against
-brute-force conjugation of each element by every element of G.
+`partition_rows_by_conjugacy` is checked against two reference partitions
+on int64 rows: a row-by-row conjugation BFS, and the int64-key
+sort-and-search partition that the walk replaced.
+`exhaustive_class_partition` is checked against brute-force conjugation of
+each element by every element of G.  The transversal rows that a walk
+traces back from its Schreier vector are checked against a materialized
+BFS transversal (`tests.conftest.bfs_transversal`).
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from derangements import classes, natural_action
 from derangements.classes import (_walk_rows, batch_power,
                                   exhaustive_class_partition, order_r_rows,
                                   partition_rows_by_conjugacy)
-from derangements.config import CertificateError
-from derangements.numbers import prime_divisors
+from derangements.config import DEFAULT_SEED, CertificateError
+from derangements.numbers import factorize, prime_divisors
 from derangements.perm import Permutation, PermGroup, _cells, _components
 
-from tests.conftest import alternating, cyclic, dihedral, symmetric
+from tests.conftest import (alternating, bfs_transversal, cyclic, dihedral,
+                            symmetric)
 
 
 def identity_mask(rows):
@@ -42,7 +49,7 @@ def assert_agrees_at_every_prime(G):
         want = reference_order_r_rows(G, r)
         assert len(want) > 0
         got = order_r_rows(G, r)
-        assert got.dtype == np.int64
+        assert got.dtype == np.min_scalar_type(G.degree - 1)
         assert np.array_equal(got, want), (G.degree, r)
 
 
@@ -73,7 +80,7 @@ def test_scan_matches_reference_on_psl2_9_line(line9):
 def test_empty_result_keeps_its_shape(G, r):
     got = order_r_rows(G, r)
     assert got.shape == (0, G.degree)
-    assert got.dtype == np.int64
+    assert got.dtype == np.min_scalar_type(G.degree - 1)
     assert partition_rows_by_conjugacy(G, got) == []
 
 
@@ -115,7 +122,7 @@ def reference_partition(G, rows):
 def test_partition_matches_conjugation_bfs(factory):
     G = factory()
     for r in prime_divisors(G.order()):
-        rows = order_r_rows(G, r)
+        rows = order_r_rows(G, r).astype(np.int64)
         got = partition_rows_by_conjugacy(G, rows)
         want = reference_partition(G, rows)
         assert len(got) == len(want), r
@@ -126,7 +133,7 @@ def test_partition_matches_conjugation_bfs(factory):
 def test_partition_matches_conjugation_bfs_on_m11_12(m11_12):
     G = m11_12.group
     for r in prime_divisors(G.order()):
-        rows = order_r_rows(G, r)
+        rows = order_r_rows(G, r).astype(np.int64)
         got = partition_rows_by_conjugacy(G, rows)
         want = reference_partition(G, rows)
         assert [(tuple(a), tuple(m)) for a, m in got] == \
@@ -211,7 +218,7 @@ def int64_key_partition(G, rows):
 
 def assert_partition_matches_int64_keys(G):
     for r in prime_divisors(G.order()):
-        rows = order_r_rows(G, r)
+        rows = order_r_rows(G, r).astype(np.int64)
         got = partition_rows_by_conjugacy(G, rows)
         want = int64_key_partition(G, rows)
         assert len(got) == len(want), r
@@ -247,3 +254,83 @@ def test_partition_matches_int64_keys_on_psl2_9_line(line9):
 
 def test_partition_matches_int64_keys_on_m11_12(m11_12):
     assert_partition_matches_int64_keys(m11_12.group)
+
+
+# ---------------------------------------------------------------------------
+# class walks with a Schreier vector
+
+
+def sampled_order_r(G, r):
+    """The first element of order r that the Sylow search samples."""
+    sylow = r ** factorize(G.order())[r]
+    return next(classes._order_r_sample(G, r, sylow))
+
+
+def walk_group(env, name):
+    if name == "PSL(2,127)":
+        return env.line127().subgroups["PSL"]
+    return natural_action(env.a384().group, "the a384 group").group
+
+
+@pytest.mark.parametrize("name,r,chunks", [
+    ("PSL(2,127)", 3, "default"),
+    ("PSL(2,127)", 3, "small"),
+    ("a384 natural", 2, "small"),
+    ("a384 natural", 3, "default"),
+])
+def test_traced_transversal_matches_materialized_bfs(env, monkeypatch, name,
+                                                     r, chunks):
+    """For every index of a walk the row traced back along the Schreier
+    vector equals the materialized transversal's; the walk keeps the
+    reference's order, least row and fixed-point counts; and
+    `_centralizer` picks the Schreier generators t_i g t_(i^g)^-1 that
+    the materialized walk gives.  Small chunks (seven rows) make every
+    level span many chunks, merged from smaller pieces."""
+    G = walk_group(env, name)
+    if chunks == "small":
+        monkeypatch.setattr(classes, "_BATCH_ENTRIES", 7 * G.degree)
+    x = sampled_order_r(G, r)
+    walker = classes._ClassWalker(G)
+    walk = walker.walk(x, transversal=True)
+    rows, trans = bfs_transversal(G, x)
+    assert walk.size == len(rows)
+    assert np.array_equal(walker.transversal(walk, np.arange(walk.size)),
+                          trans)
+    order = [walker.seen[k] - walk.start
+             for k in walker.keys(rows[:, walker.base])]
+    assert order == list(range(walk.size))
+    assert np.array_equal(walk.least, rows[np.lexsort(rows.T[::-1])[0]])
+    fixed = (rows == np.arange(G.degree)).sum(axis=1)
+    assert walk.fixed == (fixed.min(), fixed.max())
+
+    C = classes._centralizer(walker, x, walk, G.order() // walk.size)
+    index = {row.tobytes(): i for i, row in enumerate(rows)}
+    picks = np.random.default_rng(DEFAULT_SEED).permutation(
+        walk.size * len(G.generators))
+    want = []
+    for pick in picks[:len(C.generators)]:
+        j, i = divmod(int(pick), walk.size)
+        g = G.generators[j]
+        succ = index[g.images[rows[i][g.inverse().images]].tobytes()]
+        want.append(np.argsort(trans[succ])[g.images[trans[i]]])
+    assert np.array_equal([c.images for c in C.generators], want)
+
+
+def test_walk_and_centralizer_keep_no_dense_transversal(env):
+    """The walk and `_centralizer` of the order-3 class of the a384 group
+    in its natural action (16,256 elements on 384 points) stay below 16 MB
+    of traced peak.  A walk holding the size x degree transversal and the
+    full frontier at once peaked at 28.3 MB; the Schreier vector and
+    chunked levels at 9.1 MB."""
+    G = walk_group(env, "a384 natural")
+    x = sampled_order_r(G, 3)
+    tracemalloc.start()
+    try:
+        walker = classes._ClassWalker(G)
+        walk = walker.walk(x, transversal=True)
+        C = classes._centralizer(walker, x, walk, G.order() // walk.size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (walk.size, C.order()) == (16256, 63)
+    assert peak < 16 * 2 ** 20

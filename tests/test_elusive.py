@@ -12,8 +12,10 @@ from derangements import (DEFAULT_BUDGETS, Budgets, BudgetExceeded, PermGroup,
                           structural_wreath_elusivity, wreath,
                           wreath_fixed_point_check,
                           wreath_prime_order_class_reps)
-from derangements import classes, coset_action, normal_structure
-from derangements.classes import _walk_rows, order_r_rows, sylow_classes
+from derangements import (classes, coset_action, derangement_backtrack,
+                          normal_structure)
+from derangements.classes import (_walk_rows, order_r_rows, sylow_classes,
+                                  sylow_subgroup)
 from derangements.numbers import prime_divisors
 from derangements.elusive import ClassInfo
 from derangements.perm import _order_r_filter
@@ -36,6 +38,22 @@ def recorded_scans():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("derangements.classes.order_r_rows", recording)
+        yield calls
+
+
+@contextlib.contextmanager
+def recorded_backtracks():
+    """The order of the group of every `derangement_backtrack` call that
+    the elusivity verdicts make inside the block."""
+    calls = []
+    real = derangement_backtrack
+
+    def recording(G, r, determinism=False):
+        calls.append(G.order())
+        return real(G, r, determinism)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("derangements.elusive.derangement_backtrack", recording)
         yield calls
 
 
@@ -268,8 +286,9 @@ def test_class_coverage_matches_backtrack(env):
 
 def test_class_coverage_matches_backtrack_on_a768(env):
     # PGL(2,127) on the 768 cosets of C127:C21: the backtrack's tree has
-    # 768 * 127 * 21 leaves before pruning, and the class route scans the
-    # 2,048,256 elements of PGL(2,127)
+    # 768 * 127 * 21 leaves before pruning, while the class route walks the
+    # order-3 classes of PGL(2,127) from a subgroup holding a Sylow
+    # 3-subgroup and scans none of its 2,048,256 elements
     from derangements import derangement_backtrack
     A = env.a768()
     assert derangement_backtrack(A.group, 3) is None
@@ -405,6 +424,89 @@ def test_exhaustive_budget_below_the_group_order_means_backtrack():
                      budgets=Budgets(exhaustive=7000))
     assert v.method == "backtrack"
     assert v.status == "Elusive"
+
+
+# ---------------------------------------------------------------------------
+# the backtrack route over a subgroup holding a Sylow r-subgroup
+
+
+def forced_backtrack(A):
+    """A's group in its natural action, with no parent and no wreath spec,
+    under a budget one below its order: `is_r_elusive` takes the
+    backtrack route."""
+    G = fresh(A.group)
+    return natural_action(G, "natural"), Budgets(exhaustive=G.order() - 1)
+
+
+def assert_backtrack_route_agrees(A, budgets, determinism=False):
+    """At every prime dividing the degree, the backtrack route's status
+    is the plain backtrack's over all of G, and in determinism mode so is
+    its witness."""
+    for r in prime_divisors(A.degree):
+        v = is_r_elusive(A, r, budgets, determinism=determinism)
+        want = derangement_backtrack(A.group, r, determinism=determinism)
+        assert v.method == "backtrack", r
+        assert v.status == ("Elusive" if want is None else "NotElusive"), r
+        if determinism:
+            assert v.witness == want, r
+
+
+def test_backtrack_route_agrees_with_the_plain_backtrack_on_the_corpus(corpus):
+    for name, A in corpus:
+        assert_backtrack_route_agrees(*forced_backtrack(A))
+
+
+def test_backtrack_route_determinism_witness_on_the_corpus(corpus):
+    for name, A in corpus:
+        assert_backtrack_route_agrees(*forced_backtrack(A), determinism=True)
+
+
+def test_backtrack_route_agrees_on_m11_12(m11_12):
+    # degree 12: r = 2 (class of involutions 165, centralizer GL(2,3))
+    # and r = 3 (class 440, centralizer C3 x S3)
+    assert_backtrack_route_agrees(m11_12, Budgets(exhaustive=7000))
+    assert_backtrack_route_agrees(m11_12, Budgets(exhaustive=7000),
+                                  determinism=True)
+
+
+def test_backtrack_route_agrees_on_a384_natural(env):
+    # the backtrack runs over C_G(t), of order 128, at r = 2 and over
+    # C_G(x), of order 63, at r = 3, not over the 1,024,128 elements of G
+    A = natural_action(env.a384().group, "the a384 group, natural action")
+    with recorded_backtracks() as calls:
+        assert_backtrack_route_agrees(A, Budgets(exhaustive=100_000))
+    assert calls == [128, 63]
+
+
+@pytest.mark.parametrize("budget,h_order", [(440, 18), (439, 7920)])
+def test_sylow_search_walks_count_against_the_budget(budget, h_order):
+    """M11 at r = 3: the first sampled class has 440 elements and a
+    centralizer of order 18.  A budget one short of that walk ends the
+    search with H = G and leaves the walker's table empty."""
+    G = fresh(ScenarioEnv().m11_action().group)
+    H, walker, walks = sylow_subgroup(G, 3, budget)
+    assert H.order() == h_order
+    assert (H is G) == (h_order == G.order())
+    assert [w.size for w in walks] == ([440] if H is not G else [])
+    assert len(walker.seen) == sum(w.size for w in walks)
+
+
+@pytest.mark.parametrize("determinism", [False, True])
+def test_backtrack_route_past_the_budget_searches_all_of_g(env, determinism):
+    # M11 on 12 under a budget of 100: the search's first walk (165
+    # elements at r = 2, 440 at r = 3) passes it, so H = G
+    with recorded_backtracks() as calls:
+        assert_backtrack_route_agrees(env.m11_on_12(),
+                                      Budgets(exhaustive=100), determinism)
+    assert calls == [7920, 7920]
+    # M11 on 11 points under a budget of 1000 at r = 11: H = <x> takes no
+    # walk, but the witness's walks of the two derangement classes, 720
+    # elements each, pass the budget
+    A = natural_action(fresh(env.m11_action().group), "M11")
+    with recorded_backtracks() as calls:
+        assert_backtrack_route_agrees(A, Budgets(exhaustive=1000),
+                                      determinism)
+    assert calls == [7920 if determinism else 11]
 
 
 # ---------------------------------------------------------------------------
