@@ -451,14 +451,11 @@ def assert_backtrack_route_agrees(A, budgets, determinism=False):
             assert v.witness == want, r
 
 
-def test_backtrack_route_agrees_with_the_plain_backtrack_on_the_corpus(corpus):
+@pytest.mark.parametrize("determinism", [False, True])
+def test_backtrack_route_agrees_with_the_plain_backtrack_on_the_corpus(
+        corpus, determinism):
     for name, A in corpus:
-        assert_backtrack_route_agrees(*forced_backtrack(A))
-
-
-def test_backtrack_route_determinism_witness_on_the_corpus(corpus):
-    for name, A in corpus:
-        assert_backtrack_route_agrees(*forced_backtrack(A), determinism=True)
+        assert_backtrack_route_agrees(*forced_backtrack(A), determinism)
 
 
 def test_backtrack_route_agrees_on_m11_12(m11_12):
