@@ -161,8 +161,9 @@ class _ClassWalker:
         generator g and chunk it takes the conjugates g^-1 y g = g[y[g^-1]]
         of the chunk's rows: their keys from the base columns alone, then
         the full rows of the new ones, merged into the next level's chunks
-        in walk order.  On passing the limit the walk's elements leave the
-        table again before BudgetExceeded is raised."""
+        in walk order.  The limit is checked after each chunk, so a walk
+        overshoots it by at most one chunk; on passing it the walk's
+        elements leave the table again before BudgetExceeded is raised."""
         seen, n = self.seen, x.size
         cap = max(1, _BATCH_ENTRIES // n)
         ident = np.arange(n, dtype=self.dtype)
@@ -187,6 +188,11 @@ class _ClassWalker:
                         if seen.setdefault(k, m) == m:
                             fresh.append(i)
                             m += 1
+                    if m > self.limit:
+                        for _ in range(m - start):
+                            seen.popitem()
+                        raise BudgetExceeded(
+                            f"class walks past the exhaustive budget {self.limit}")
                     if fresh:
                         if rows + len(fresh) > cap:
                             nxt.append(np.concatenate(pending))
@@ -201,11 +207,6 @@ class _ClassWalker:
                 nxt.append(np.concatenate(pending))
             first += sum(len(chunk) for chunk in level)
             level = nxt
-            if len(seen) > self.limit:
-                for _ in range(len(seen) - start):
-                    seen.popitem()
-                raise BudgetExceeded(
-                    f"class walks past the exhaustive budget {self.limit}")
         size = len(seen) - start
         if not transversal:
             return _Walk(least, size, (lo, hi), start)

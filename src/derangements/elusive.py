@@ -21,7 +21,8 @@ The backtrack route, for a group past the exhaustive budget, rests on
 the same fact: every order-r element is conjugate into a subgroup H
 holding a Sylow r-subgroup (`classes.sylow_subgroup`), so the pruned
 coset search runs over H alone and finds a derangement exactly when G
-has one.
+has one.  Determinism mode wants G's least order-r derangement as its
+witness, so there the search still runs over all of G.
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ import numpy as np
 from .classes import _budget_error, sylow_classes, sylow_subgroup
 from .config import DEFAULT_BUDGETS, Budgets, BudgetExceeded, CertificateError
 from .numbers import is_prime, prime_divisors
-from .perm import (Permutation, PermGroup, _derangement_rows,
-                   derangement_backtrack)
+from .perm import Permutation, PermGroup, derangement_backtrack
 from .zoo import GroupAction, WreathElement, WreathSpec
 
 __all__ = [
@@ -479,8 +479,8 @@ def is_r_elusive(
     classes (exhaustive-enumeration); coset actions with an enumerable
     faithful parent go through class coverage on the parent; wreath-built
     actions use the structural criterion; the rest fall back to backtrack
-    search over a subgroup holding a Sylow r-subgroup (`_backtrack`).
-    Fixed-point counts are class functions, so one representative per
+    search over a subgroup holding a Sylow r-subgroup, or over G in
+    determinism mode (`_backtrack`).  Fixed-point counts are class functions, so one representative per
     class decides.
     """
     if not is_prime(r):
@@ -513,26 +513,15 @@ def _backtrack(G: PermGroup, r: int, budgets: Budgets,
     subgroup H of `classes.sylow_subgroup`, which holds a Sylow r-subgroup.
     Every order-r element is conjugate into H and fixed-point counts are
     class functions, so G has an order-r derangement exactly when H has
-    one.  In determinism mode the witness is G's least order-r
-    derangement, as `derangement_backtrack(G, r, determinism=True)` finds
-    it: the least of the least rows of the G-classes of H's order-r
-    derangements, which meet every such class.  Those walks, with the
-    search's, count against the exhaustive budget; a search or walks that
-    would pass it leave H = G."""
+    one.  The search's walks count against the exhaustive budget; a
+    search that would pass it leaves H = G.  Determinism mode wants G's
+    least order-r derangement, so it searches all of G."""
+    if determinism:
+        return derangement_backtrack(G, r, determinism)
     if G.degree % r:
         return None  # derangement_backtrack's early exit, before the search
-    H, walker, walks = sylow_subgroup(G, r, budgets.exhaustive)
-    if determinism and H is not G:
-        try:
-            for rows in _derangement_rows(H, r):
-                walks += walker.walk_rows(rows)
-        except BudgetExceeded:
-            H = G
-        else:
-            least = min((w.least for w in walks if w.fixed[1] == 0),
-                        key=tuple, default=None)
-            return None if least is None else Permutation(least)
-    return derangement_backtrack(H, r, determinism)
+    H, _, _ = sylow_subgroup(G, r, budgets.exhaustive)
+    return derangement_backtrack(H, r)
 
 
 def _report(A: GroupAction, primes: Sequence[int], kind: str, budgets, determinism) -> ElusivityReport:

@@ -22,10 +22,9 @@ _leaf_chunks: depth first, a level at a time for a chunk of parents in one
 gather, on compact rows (the smallest unsigned dtype that holds a point).
 Element enumeration (element_batches) is the unpruned walk; the backtrack
 search for fixed-point-free elements of prime order
-(derangement_backtrack, its leaves from _derangement_rows) is the walk
-pruned at nodes fixing their level's base point.  Its leaves and the
-batches of the one class scan (classes.order_r_rows) pass the
-single-prime order-r filter, _order_r_filter.
+(derangement_backtrack) is the walk pruned at nodes fixing their level's
+base point.  Its leaves and the batches of the one class scan
+(classes.order_r_rows) pass the single-prime order-r filter, _order_r_filter.
 
 Known-order early stop (Sims 1970; Seress, Permutation Group Algorithms,
 section 4.5).  The product of the basic orbit lengths of a partial chain
@@ -871,34 +870,27 @@ def _leaf_chunks(chain: StabilizerChain, prune: bool) -> Iterator[np.ndarray]:
             yield children
 
 
-def _derangement_rows(G: PermGroup, r: int) -> Iterator[np.ndarray]:
-    """The fixed-point-free elements of order r in G, as nonempty chunks
-    of compact rows in DFS order: the leaves of the pruned walk of
-    _leaf_chunks that pass `_order_r_filter` with no fixed point allowed.
-    A derangement of prime order r has only r-cycles, so there are none,
-    and no walk, unless r divides both |G| and the degree (never for the
-    trivial group)."""
-    if G.order() % r or G.degree % r:
-        return
-    for leaves in _leaf_chunks(G.chain, prune=True):
-        found = _order_r_filter(leaves, r, fixed_point_free=True)
-        if len(found):
-            yield found
-
-
 def derangement_backtrack(G: PermGroup, r: int, determinism: bool = False) -> Optional[Permutation]:
     """Find an order-r element of G without fixed points, or certify None.
 
     Depth-first search over stabilizer-chain cosets (Leon 1991): the walk
-    of _leaf_chunks with each node fixing its level's base point pruned,
-    its leaves filtered as in `_derangement_rows`; only the returned
-    witness is widened to int64.  A returned None is exact: the full
-    pruned tree was exhausted.  In determinism mode the lexicographically
-    least witness is returned (full exploration); otherwise the first one
-    in DFS order.
+    of _leaf_chunks with each node fixing its level's base point pruned.
+    Each chunk of leaves, compact rows, passes `_order_r_filter` with no
+    fixed point allowed; only the returned witness is widened to int64.
+
+    A derangement of prime order r has only r-cycles, so None is returned
+    at once unless r divides both |G| and the degree (never for the
+    trivial group).  A returned None is exact: the full pruned tree was
+    exhausted.  In determinism mode the lexicographically least witness is
+    returned (full exploration); otherwise the first one in DFS order.
     """
+    if G.order() % r or G.degree % r:
+        return None
     best = None
-    for found in _derangement_rows(G, r):
+    for leaves in _leaf_chunks(G.chain, prune=True):
+        found = _order_r_filter(leaves, r, fixed_point_free=True)
+        if not len(found):
+            continue
         if not determinism:
             return Permutation._raw(found[0])
         least = found[np.lexsort(found.T[::-1])[0]]

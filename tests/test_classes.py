@@ -26,7 +26,7 @@ from derangements import classes, natural_action
 from derangements.classes import (_walk_rows, batch_power,
                                   exhaustive_class_partition, order_r_rows,
                                   partition_rows_by_conjugacy)
-from derangements.config import DEFAULT_SEED, CertificateError
+from derangements.config import DEFAULT_SEED, BudgetExceeded, CertificateError
 from derangements.numbers import factorize, prime_divisors
 from derangements.perm import Permutation, PermGroup, _cells, _components
 
@@ -334,3 +334,36 @@ def test_walk_and_centralizer_keep_no_dense_transversal(env):
         tracemalloc.stop()
     assert (walk.size, C.order()) == (16256, 63)
     assert peak < 16 * 2 ** 20
+
+
+class PeakTable(dict):
+    """A walker's table that records the most entries it ever held."""
+
+    peak = 0
+
+    def setdefault(self, key, value):
+        got = super().setdefault(key, value)
+        self.peak = max(self.peak, len(self))
+        return got
+
+
+@pytest.mark.parametrize("limit", [6403, 16255, 16256])
+def test_walk_passing_its_limit_overshoots_by_at_most_one_chunk(env, limit):
+    """The order-3 class of the a384 group in its natural action has BFS
+    levels of cumulative size ... 6403, 12250, 15927, 16256.  Past a limit
+    the walk raises with the table left empty, having held at most one
+    chunk (_BATCH_ENTRIES // degree rows) of new entries beyond the limit,
+    not the whole level; a limit of the class size walks it whole."""
+    G = walk_group(env, "a384 natural")
+    walker = classes._ClassWalker(G, limit=limit)
+    walker.seen = PeakTable()
+    x = sampled_order_r(G, 3)
+    if limit < 16256:
+        with pytest.raises(BudgetExceeded):
+            walker.walk(x)
+        assert walker.seen == {}
+        assert limit < walker.seen.peak <= limit + \
+            classes._BATCH_ENTRIES // G.degree
+    else:
+        assert walker.walk(x).size == 16256
+        assert walker.seen.peak == 16256

@@ -491,14 +491,15 @@ def test_sylow_search_walks_count_against_the_budget(budget, h_order):
 @pytest.mark.parametrize("determinism", [False, True])
 def test_backtrack_route_past_the_budget_searches_all_of_g(env, determinism):
     # M11 on 12 under a budget of 100: the search's first walk (165
-    # elements at r = 2, 440 at r = 3) passes it, so H = G
+    # elements at r = 2, 440 at r = 3) passes it, so H = G (determinism
+    # mode runs no search)
     with recorded_backtracks() as calls:
         assert_backtrack_route_agrees(env.m11_on_12(),
                                       Budgets(exhaustive=100), determinism)
     assert calls == [7920, 7920]
     # M11 on 11 points under a budget of 1000 at r = 11: H = <x> takes no
-    # walk, but the witness's walks of the two derangement classes, 720
-    # elements each, pass the budget
+    # walk, and determinism mode, which wants G's least witness, searches
+    # all of G with no Sylow search
     A = natural_action(fresh(env.m11_action().group), "M11")
     with recorded_backtracks() as calls:
         assert_backtrack_route_agrees(A, Budgets(exhaustive=1000),
