@@ -347,6 +347,16 @@ def _centralizer(walker: _ClassWalker, x: np.ndarray, walk: _Walk,
     raise CertificateError("Schreier generators fall short of the centralizer order")
 
 
+def centralizer(G, x: np.ndarray,
+                budget: int = DEFAULT_BUDGETS.exhaustive) -> PermGroup:
+    """C_G(x) for the image row x of an element of G, from the walk of
+    x's class with its Schreier vector; the walk counts against
+    `budget`."""
+    walker = _ClassWalker(G, limit=budget)
+    walk = walker.walk(x.astype(walker.dtype), transversal=True)
+    return _centralizer(walker, x, walk, G.order() // walk.size)
+
+
 def sylow_subgroup(G, r: int,
                    budget: int = DEFAULT_BUDGETS.exhaustive) -> tuple:
     """(H, walker, walks): a subgroup H of G holding a Sylow r-subgroup,

@@ -33,7 +33,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .classes import _budget_error, sylow_classes, sylow_subgroup
+from .classes import (_budget_error, centralizer, sylow_classes,
+                      sylow_subgroup)
 from .config import DEFAULT_BUDGETS, Budgets, BudgetExceeded, CertificateError
 from .numbers import is_prime, prime_divisors
 from .perm import Permutation, PermGroup, derangement_backtrack
@@ -278,89 +279,60 @@ def _base_class_labels(spec: WreathSpec, r: int, budgets: Budgets) -> list:
     return labels
 
 
-def _top_elements(spec: WreathSpec, budgets: Budgets) -> list:
-    K = spec.top
-    if K.order() > budgets.exhaustive:
-        raise _budget_error(K, budgets.exhaustive)
-    # The class walk conjugates by all of K, |K|^2 products, so a top group
-    # past 10,000 elements is refused even under a larger budget.
-    if K.order() > 10000:
-        raise BudgetExceeded("top group too large to enumerate")
-    return [Permutation._raw(row.copy()) for batch in K.element_batches() for row in batch]
-
-
 def wreath_prime_order_class_reps(
     spec: WreathSpec, r: int, budgets: Budgets = DEFAULT_BUDGETS
 ) -> list:
     """Exact order-r conjugacy classes of L wr K from the decomposition.
 
-    Classes with trivial top part correspond to K-orbits of k-tuples of
-    base-class labels; classes over a top element pi of order r correspond
-    to C_K(pi)-orbits of label assignments on the fixed coordinates of pi
-    (the r-cycles of pi force trivial cycle products, contributing a free
-    factor |L|^(r-1) per cycle to the class size).  Representatives are
-    materialized permutations on the spec's point set.
+    The top part pi of an order-r element has order dividing r.  Over each
+    K-class of such pi, taken at its least row (the identity, then the
+    classes of `prime_order_class_reps(K, r)`), the classes correspond to
+    C_K(pi)-orbits of base-class labels on the fixed coordinates of pi;
+    the r-cycles of pi force trivial cycle products, contributing a free
+    factor |L|^(r-1) per cycle to the class size.  C_K(1) = K, with the
+    all-identity labelling left out, and otherwise C_K(pi) comes from
+    `classes.centralizer`.  An orbit is a BFS over C_K(pi)'s generators,
+    represented by its least labelling.  Representatives are materialized
+    permutations on the spec's point set.
     """
     if not is_prime(r):
         raise ValueError(f"r={r} is not prime")
-    L = spec.base_group
-    k = spec.k
-    lorder = L.order()
+    K, k = spec.top, spec.k
     labels = _base_class_labels(spec, r, budgets)
-    tops = _top_elements(spec, budgets)
+    free = spec.base_group.order() ** (r - 1)
+    ident = Permutation.identity(spec.base_degree)
+    tops = [(Permutation.identity(k), 1, K)] + [
+        (ci.representative, ci.class_size,
+         centralizer(K, ci.representative.images, budgets.exhaustive))
+        for ci in prime_order_class_reps(K, r, budgets=budgets)]
     infos = []
-
-    # trivial-top classes: K-orbits on label tuples
-    n_labels = len(labels)
-    all_tuples = {t for t in np.ndindex(*([n_labels] * k))} - {(0,) * k}
-    seen = set()
-    for t in sorted(all_tuples):
-        if t in seen:
-            continue
-        orbit = {tuple(_permute_tuple(t, pi)) for pi in tops}
-        seen |= orbit
-        size = len(orbit) * math.prod(labels[c][1] for c in t)
-        rep = WreathElement(
-            spec,
-            tuple(labels[c][0] for c in t),
-            Permutation.identity(k),
-        )
-        infos.append(_wreath_class_info(spec, rep, r, size, budgets))
-
-    # order-r-top classes: per K-class of pi, C_K(pi)-orbits of assignments
-    k_done = set()
-    for pi in tops:
-        if pi.order() != r or pi.key() in k_done:
-            continue
-        k_class = {s.inverse() * pi * s for s in tops}
-        k_done.update(p.key() for p in k_class)
-        pi0 = min(k_class, key=lambda p: tuple(p.images))
-        cent = [s for s in tops if s * pi0 == pi0 * s]
-        cycles = pi0.cycles(include_fixed=True)
+    for pi, k_size, C in tops:
+        cycles = pi.cycles(include_fixed=True)
         fixed = [c[0] for c in cycles if len(c) == 1]
         m = sum(1 for c in cycles if len(c) == r)
         if len(fixed) + m * r != k:
             raise CertificateError("order-r top element with a bad cycle type")
-        free = lorder ** ((r - 1) * m)
-        n_labels = len(labels)
-        seen_f = set()
-        for f in sorted(np.ndindex(*([n_labels] * len(fixed)))) if fixed else [()]:
-            f = tuple(f)
-            if f in seen_f:
+        where = {p: i for i, p in enumerate(fixed)}
+        moves = [[where[int(s.images[p])] for p in fixed] for s in C.generators]
+        seen = {(0,) * k} if m == 0 else set()
+        for f in np.ndindex(*([len(labels)] * len(fixed))):
+            if f in seen:
                 continue
-            orbit = set()
-            for s in cent:
-                moved = {int(s.images[p]): f[i] for i, p in enumerate(fixed)}
-                orbit.add(tuple(moved[p] for p in fixed))
-            seen_f |= orbit
-            size = (
-                len(k_class) * len(orbit) * math.prod(labels[c][1] for c in f) * free
-            )
-            ident = Permutation.identity(spec.base_degree)
+            orbit, todo = {f}, [f]
+            while todo:
+                t = todo.pop()
+                for move in moves:
+                    u = tuple(t[i] for i in move)
+                    if u not in orbit:
+                        orbit.add(u)
+                        todo.append(u)
+            seen |= orbit
+            size = (k_size * len(orbit) * free ** m
+                    * math.prod(labels[c][1] for c in f))
             base = [ident] * k
-            for i, p in enumerate(fixed):
-                base[p] = labels[f[i]][0]
-            rep = WreathElement(spec, tuple(base), pi0)
+            for p, c in zip(fixed, f):
+                base[p] = labels[c][0]
+            rep = WreathElement(spec, tuple(base), pi)
             infos.append(_wreath_class_info(spec, rep, r, size, budgets))
 
     worder = spec.order()
@@ -369,13 +341,6 @@ def wreath_prime_order_class_reps(
             raise CertificateError("wreath class size does not divide the group order")
     infos.sort(key=lambda ci: (ci.class_size, ci.min_fixed_points))
     return infos
-
-
-def _permute_tuple(t: tuple, pi: Permutation) -> tuple:
-    out = [0] * len(t)
-    for i, c in enumerate(t):
-        out[int(pi.images[i])] = c
-    return out
 
 
 def _wreath_class_info(

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .classes import exhaustive_class_partition
+from .classes import _budget_error, sylow_classes
 from .config import (DEFAULT_BUDGETS, DEFAULT_SEED, Budgets, BudgetExceeded,
                      CertificateError)
 from .numbers import is_prime, prime_divisors, primitive_root_mod, radical
@@ -418,18 +418,21 @@ def m11() -> GroupAction:
 # seeded subgroup search
 
 
-def _is_simple_exhaustive(H: PermGroup, budget: int) -> bool:
+def _is_simple(H: PermGroup, budget: int) -> bool:
+    """Whether H is simple.  A proper nontrivial normal subgroup holds an
+    element of prime order, so a nontrivial H is simple exactly when the
+    class of each element of prime order r has normal closure H: one row
+    per class, from `sylow_classes(H, r)` for each prime r dividing |H|."""
     order = H.order()
     if order == 1:
         return False
     if is_prime(order):
         return True
-    for rep, _size in exhaustive_class_partition(H, budget):
-        if rep.is_identity():
-            continue
-        if H.normal_closure([rep]).order() != order:
-            return False
-    return True
+    if order > budget:
+        raise _budget_error(H, budget)
+    return all(H.normal_closure([Permutation._raw(row)]).order() == order
+               for r in prime_divisors(order)
+               for row, _size, _fixed in sylow_classes(H, r, budget))
 
 
 def subgroup_search(
@@ -445,8 +448,11 @@ def subgroup_search(
 
     Draws small random generating sets (sometimes powered down to prime
     order), keeps the first candidate whose order matches and which passes
-    the optional element-order-set and simplicity filters.  Deterministic
-    for a fixed seed; returns None when the attempt budget runs out.
+    the optional element-order-set and simplicity filters.  The simplicity
+    filter takes the normal closure of one element per class of prime
+    order, with the classes from `classes.sylow_classes` (`_is_simple`).
+    Deterministic for a fixed seed; returns None when the attempt budget
+    runs out.
     """
     group = _as_group(G)
     if target_order < 1 or group.order() % target_order != 0:
@@ -475,7 +481,7 @@ def subgroup_search(
             continue
         if wanted is not None and _element_order_set(H, budgets.exhaustive) != wanted:
             continue
-        if require_simple and not _is_simple_exhaustive(H, budgets.exhaustive):
+        if require_simple and not _is_simple(H, budgets.exhaustive):
             continue
         return H
     return None

@@ -176,6 +176,12 @@ def naive_wreath_order_r_classes(spec, r):
     (lambda: symmetric(3), 2, lambda: cyclic(2), "imprimitive", 2),
     (lambda: symmetric(3), 2, lambda: cyclic(2), "imprimitive", 3),
     (lambda: cyclic(3), 3, lambda: cyclic(3), "imprimitive", 3),
+    # tops where C_K(pi) is a proper subgroup of K
+    (lambda: cyclic(2), 3, lambda: symmetric(3), "product", 2),
+    (lambda: cyclic(2), 3, lambda: symmetric(3), "imprimitive", 2),
+    (lambda: symmetric(3), 3, lambda: cyclic(3), "imprimitive", 3),
+    (lambda: symmetric(3), 3, lambda: symmetric(3), "imprimitive", 3),
+    (lambda: cyclic(2), 4, lambda: cyclic(4), "imprimitive", 2),
 ])
 def test_wreath_class_reps_match_materialized(base_factory, k, top_factory,
                                               flavor, r):
@@ -380,6 +386,18 @@ def test_wreath_top_group_respects_the_exhaustive_budget():
                       "product")
     with pytest.raises(BudgetExceeded):
         wreath_prime_order_class_reps(spec, 3, Budgets(exhaustive=5))
+
+
+def test_wreath_top_group_past_ten_thousand_elements():
+    # C2 wr S8 is the hyperoctahedral group B8, |S8| = 40,320.  Its
+    # involutions, 32,400 with the identity (OEIS A000898), fall into 24
+    # classes: a + b + 2c = 8 points in positive and negative 1-cycles and
+    # positive 2-cycles, less the identity.
+    spec = WreathSpec(natural_action(cyclic(2), "C2"), 8, symmetric(8),
+                      "imprimitive")
+    infos = wreath_prime_order_class_reps(spec, 2)
+    assert len(infos) == 24
+    assert sum(ci.class_size for ci in infos) == 32399
 
 
 def test_semiregular_search():

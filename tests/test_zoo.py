@@ -8,7 +8,10 @@ from derangements import (GeneratorFileError, GroupAction, PermGroup,
                           mersenne_scenario, natural_action,
                           projective_line_action, subgroup_search, wreath)
 
-from tests.conftest import cyclic, symmetric
+from derangements.classes import exhaustive_class_partition
+from derangements.zoo import _is_simple
+
+from tests.conftest import alternating, cyclic, symmetric
 
 
 def test_generator_file_round_trip(tmp_path):
@@ -113,6 +116,27 @@ def test_subgroup_search_finds_psl2_11():
     # deterministic for a fixed seed
     H2 = subgroup_search(a, 660, require_simple=True)
     assert [g.key() for g in H.generators] == [g.key() for g in H2.generators]
+
+
+def _is_simple_by_every_class(H):
+    """Reference: H is simple when every nonidentity class of H, one
+    representative each from a walk of all of H, has normal closure H."""
+    order = H.order()
+    if order == 1:
+        return False
+    return all(H.normal_closure([rep]).order() == order
+               for rep, _size in exhaustive_class_partition(H)
+               if not rep.is_identity())
+
+
+@pytest.mark.parametrize("make", [
+    lambda: alternating(4), lambda: symmetric(4), lambda: alternating(5),
+    lambda: symmetric(5), lambda: alternating(6), lambda: cyclic(5),
+    lambda: cyclic(6), lambda: subgroup_search(m11(), 660, require_simple=True),
+])
+def test_is_simple_matches_every_class_walk(make):
+    H = make()
+    assert _is_simple(H, 10**6) == _is_simple_by_every_class(H)
 
 
 def test_subgroup_search_rejects_non_divisor():
