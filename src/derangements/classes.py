@@ -26,7 +26,9 @@ Schreier vector instead, each element's parent and generator (HEO ch. 4),
 and a row t with x^t = element i is traced back from it on demand.
 `partition_rows_by_conjugacy` and `exhaustive_class_partition` walk the
 class of every given row not covered yet, then check that the walks cover
-exactly the rows given.
+exactly the rows given.  No library route calls them or their `_walk_rows`
+any more: they stay for the tests and for the benchmark tracer, which
+wraps the two public names.
 
 `sylow_subgroup` finds a subgroup H that holds a Sylow r-subgroup: <x>
 when r^2 does not divide |G|, else C_G(x) for a sampled x whose class
@@ -36,7 +38,8 @@ by |G|/|x^G|.  Its walks count against a budget, past which H = G.  By
 Sylow's theorem every element of order r is conjugate into H
 (Holt-Eick-O'Brien, ch. 4), so `sylow_classes`, the G-classes of H's
 order-r elements, are all of them, and the backtrack route of
-`elusive.is_r_elusive` searches H alone.
+`elusive.is_r_elusive` searches H alone.  `centralizer` gives C_G(x) for
+one element by the same walk, for the top group of a wreath product.
 """
 
 from __future__ import annotations

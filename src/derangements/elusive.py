@@ -289,11 +289,11 @@ def wreath_prime_order_class_reps(
     classes of `prime_order_class_reps(K, r)`), the classes correspond to
     C_K(pi)-orbits of base-class labels on the fixed coordinates of pi;
     the r-cycles of pi force trivial cycle products, contributing a free
-    factor |L|^(r-1) per cycle to the class size.  C_K(1) = K, with the
-    all-identity labelling left out, and otherwise C_K(pi) comes from
-    `classes.centralizer`.  An orbit is a BFS over C_K(pi)'s generators,
-    represented by its least labelling.  Representatives are materialized
-    permutations on the spec's point set.
+    factor |L|^(r-1) per cycle to the class size.  A central pi has
+    C_K(pi) = K (for pi = 1 the all-identity labelling is left out), and
+    otherwise C_K(pi) comes from `classes.centralizer`.  An orbit is a BFS
+    over C_K(pi)'s generators, represented by its least labelling.
+    Representatives are materialized permutations on the spec's point set.
     """
     if not is_prime(r):
         raise ValueError(f"r={r} is not prime")
@@ -301,12 +301,12 @@ def wreath_prime_order_class_reps(
     labels = _base_class_labels(spec, r, budgets)
     free = spec.base_group.order() ** (r - 1)
     ident = Permutation.identity(spec.base_degree)
-    tops = [(Permutation.identity(k), 1, K)] + [
-        (ci.representative, ci.class_size,
-         centralizer(K, ci.representative.images, budgets.exhaustive))
+    tops = [(Permutation.identity(k), 1)] + [
+        (ci.representative, ci.class_size)
         for ci in prime_order_class_reps(K, r, budgets=budgets)]
     infos = []
-    for pi, k_size, C in tops:
+    for pi, k_size in tops:
+        C = K if k_size == 1 else centralizer(K, pi.images, budgets.exhaustive)
         cycles = pi.cycles(include_fixed=True)
         fixed = [c[0] for c in cycles if len(c) == 1]
         m = sum(1 for c in cycles if len(c) == r)
