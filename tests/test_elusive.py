@@ -176,7 +176,7 @@ def naive_wreath_order_r_classes(spec, r):
     (lambda: symmetric(3), 2, lambda: cyclic(2), "imprimitive", 2),
     (lambda: symmetric(3), 2, lambda: cyclic(2), "imprimitive", 3),
     (lambda: cyclic(3), 3, lambda: cyclic(3), "imprimitive", 3),
-    # tops where C_K(pi) is a proper subgroup of K
+    # larger top groups; in S3 an order-r top element has C_K(pi) < K
     (lambda: cyclic(2), 3, lambda: symmetric(3), "product", 2),
     (lambda: cyclic(2), 3, lambda: symmetric(3), "imprimitive", 2),
     (lambda: symmetric(3), 3, lambda: cyclic(3), "imprimitive", 3),
