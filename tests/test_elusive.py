@@ -177,11 +177,17 @@ def naive_wreath_order_r_classes(spec, r):
     (lambda: symmetric(3), 2, lambda: cyclic(2), "imprimitive", 3),
     (lambda: cyclic(3), 3, lambda: cyclic(3), "imprimitive", 3),
     # larger top groups; in S3 an order-r top element has C_K(pi) < K
-    (lambda: cyclic(2), 3, lambda: symmetric(3), "product", 2),
-    (lambda: cyclic(2), 3, lambda: symmetric(3), "imprimitive", 2),
-    (lambda: symmetric(3), 3, lambda: cyclic(3), "imprimitive", 3),
-    (lambda: symmetric(3), 3, lambda: symmetric(3), "imprimitive", 3),
-    (lambda: cyclic(2), 4, lambda: cyclic(4), "imprimitive", 2),
+    # (explicit ids keep the generated ids of the cases above unchanged)
+    pytest.param(lambda: cyclic(2), 3, lambda: symmetric(3), "product", 2,
+                 id="C2-3-S3-product-2"),
+    pytest.param(lambda: cyclic(2), 3, lambda: symmetric(3), "imprimitive",
+                 2, id="C2-3-S3-imprimitive-2"),
+    pytest.param(lambda: symmetric(3), 3, lambda: cyclic(3), "imprimitive",
+                 3, id="S3-3-C3-imprimitive-3"),
+    pytest.param(lambda: symmetric(3), 3, lambda: symmetric(3),
+                 "imprimitive", 3, id="S3-3-S3-imprimitive-3"),
+    pytest.param(lambda: cyclic(2), 4, lambda: cyclic(4), "imprimitive", 2,
+                 id="C2-4-C4-imprimitive-2"),
 ])
 def test_wreath_class_reps_match_materialized(base_factory, k, top_factory,
                                               flavor, r):
