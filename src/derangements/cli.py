@@ -127,23 +127,21 @@ def _print_verdicts(A, args, env) -> None:
     tab = suborbits(A, 0)
     print(f"subdegrees {list(tab.multiset())}")
     if args.prime is not None:
-        v = is_r_elusive(A, args.prime, budgets=env.budgets,
-                         determinism=args.determinism)
+        v = is_r_elusive(A, args.prime, budgets=env.budgets)
         print(f"r={args.prime}: {v.status}"
               + (f" ({v.reason})" if v.reason else "")
               + (f" [method {v.method}]" if v.method else ""))
         if v.witness is not None:
             print(f"  witness: {v.witness_cycles()}")
         return
-    rep = is_2prime_elusive(A, budgets=env.budgets,
-                            determinism=args.determinism)
+    rep = is_2prime_elusive(A, budgets=env.budgets)
     if rep.aggregate is None:
         print(f"2'-elusive: NotApplicable ({rep.reason})")
     else:
         print(f"2'-elusive: {bool(rep)}")
         for v in rep.verdicts:
             print(f"  r={v.prime}: {v.status} [method {v.method}]")
-    full = is_elusive(A, budgets=env.budgets, determinism=args.determinism)
+    full = is_elusive(A, budgets=env.budgets)
     if full.aggregate is None:
         print(f"elusive: NotApplicable ({full.reason})")
     else:

@@ -17,12 +17,13 @@ group: `classes.sylow_classes`, the G-classes of the order-r elements of
 a subgroup holding a Sylow r-subgroup, each walked whole, so sizes, least
 representatives and fixed-point counts are exact.
 
-The backtrack route, for a group past the exhaustive budget, rests on
-the same fact: every order-r element is conjugate into a subgroup H
-holding a Sylow r-subgroup (`classes.sylow_subgroup`), so the pruned
-coset search runs over H alone and finds a derangement exactly when G
-has one.  Determinism mode wants G's least order-r derangement as its
-witness, so there the search still runs over all of G.
+Every search for an order-r derangement (`_backtrack`: the backtrack
+route past the exhaustive budget, the wreath top group's block-deranging
+element, the intransitive branch of `semiregular_search`) rests on the
+same fact: every order-r element is conjugate into a subgroup H holding a
+Sylow r-subgroup (`classes.sylow_subgroup`), so the pruned coset search
+runs over H alone and finds a derangement exactly when G has one.  Its
+witness is the first one in H's DFS order.
 """
 
 from __future__ import annotations
@@ -292,7 +293,8 @@ def wreath_prime_order_class_reps(
     factor |L|^(r-1) per cycle to the class size.  A central pi has
     C_K(pi) = K (for pi = 1 the all-identity labelling is left out), and
     otherwise C_K(pi) comes from `classes.centralizer`.  An orbit is a BFS
-    over C_K(pi)'s generators, represented by its least labelling.
+    over C_K(pi)'s generators, represented by its least labelling.  The
+    labellings walked for one pi count against the exhaustive budget.
     Representatives are materialized permutations on the spec's point set.
     """
     if not is_prime(r):
@@ -312,6 +314,10 @@ def wreath_prime_order_class_reps(
         m = sum(1 for c in cycles if len(c) == r)
         if len(fixed) + m * r != k:
             raise CertificateError("order-r top element with a bad cycle type")
+        if len(labels) ** len(fixed) > budgets.exhaustive:
+            raise BudgetExceeded(
+                f"{len(labels) ** len(fixed)} labellings of the fixed "
+                f"coordinates exceed the exhaustive budget {budgets.exhaustive}")
         where = {p: i for i, p in enumerate(fixed)}
         moves = [[where[int(s.images[p])] for p in fixed] for s in C.generators]
         seen = {(0,) * k} if m == 0 else set()
@@ -434,7 +440,6 @@ def is_r_elusive(
     A: GroupAction,
     r: int,
     budgets: Budgets = DEFAULT_BUDGETS,
-    determinism: bool = False,
 ) -> ElusivityVerdict:
     """Certified r-elusivity verdict for a transitive action.
 
@@ -444,8 +449,8 @@ def is_r_elusive(
     classes (exhaustive-enumeration); coset actions with an enumerable
     faithful parent go through class coverage on the parent; wreath-built
     actions use the structural criterion; the rest fall back to backtrack
-    search over a subgroup holding a Sylow r-subgroup, or over G in
-    determinism mode (`_backtrack`).  Fixed-point counts are class functions, so one representative per
+    search over a subgroup holding a Sylow r-subgroup (`_backtrack`).
+    Fixed-point counts are class functions, so one representative per
     class decides.
     """
     if not is_prime(r):
@@ -466,31 +471,27 @@ def is_r_elusive(
         if A.wreath is not None:
             return _structural_verdict(A.wreath, r, budgets)
         if worder > budgets.exhaustive:
-            w = _backtrack(A.group, r, budgets, determinism)
+            w = _backtrack(A.group, r, budgets)
             return _verdict(r, METHOD_BACKTRACK, budgets, w)
     infos = prime_order_class_reps(A.group, r, budgets=budgets)
     return _coverage(r, infos, METHOD_ENUM, budgets)
 
 
-def _backtrack(G: PermGroup, r: int, budgets: Budgets,
-               determinism: bool) -> Optional[Permutation]:
-    """The backtrack route's witness: `derangement_backtrack` over the
-    subgroup H of `classes.sylow_subgroup`, which holds a Sylow r-subgroup.
-    Every order-r element is conjugate into H and fixed-point counts are
-    class functions, so G has an order-r derangement exactly when H has
-    one.  The search's walks count against the exhaustive budget; a
-    search that would pass it leaves H = G.  Determinism mode wants G's
-    least order-r derangement, so it searches all of G."""
-    if determinism:
-        return derangement_backtrack(G, r, determinism)
-    if G.degree % r:
+def _backtrack(G: PermGroup, r: int, budgets: Budgets) -> Optional[Permutation]:
+    """An order-r derangement of G, transitive or not, or None:
+    `derangement_backtrack` over the subgroup H of `classes.sylow_subgroup`,
+    which holds a Sylow r-subgroup.  Every order-r element is conjugate
+    into H and fixed-point counts are class functions, so G has an order-r
+    derangement exactly when H has one.  The search's walks count against
+    the exhaustive budget; a search that would pass it leaves H = G."""
+    if G.order() % r or G.degree % r:
         return None  # derangement_backtrack's early exit, before the search
     H, _, _ = sylow_subgroup(G, r, budgets.exhaustive)
     return derangement_backtrack(H, r)
 
 
-def _report(A: GroupAction, primes: Sequence[int], kind: str, budgets, determinism) -> ElusivityReport:
-    verdicts = [is_r_elusive(A, r, budgets, determinism) for r in primes]
+def _report(A: GroupAction, primes: Sequence[int], kind: str, budgets) -> ElusivityReport:
+    verdicts = [is_r_elusive(A, r, budgets) for r in primes]
     aggregate = all(v.status == ELUSIVE for v in verdicts)
     return ElusivityReport(kind, A.degree, verdicts, aggregate)
 
@@ -498,7 +499,6 @@ def _report(A: GroupAction, primes: Sequence[int], kind: str, budgets, determini
 def is_2prime_elusive(
     A: GroupAction,
     budgets: Budgets = DEFAULT_BUDGETS,
-    determinism: bool = False,
 ) -> ElusivityReport:
     """2'-elusivity: verdicts for every odd prime dividing the degree.
 
@@ -510,13 +510,12 @@ def is_2prime_elusive(
             "2'-elusive", A.degree, [], None,
             reason="degree must be divisible by an odd prime",
         )
-    return _report(A, odd, "2'-elusive", budgets, determinism)
+    return _report(A, odd, "2'-elusive", budgets)
 
 
 def is_elusive(
     A: GroupAction,
     budgets: Budgets = DEFAULT_BUDGETS,
-    determinism: bool = False,
 ) -> ElusivityReport:
     """Elusivity over every prime dividing the degree (including 2).
 
@@ -527,7 +526,7 @@ def is_elusive(
             "elusive", A.degree, [], None,
             reason="elusivity needs a degree of at least 2",
         )
-    return _report(A, prime_divisors(A.degree), "elusive", budgets, determinism)
+    return _report(A, prime_divisors(A.degree), "elusive", budgets)
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +561,7 @@ def _structural_verdict(spec: WreathSpec, r: int, budgets: Budgets) -> Elusivity
             base = (base_witness,) * spec.k
         w = WreathElement(spec, base, Permutation.identity(spec.k))
     elif spec.flavor != "product" and r_in_top:
-        pi = derangement_backtrack(spec.top, r)
+        pi = _backtrack(spec.top, r, budgets)
         if pi is not None:
             w = WreathElement(spec, (ident,) * spec.k, pi)
     if w is not None and spec.degree <= budgets.materialize:
@@ -606,26 +605,23 @@ class SemiregularResult:
 def semiregular_search(
     A: GroupAction,
     budgets: Budgets = DEFAULT_BUDGETS,
-    determinism: bool = False,
 ) -> SemiregularResult:
     """Look for a semiregular element: a prime-order derangement.
 
-    Tries each prime dividing the group order in increasing order.  Every
-    per-prime check is exact, so "none" is a certificate.
+    An order-p derangement has only p-cycles, so only the primes dividing
+    both the group order and the degree are tried, in increasing order.
+    Every per-prime check is exact, so "none" is a certificate.
     """
     G = A.group
-    primes = prime_divisors(_acting_order(A))
+    primes = prime_divisors(math.gcd(_acting_order(A), A.degree))
     transitive = G.is_transitive()
     for p in primes:
         if transitive:
-            v = is_r_elusive(A, p, budgets, determinism)
-            if v.status == NOT_ELUSIVE:
-                w = v.witness
-                if isinstance(w, WreathElement):
-                    w = w.to_permutation(budgets)
-                return SemiregularResult(w, p, True, f"order-{p} derangement")
+            w = is_r_elusive(A, p, budgets).witness
+            if isinstance(w, WreathElement):
+                w = w.to_permutation(budgets)
         else:
-            w = derangement_backtrack(G, p, determinism=determinism)
-            if w is not None:
-                return SemiregularResult(w, p, True, f"order-{p} derangement")
+            w = _backtrack(G, p, budgets)
+        if w is not None:
+            return SemiregularResult(w, p, True, f"order-{p} derangement")
     return SemiregularResult(None, None, True, "none found")

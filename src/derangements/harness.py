@@ -225,8 +225,7 @@ def _methods(rep) -> list:
 
 def _two_prime(env: ScenarioEnv, A: GroupAction, values: dict, certs: dict):
     """Record A's 2'-elusivity verdict and certificate; return the report."""
-    rep = is_2prime_elusive(A, budgets=env.budgets,
-                            determinism=env.determinism)
+    rep = is_2prime_elusive(A, budgets=env.budgets)
     values["two_prime_elusive"] = bool(rep)
     certs["two_prime_elusive"] = rep.to_dict()
     return rep
@@ -257,13 +256,12 @@ def _build_m11_psl211(env: ScenarioEnv):
     certs: dict = {}
     tab = suborbits(A, 0)
     values["subdegrees"] = list(tab.multiset())
-    rep = is_elusive(A, budgets=env.budgets, determinism=env.determinism)
+    rep = is_elusive(A, budgets=env.budgets)
     values["elusive"] = bool(rep)
     values["methods"] = _methods(rep)
     values["exact"] = rep.exact
     certs["elusive"] = rep.to_dict()
-    sr = semiregular_search(A, budgets=env.budgets,
-                            determinism=env.determinism)
+    sr = semiregular_search(A, budgets=env.budgets)
     values["semiregular_witness"] = (None if sr.witness is None
                                      else sr.witness.cycle_string())
     _structure(env, A, values, certs)
@@ -434,8 +432,7 @@ def _build_psl2_7(env: ScenarioEnv):
                      H, budgets=env.budgets)
     values: dict = {"degree": A.degree,
                     "degree_factorization": _factor_str(A.degree)}
-    rep = is_2prime_elusive(A, budgets=env.budgets,
-                            determinism=env.determinism)
+    rep = is_2prime_elusive(A, budgets=env.budgets)
     values["status"] = ("NotApplicable" if rep.aggregate is None
                         else str(rep.aggregate))
     values["reason_mentions_odd_prime"] = "odd prime" in (rep.reason or "")
@@ -471,7 +468,7 @@ def _build_psl2_31(env: ScenarioEnv):
     A = coset_action(GroupAction(psl, line.point_labels, line.provenance),
                      H, budgets=env.budgets)
     values: dict = {"degree": A.degree, "order": A.group.order()}
-    v = is_r_elusive(A, 3, budgets=env.budgets, determinism=env.determinism)
+    v = is_r_elusive(A, 3, budgets=env.budgets)
     values["r3_status"] = v.status
     values["method"] = v.method
     w = v.witness
@@ -728,7 +725,7 @@ def _build_m11_wr2_product(env: ScenarioEnv):
     spec, W = env.wreath144()
     values: dict = {"degree": W.degree, "order": W.order()}
     certs: dict = {}
-    rep = is_elusive(W, budgets=env.budgets, determinism=env.determinism)
+    rep = is_elusive(W, budgets=env.budgets)
     values["elusive"] = bool(rep)
     values["methods"] = _methods(rep)
     values["primes_checked"] = sorted(v.prime for v in rep.verdicts)

@@ -870,30 +870,24 @@ def _leaf_chunks(chain: StabilizerChain, prune: bool) -> Iterator[np.ndarray]:
             yield children
 
 
-def derangement_backtrack(G: PermGroup, r: int, determinism: bool = False) -> Optional[Permutation]:
+def derangement_backtrack(G: PermGroup, r: int) -> Optional[Permutation]:
     """Find an order-r element of G without fixed points, or certify None.
 
     Depth-first search over stabilizer-chain cosets (Leon 1991): the walk
     of _leaf_chunks with each node fixing its level's base point pruned.
     Each chunk of leaves, compact rows, passes `_order_r_filter` with no
-    fixed point allowed; only the returned witness is widened to int64.
+    fixed point allowed; the witness is the first one in DFS order, the
+    only row widened to int64.
 
     A derangement of prime order r has only r-cycles, so None is returned
     at once unless r divides both |G| and the degree (never for the
     trivial group).  A returned None is exact: the full pruned tree was
-    exhausted.  In determinism mode the lexicographically least witness is
-    returned (full exploration); otherwise the first one in DFS order.
+    exhausted.
     """
     if G.order() % r or G.degree % r:
         return None
-    best = None
     for leaves in _leaf_chunks(G.chain, prune=True):
         found = _order_r_filter(leaves, r, fixed_point_free=True)
-        if not len(found):
-            continue
-        if not determinism:
+        if len(found):
             return Permutation._raw(found[0])
-        least = found[np.lexsort(found.T[::-1])[0]]
-        if best is None or tuple(least) < tuple(best):
-            best = least
-    return None if best is None else Permutation._raw(best)
+    return None

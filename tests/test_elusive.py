@@ -16,7 +16,7 @@ from derangements import (classes, coset_action, derangement_backtrack,
                           normal_structure)
 from derangements.classes import (_walk_rows, order_r_rows, sylow_classes,
                                   sylow_subgroup)
-from derangements.numbers import prime_divisors
+from derangements.numbers import is_prime, prime_divisors
 from derangements.elusive import ClassInfo
 from derangements.perm import _order_r_filter
 from derangements.harness import ScenarioEnv
@@ -48,9 +48,9 @@ def recorded_backtracks():
     calls = []
     real = derangement_backtrack
 
-    def recording(G, r, determinism=False):
+    def recording(G, r):
         calls.append(G.order())
-        return real(G, r, determinism)
+        return real(G, r)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("derangements.elusive.derangement_backtrack", recording)
@@ -349,14 +349,21 @@ def test_structural_verdicts_match_exhaustive():
          5),
         (natural_action(alternating(5), "A5"), 2, cyclic(2), "imprimitive",
          3),
+        (natural_action(alternating(4), "A4"), 3, symmetric(3),
+         "imprimitive", 3),
     ]
     for base, k, top, flavor, r in cases:
         spec = WreathSpec(base, k, top, flavor)
-        structural = structural_wreath_elusivity(spec, r)
+        with recorded_backtracks() as calls:
+            structural = structural_wreath_elusivity(spec, r)
         W = wreath(spec)
         direct = [x for x in enumerate_elements(W.group)
                   if x.order() == r and x.num_fixed() == 0]
         assert (structural.status == "Elusive") == (len(direct) == 0)
+    # A4 wr S3 (|W| = 10,368): A4 is 3-elusive on 4 points, so the witness
+    # is a block-deranging top element, searched for in the Sylow
+    # 3-subgroup <x> of S3 rather than in all of S3
+    assert calls == [3]
 
 
 def test_action_class_reps_pushed_through_coset_table(m11_12, env):
@@ -421,6 +428,34 @@ def test_semiregular_none_on_m11_12(m11_12):
     assert res.exact
 
 
+@pytest.mark.parametrize("degree,cycles,prime", [
+    (6, [(0, 1, 2), (3, 4, 5)], 3),  # <(1 2 3)(4 5 6)>
+    (4, [(0, 1, 2)], None),          # <(1 2 3)> fixes the fourth point
+])
+def test_semiregular_search_on_an_intransitive_group(degree, cycles, prime):
+    G = PermGroup([Permutation.from_cycles(degree, cycles)])
+    assert not G.is_transitive()
+    res = semiregular_search(natural_action(G, "intransitive"))
+    naive = [x for x in enumerate_elements(G)
+             if is_prime(x.order()) and x.num_fixed() == 0]
+    assert bool(naive) == (res.witness is not None)
+    assert res.prime == prime
+    if prime is not None:
+        assert res.witness.order() == prime
+        assert res.witness.num_fixed() == 0
+        assert G.contains(res.witness)
+
+
+def test_wreath_labellings_count_against_the_budget():
+    # C3 wr C10, imprimitive, at r = 3: the identity top element fixes all
+    # ten coordinates, each labelled by one of three base classes, so
+    # 3^10 = 59,049 labellings would be walked
+    spec = WreathSpec(natural_action(cyclic(3), "C3"), 10, cyclic(10),
+                      "imprimitive")
+    with pytest.raises(BudgetExceeded):
+        wreath_prime_order_class_reps(spec, 3, Budgets(exhaustive=1000))
+
+
 def test_class_coverage_passes_caller_budget_to_the_scan():
     # S9 on the 36 cosets of S7 x S2: above the 100,000 elements up to
     # which an action reads its own classes, so the parent S9 is read; at
@@ -462,32 +497,26 @@ def forced_backtrack(A):
     return natural_action(G, "natural"), Budgets(exhaustive=G.order() - 1)
 
 
-def assert_backtrack_route_agrees(A, budgets, determinism=False):
+def assert_backtrack_route_agrees(A, budgets):
     """At every prime dividing the degree, the backtrack route's status
-    is the plain backtrack's over all of G, and in determinism mode so is
-    its witness."""
+    is the plain backtrack's over all of G."""
     for r in prime_divisors(A.degree):
-        v = is_r_elusive(A, r, budgets, determinism=determinism)
-        want = derangement_backtrack(A.group, r, determinism=determinism)
+        v = is_r_elusive(A, r, budgets)
+        want = derangement_backtrack(A.group, r)
         assert v.method == "backtrack", r
         assert v.status == ("Elusive" if want is None else "NotElusive"), r
-        if determinism:
-            assert v.witness == want, r
 
 
-@pytest.mark.parametrize("determinism", [False, True])
 def test_backtrack_route_agrees_with_the_plain_backtrack_on_the_corpus(
-        corpus, determinism):
+        corpus):
     for name, A in corpus:
-        assert_backtrack_route_agrees(*forced_backtrack(A), determinism)
+        assert_backtrack_route_agrees(*forced_backtrack(A))
 
 
 def test_backtrack_route_agrees_on_m11_12(m11_12):
     # degree 12: r = 2 (class of involutions 165, centralizer GL(2,3))
     # and r = 3 (class 440, centralizer C3 x S3)
     assert_backtrack_route_agrees(m11_12, Budgets(exhaustive=7000))
-    assert_backtrack_route_agrees(m11_12, Budgets(exhaustive=7000),
-                                  determinism=True)
 
 
 def test_backtrack_route_agrees_on_a384_natural(env):
@@ -512,23 +541,19 @@ def test_sylow_search_walks_count_against_the_budget(budget, h_order):
     assert len(walker.seen) == sum(w.size for w in walks)
 
 
-@pytest.mark.parametrize("determinism", [False, True])
-def test_backtrack_route_past_the_budget_searches_all_of_g(env, determinism):
+def test_backtrack_route_past_the_budget_searches_all_of_g(env):
     # M11 on 12 under a budget of 100: the search's first walk (165
-    # elements at r = 2, 440 at r = 3) passes it, so H = G (determinism
-    # mode runs no search)
+    # elements at r = 2, 440 at r = 3) passes it, so H = G
     with recorded_backtracks() as calls:
         assert_backtrack_route_agrees(env.m11_on_12(),
-                                      Budgets(exhaustive=100), determinism)
+                                      Budgets(exhaustive=100))
     assert calls == [7920, 7920]
     # M11 on 11 points under a budget of 1000 at r = 11: H = <x> takes no
-    # walk, and determinism mode, which wants G's least witness, searches
-    # all of G with no Sylow search
+    # walk, so the search is over its 11 elements
     A = natural_action(fresh(env.m11_action().group), "M11")
     with recorded_backtracks() as calls:
-        assert_backtrack_route_agrees(A, Budgets(exhaustive=1000),
-                                      determinism)
-    assert calls == [7920 if determinism else 11]
+        assert_backtrack_route_agrees(A, Budgets(exhaustive=1000))
+    assert calls == [11]
 
 
 # ---------------------------------------------------------------------------

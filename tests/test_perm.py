@@ -245,18 +245,7 @@ def test_backtrack_matches_enumeration(factory):
             assert G.contains(found)
 
 
-def test_backtrack_determinism_returns_lex_least():
-    G = symmetric(4)
-    w = derangement_backtrack(G, 2, determinism=True)
-    all_w = sorted(
-        (x for x in enumerate_elements(G)
-         if x.order() == 2 and x.num_fixed() == 0),
-        key=lambda x: tuple(x.images),
-    )
-    assert w == all_w[0]
-
-
-def node_by_node_backtrack(G, r, determinism=False):
+def node_by_node_backtrack(G, r):
     """The coset backtrack one DFS node at a time on int64 rows: the
     oracle for derangement_backtrack's level-at-a-time expansion.  It
     prunes every chosen base point and skips the r | degree shortcut."""
@@ -267,7 +256,6 @@ def node_by_node_backtrack(G, r, determinism=False):
     if not levels:
         return None
     ident = np.arange(G.degree, dtype=np.int64)
-    best = None
     stack = [(0, None)]  # (level, t_{i-1} * ... * t_0)
     while stack:
         i, partial = stack.pop()
@@ -280,14 +268,9 @@ def node_by_node_backtrack(G, r, determinism=False):
             continue
         new = new[~(new == ident).any(axis=1)]
         new = new[(perm_module.batch_power(new, r) == ident).all(axis=1)]
-        if not len(new):
-            continue
-        if not determinism:
+        if len(new):
             return Permutation._raw(new[0].copy())
-        least = new[np.lexsort(new.T[::-1])[0]]
-        if best is None or tuple(least) < tuple(best.images):
-            best = Permutation._raw(least.copy())
-    return best
+    return None
 
 
 def small_chunks(monkeypatch, G):
@@ -298,14 +281,15 @@ def small_chunks(monkeypatch, G):
                         3 * G.degree * widest)
 
 
-def check_backtrack_agrees(G, r, modes=(False, True)):
-    for determinism in modes:
-        got = derangement_backtrack(G, r, determinism=determinism)
-        want = node_by_node_backtrack(G, r, determinism=determinism)
-        assert (got is None) == (want is None), (r, determinism)
-        if got is not None:
-            assert got.images.dtype == np.int64
-            assert np.array_equal(got.images, want.images), (r, determinism)
+def check_backtrack_agrees(G, r):
+    """The first witness in DFS order, or None after the full pruned
+    tree, as the oracle finds it."""
+    got = derangement_backtrack(G, r)
+    want = node_by_node_backtrack(G, r)
+    assert (got is None) == (want is None), r
+    if got is not None:
+        assert got.images.dtype == np.int64
+        assert np.array_equal(got.images, want.images), r
 
 
 @pytest.mark.parametrize("chunks", ["default", "small"])
@@ -329,7 +313,7 @@ def test_backtrack_first_witness_on_a384_matches_oracle(env, monkeypatch,
     G = env.a384().group
     if chunks == "small":
         small_chunks(monkeypatch, G)
-    check_backtrack_agrees(G, 2, modes=(False,))
+    check_backtrack_agrees(G, 2)
 
 
 def test_random_element_lands_in_group():
