@@ -21,9 +21,9 @@ Every search for an order-r derangement (`_backtrack`: the backtrack
 route past the exhaustive budget, the wreath top group's block-deranging
 element, the intransitive branch of `semiregular_search`) rests on the
 same fact: every order-r element is conjugate into a subgroup H holding a
-Sylow r-subgroup (`classes.sylow_subgroup`), so the pruned coset search
-runs over H alone and finds a derangement exactly when G has one.  Its
-witness is the first one in H's DFS order.
+Sylow r-subgroup (`classes.sylow_subgroup`), so the search, a filter
+over H's element scan, runs over H alone and finds a derangement exactly
+when G has one.  Its witness is the first one in H's DFS order.
 """
 
 from __future__ import annotations
@@ -103,7 +103,6 @@ class ElusivityVerdict:
     method: Optional[str] = None
     budgets: dict = field(default_factory=dict)
     exact: bool = True
-    spec: Optional[WreathSpec] = None
 
     def __post_init__(self):
         if self.status == NOT_ELUSIVE:
@@ -399,12 +398,12 @@ def wreath_fixed_point_check(spec: WreathSpec, x) -> bool:
 # elusivity verdicts
 
 
-def _verdict(r: int, method: str, budgets: Budgets, witness=None,
-             spec: Optional[WreathSpec] = None) -> ElusivityVerdict:
+def _verdict(r: int, method: str, budgets: Budgets,
+             witness=None) -> ElusivityVerdict:
     """Elusive when there is no witness, NotElusive with it."""
     status = ELUSIVE if witness is None else NOT_ELUSIVE
     return ElusivityVerdict(r, status, witness=witness, method=method,
-                            budgets=asdict(budgets), spec=spec)
+                            budgets=asdict(budgets))
 
 
 def _coverage(r: int, infos: list, method: str,
@@ -566,7 +565,7 @@ def _structural_verdict(spec: WreathSpec, r: int, budgets: Budgets) -> Elusivity
             w = WreathElement(spec, (ident,) * spec.k, pi)
     if w is not None and spec.degree <= budgets.materialize:
         w = w.to_permutation(budgets)
-    return _verdict(r, METHOD_WREATH, budgets, w, spec)
+    return _verdict(r, METHOD_WREATH, budgets, w)
 
 
 def structural_wreath_elusivity(

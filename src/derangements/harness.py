@@ -1048,8 +1048,9 @@ def _expected_tf42():
                     "stabilizer PSL(2,25) is 2'-elusive"),
         Expectation("methods", ["backtrack"],
                     "derived: the group order 17971200 exceeds the "
-                    "enumeration budget; the pruned search over a subgroup "
-                    "holding a Sylow r-subgroup is exact"),
+                    "enumeration budget; the derangement search over the "
+                    "elements of a subgroup holding a Sylow r-subgroup is "
+                    "exact"),
     )
 
 

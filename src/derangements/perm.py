@@ -17,14 +17,13 @@ Monte Carlo.  A built chain can absorb further elements and be swept exact
 again; normal_closure grows one chain per call so (Seress, ch. 4).  Chains
 are refused above DEFAULT_BUDGETS.chain_degree points.
 The chain supplies order, membership, uniform random elements, canonical
-right-coset representatives and one walk of its product tree,
-_leaf_chunks: depth first, a level at a time for a chunk of parents in one
-gather, on compact rows (the smallest unsigned dtype that holds a point).
-Element enumeration (element_batches) is the unpruned walk; the backtrack
-search for fixed-point-free elements of prime order
-(derangement_backtrack) is the walk pruned at nodes fixing their level's
-base point.  Its leaves and the batches of the one class scan
-(classes.order_r_rows) pass the single-prime order-r filter, _order_r_filter.
+right-coset representatives and the one element scan, element_batches:
+a walk of its product tree depth first, a level at a time for a chunk of
+parents in one gather, on compact rows (the smallest unsigned dtype that
+holds a point).  The search for fixed-point-free elements of prime order
+(derangement_backtrack) and the class scan (classes.order_r_rows) are
+filters over it; both pass the single-prime order-r filter,
+_order_r_filter.
 
 Known-order early stop (Sims 1970; Seress, Permutation Group Algorithms,
 section 4.5).  The product of the basic orbit lengths of a partial chain
@@ -100,20 +99,22 @@ class Permutation:
         return cls._raw(np.arange(degree, dtype=np.int64))
 
     @classmethod
-    def from_cycles(cls, degree: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
-        """Build from disjoint cycles of 0-indexed points."""
+    def from_cycles(cls, degree: int, cycles: Iterable[Sequence[int]], *,
+                    first: int = 0) -> "Permutation":
+        """Build from disjoint cycles of points numbered from `first` (0, or
+        1 in cycle notation); errors name the points as given."""
         img = np.arange(degree, dtype=np.int64)
         seen = set()
         for cyc in cycles:
             cyc = list(cyc)
             for pt in cyc:
-                if not 0 <= pt < degree:
+                if not first <= pt < degree + first:
                     raise ValueError(f"point {pt} out of range for degree {degree}")
                 if pt in seen:
                     raise ValueError(f"point {pt} appears in two cycles")
                 seen.add(pt)
             for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                img[a] = b
+                img[a - first] = b - first
         return cls._raw(img)
 
     @property
@@ -231,26 +232,20 @@ def batch_power(rows: np.ndarray, e: int) -> np.ndarray:
     return acc
 
 
-def _order_r_filter(rows: np.ndarray, r: int,
-                    fixed_point_free: bool = False) -> np.ndarray:
+def _order_r_filter(rows: np.ndarray, r: int) -> np.ndarray:
     """The rows of exact order r among compact image rows, r prime.
 
     An element of prime order r has only cycles of length 1 and r, so the
-    points it moves number a positive multiple of r (all n of them when
-    `fixed_point_free` asks for derangements only), and x^r fixes the
+    points it moves number a positive multiple of r, and x^r fixes the
     first point x moves, a trajectory of r one-dimensional gathers.  The
     exact test x^r = 1 runs on the survivors, none of them the identity.
     """
     n = rows.shape[1]
     ident = np.arange(n, dtype=rows.dtype)
     moved = rows != ident
-    if fixed_point_free:
-        keep = np.flatnonzero(moved.all(axis=1))
-        first = np.zeros(len(keep), dtype=np.int64)
-    else:
-        counts = moved.sum(axis=1, dtype=np.min_scalar_type(max(n, r)))
-        keep = np.flatnonzero((counts > 0) & (counts % r == 0))
-        first = moved[keep].argmax(axis=1)
+    counts = moved.sum(axis=1, dtype=np.min_scalar_type(max(n, r)))
+    keep = np.flatnonzero((counts > 0) & (counts % r == 0))
+    first = moved[keep].argmax(axis=1)
     flat, base, pts = rows.ravel(), keep * n, first
     for _ in range(r):
         pts = flat[base + pts]
@@ -345,7 +340,7 @@ def parse_cycles(text: str) -> list:
 
 
 def permutation_from_cycles_1indexed(degree: int, cycles: Iterable[Sequence[int]]) -> Permutation:
-    return Permutation.from_cycles(degree, [[p - 1 for p in c] for c in cycles])
+    return Permutation.from_cycles(degree, cycles, first=1)
 
 
 # ---------------------------------------------------------------------------
@@ -783,11 +778,38 @@ class PermGroup:
 
     def element_batches(self) -> Iterator[np.ndarray]:
         """Yield compact image matrices whose rows enumerate the group
-        exactly once: the leaves of the chain's product tree, unpruned,
-        in the order and chunks of _leaf_chunks.  Rows are products
-        t_{k-1}...t_0 of transversal representatives, so uniqueness
-        follows from the chain's unique factorization."""
-        yield from _leaf_chunks(self.chain, prune=False)
+        exactly once: the leaves t_{k-1} * ... * t_0 of the chain's product
+        tree in DFS order, lexicographic in (t_0, ..., t_{k-1}), as chunks
+        of rows of dtype np.min_scalar_type(degree - 1).  Uniqueness follows
+        from the chain's unique factorization.
+
+        A node at level i is a product t_i * ... * t_0 of transversal rows
+        (t_i applied first).  DFS frames hold a level's parent rows; a chunk
+        of parents, about _BATCH_ENTRIES entries of children, is expanded
+        in one gather, and its children are walked before the next chunk.
+        So no chunk has more than max(_BATCH_ENTRIES // degree, largest
+        level) rows.  The trivial group yields one row, the identity.
+        """
+        chain, n = self.chain, self.degree
+        root = np.arange(n, dtype=np.min_scalar_type(n - 1))[None, :]
+        if not chain.levels:
+            yield root
+            return
+        last = len(chain.levels) - 1
+        frames = [[0, root, 0]]  # [level, parent rows, next parent]
+        while frames:
+            frame = frames[-1]
+            i, parents, lo = frame
+            if lo >= len(parents):
+                frames.pop()
+                continue
+            T = chain.levels[i].rows
+            frame[2] = lo + max(1, _BATCH_ENTRIES // (n * len(T)))
+            children = np.take(parents[lo:frame[2]], T, axis=1).reshape(-1, n)
+            if i < last:
+                frames.append([i + 1, children, 0])
+            else:
+                yield children
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, ngens={len(self.generators)})"
@@ -828,66 +850,26 @@ class BlockSystem:
 
 
 # ---------------------------------------------------------------------------
-# the product-tree walk: enumeration and the derangement backtrack
-
-
-def _leaf_chunks(chain: StabilizerChain, prune: bool) -> Iterator[np.ndarray]:
-    """The leaves t_{k-1} * ... * t_0 of the chain's product tree in DFS
-    order, lexicographic in (t_0, ..., t_{k-1}), as chunks of compact rows
-    (dtype np.min_scalar_type(degree - 1)).
-
-    A node at level i is a product t_i * ... * t_0 of transversal rows
-    (t_i applied first).  DFS frames hold a level's parent rows; a chunk
-    of parents, about _BATCH_ENTRIES entries of children, is expanded in
-    one gather, and its children are walked before the next chunk.  So no
-    chunk has more than max(_BATCH_ENTRIES // degree, largest level) rows.
-    With `prune`, a child fixing its level's base point b_i is dropped
-    with its subtree: deeper rows fix b_i, so every leaf below it would
-    fix b_i too.  An empty chain has one leaf, the identity.
-    """
-    n = chain.degree
-    root = np.arange(n, dtype=np.min_scalar_type(n - 1))[None, :]
-    if not chain.levels:
-        yield root
-        return
-    last = len(chain.levels) - 1
-    frames = [[0, root, 0]]  # [level, parent rows, next parent]
-    while frames:
-        frame = frames[-1]
-        i, parents, lo = frame
-        if lo >= len(parents):
-            frames.pop()
-            continue
-        T = chain.levels[i].rows
-        frame[2] = lo + max(1, _BATCH_ENTRIES // (n * len(T)))
-        children = np.take(parents[lo:frame[2]], T, axis=1).reshape(-1, n)
-        if prune:
-            b = chain.base[i]
-            children = children[children[:, b] != b]
-        if i < last:
-            frames.append([i + 1, children, 0])
-        elif len(children):
-            yield children
+# the derangement search
 
 
 def derangement_backtrack(G: PermGroup, r: int) -> Optional[Permutation]:
     """Find an order-r element of G without fixed points, or certify None.
 
-    Depth-first search over stabilizer-chain cosets (Leon 1991): the walk
-    of _leaf_chunks with each node fixing its level's base point pruned.
-    Each chunk of leaves, compact rows, passes `_order_r_filter` with no
-    fixed point allowed; the witness is the first one in DFS order, the
-    only row widened to int64.
+    A filter over the one element scan: each batch of G.element_batches()
+    passes `_order_r_filter`, then its few survivors the fixed-point-free
+    mask.  The witness is the first in DFS order, widened to int64.
 
     A derangement of prime order r has only r-cycles, so None is returned
     at once unless r divides both |G| and the degree (never for the
-    trivial group).  A returned None is exact: the full pruned tree was
-    exhausted.
+    trivial group).  A returned None is exact: every element was scanned.
     """
     if G.order() % r or G.degree % r:
         return None
-    for leaves in _leaf_chunks(G.chain, prune=True):
-        found = _order_r_filter(leaves, r, fixed_point_free=True)
+    ident = np.arange(G.degree)
+    for rows in G.element_batches():
+        found = _order_r_filter(rows, r)
+        found = found[(found != ident).all(axis=1)]
         if len(found):
             return Permutation._raw(found[0])
     return None

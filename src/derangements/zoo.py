@@ -166,8 +166,12 @@ def load_generators(path) -> PermGroup:
     """Read a generator file (see GENERATOR_FILE_DOC) into a PermGroup."""
     degree = None
     gens = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
+    with open(path, "rb") as fh:
+        for lineno, data in enumerate(fh, 1):
+            try:
+                raw = data.decode("utf-8")
+            except UnicodeDecodeError:
+                raise GeneratorFileError(lineno, "not UTF-8 text") from None
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -771,14 +775,6 @@ def wreath(
         raise CertificateError(
             f"wreath product order {group.order()}, expected {spec.order()}"
         )
-    base_labels = spec.base_action.point_labels
-    if spec.flavor == "imprimitive":
-        labels = tuple((i, lab) for i in range(spec.k) for lab in base_labels)
-    else:
-        digits = _mixed_radix_digits(spec.base_degree, spec.k)
-        labels = tuple(
-            tuple(base_labels[int(t)] for t in row) for row in digits
-        )
     socle = None
     if declare_socle:
         factors = []
@@ -793,7 +789,7 @@ def wreath(
         )
     action = GroupAction(
         group,
-        labels,
+        tuple(range(1, spec.degree + 1)),
         f"{spec.base_action.provenance}, wr C on {spec.k} coordinates"
         f" ({spec.flavor} action)",
         wreath=spec,

@@ -44,3 +44,20 @@ def test_tracer_installs_and_restores(monkeypatch):
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[k] is before[k] for k in before)
+
+
+def test_backtrack_rows_count_as_enumerated(monkeypatch):
+    # S3 on six points fixes three of them, so the search at r = 3 finds
+    # no derangement and scans all six elements
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    tracing = importlib.import_module("tracing")
+    G = derangements.PermGroup([
+        derangements.Permutation.from_cycles(6, [(0, 1, 2)]),
+        derangements.Permutation.from_cycles(6, [(0, 1)])])
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert derangements.perm.derangement_backtrack(G, 3) is None
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["perm.rows_enumerated"] == 6

@@ -149,6 +149,14 @@ def test_check_malformed_file(tmp_path, capsys):
     assert "cannot read group file" in capsys.readouterr().err
 
 
+def test_check_file_not_utf8(tmp_path, capsys):
+    g = tmp_path / "latin1.gens"
+    g.write_bytes(b"degree 3\n# caf\xe9\ngen (1 2 3)\n")
+    assert main(["check", "--group", str(g)]) == 2
+    assert "cannot read group file: line 2: not UTF-8 text" in \
+        capsys.readouterr().err
+
+
 def test_check_degree_past_the_materialize_budget(tmp_path, capsys):
     # refused at the degree line, before any image array is allocated
     g = write(tmp_path, "huge.gens", "degree 2000000\ngen (1 2)\n")

@@ -246,9 +246,10 @@ def test_backtrack_matches_enumeration(factory):
 
 
 def node_by_node_backtrack(G, r):
-    """The coset backtrack one DFS node at a time on int64 rows: the
-    oracle for derangement_backtrack's level-at-a-time expansion.  It
-    prunes every chosen base point and skips the r | degree shortcut."""
+    """A coset backtrack one DFS node at a time on int64 rows: the oracle
+    for derangement_backtrack's filter over the level-at-a-time element
+    scan.  It prunes every node fixing a chosen base point, which drops
+    no derangement, and skips the r | degree shortcut."""
     if G.order() % r != 0:
         return None
     chain = G.chain
@@ -282,8 +283,8 @@ def small_chunks(monkeypatch, G):
 
 
 def check_backtrack_agrees(G, r):
-    """The first witness in DFS order, or None after the full pruned
-    tree, as the oracle finds it."""
+    """The first witness in DFS order, or None after the full scan, as
+    the oracle finds it."""
     got = derangement_backtrack(G, r)
     want = node_by_node_backtrack(G, r)
     assert (got is None) == (want is None), r

@@ -52,6 +52,18 @@ def test_generator_file_errors(tmp_path):
             load_generators(path)
 
 
+@pytest.mark.parametrize("gen, message", [
+    ("(1 4)", "line 2: point 4 out of range for degree 3"),
+    ("(1 2)(2 3)", "line 2: point 2 appears in two cycles"),
+])
+def test_generator_file_errors_name_points_as_written(tmp_path, gen, message):
+    path = tmp_path / "bad.gens"
+    path.write_text(f"degree 3\ngen {gen}\n")
+    with pytest.raises(GeneratorFileError) as exc:
+        load_generators(path)
+    assert str(exc.value) == message
+
+
 def test_m11():
     a = m11()
     assert a.degree == 11
