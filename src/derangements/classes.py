@@ -30,11 +30,12 @@ exactly the rows given.  No library route calls them or their `_walk_rows`
 any more: they stay for the tests and for the benchmark tracer, which
 wraps the two public names.
 
-`sylow_subgroup` finds a subgroup H that holds a Sylow r-subgroup: <x>
-when r^2 does not divide |G|, else C_G(x) for a sampled x whose class
-size is prime to r, else G; |G|_r dividing |H| is checked.  C_G(x) comes
-from the Schreier generators of the walk of x's class, on a chain bounded
-by |G|/|x^G|.  Its walks count against a budget, past which H = G.  By
+`sylow_subgroup` finds a subgroup H that holds a Sylow r-subgroup: <y>
+for a sampled r-part y of order |G|_r, a cyclic Sylow r-subgroup, found
+with no walk; else C_G(x) for a sampled x of order r whose class size is
+prime to r; else G.  |G|_r dividing |H| is checked.  C_G(x) comes from
+the Schreier generators of the walk of x's class, on a chain bounded by
+|G|/|x^G|.  Its walks count against a budget, past which H = G.  By
 Sylow's theorem every element of order r is conjugate into H
 (Holt-Eick-O'Brien, ch. 4), so `sylow_classes`, the G-classes of H's
 order-r elements, are all of them, and the backtrack route of
@@ -293,11 +294,13 @@ def exhaustive_class_partition(G, budget: int = DEFAULT_BUDGETS.exhaustive) -> l
 _DRAW = 32  # random elements per batch of the search for order-r elements
 
 
-def _order_r_sample(G, r: int, sylow: int):
+def _order_r_sample(G, r: int, sylow: int, full: Optional[list] = None):
     """Compact rows of order r: batches of uniform random elements of G
-    (seeded with DEFAULT_SEED) raised to the power |G|/|G|_r, which makes
-    them r-elements, then to the r-th power until the next power is the
-    identity.  At most 8 * degree draws."""
+    (seeded with DEFAULT_SEED) raised to the power |G|/|G|_r, which gives
+    their r-parts, then to the r-th power until the next power is the
+    identity.  At most 8 * degree draws.  Given a list `full`, the first
+    batch holding an r-part y of order |G|_r, that is y^(|G|_r / r) != 1,
+    appends the first such y (int64) to it and ends the sample."""
     n, order = G.degree, G.order()
     dtype = np.min_scalar_type(n - 1)
     ident = np.arange(n, dtype=np.int64)
@@ -309,6 +312,11 @@ def _order_r_sample(G, r: int, sylow: int):
             img = np.take_along_axis(u, img, axis=1)  # img * u
         rows = batch_power(img, order // sylow)
         rows = rows[(rows != ident).any(axis=1)]
+        if full is not None:
+            top = (batch_power(rows, sylow // r) != ident).any(axis=1)
+            if top.any():
+                full.append(rows[top.argmax()])
+                return
         while len(rows):
             nxt = batch_power(rows, r)
             last = (nxt == ident).all(axis=1)
@@ -366,19 +374,17 @@ def sylow_subgroup(G, r: int,
     r a prime dividing |G|, with G's class walker and the walks of the
     order-r classes the search took.
 
-    H is <x> for the first sampled x of order r when r^2 does not divide
-    |G| (no walk); else C_G(x) for the first sampled x whose class has
-    size prime to r, so that |C_G(x)|_r = |G|_r; else G.  The walker's
-    table counts against `budget`: a search whose walks would pass it
-    ends with H = G.  |G|_r dividing |H| is checked."""
+    The sample goes batch by batch.  H is <y>, a cyclic Sylow r-subgroup,
+    for the first sampled r-part y of order |G|_r (no walk); else C_G(x)
+    for the first sampled x of order r whose class has size prime to r,
+    so that |C_G(x)|_r = |G|_r; else G.  The walker's table counts
+    against `budget`: a search whose walks would pass it ends with H = G.
+    |G|_r dividing |H| is checked."""
     order = G.order()
     sylow = r ** factorize(order)[r]
     walker = _ClassWalker(G, limit=budget)
-    walks, H = [], G
-    for x in _order_r_sample(G, r, sylow):
-        if sylow == r:
-            H = PermGroup([Permutation._raw(x)])
-            break
+    walks, H, full = [], G, []
+    for x in _order_r_sample(G, r, sylow, full):
         if walker.key(x) in walker.seen:
             continue
         try:
@@ -388,6 +394,8 @@ def sylow_subgroup(G, r: int,
         if walks[-1].size % r:
             H = _centralizer(walker, x, walks[-1], order // walks[-1].size)
             break
+    if full:
+        H = PermGroup([Permutation._raw(full[0])])
     if H.order() % sylow:
         raise CertificateError("the subgroup holds no Sylow r-subgroup")
     return H, walker, walks

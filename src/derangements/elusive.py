@@ -481,8 +481,10 @@ def _backtrack(G: PermGroup, r: int, budgets: Budgets) -> Optional[Permutation]:
     `derangement_backtrack` over the subgroup H of `classes.sylow_subgroup`,
     which holds a Sylow r-subgroup.  Every order-r element is conjugate
     into H and fixed-point counts are class functions, so G has an order-r
-    derangement exactly when H has one.  The search's walks count against
-    the exhaustive budget; a search that would pass it leaves H = G."""
+    derangement exactly when H has one.  H is a cyclic <y> when a sampled
+    r-part y has order |G|_r, with no walk; else the search's walks count
+    against the exhaustive budget, and one that would pass it leaves
+    H = G."""
     if G.order() % r or G.degree % r:
         return None  # derangement_backtrack's early exit, before the search
     H, _, _ = sylow_subgroup(G, r, budgets.exhaustive)

@@ -157,8 +157,11 @@ Generator file format: one 'degree <n>' line (n at most 1000000), then one
 
 
 class GeneratorFileError(ValueError):
-    def __init__(self, lineno: int, message: str):
-        super().__init__(f"line {lineno}: {message}")
+    """A malformed generator file; `lineno` is None for a fault of the
+    whole file, such as a missing degree line."""
+
+    def __init__(self, lineno: Optional[int], message: str):
+        super().__init__(message if lineno is None else f"line {lineno}: {message}")
         self.lineno = lineno
 
 
@@ -200,7 +203,7 @@ def load_generators(path) -> PermGroup:
             else:
                 raise GeneratorFileError(lineno, f"unknown directive {head!r}")
     if degree is None:
-        raise GeneratorFileError(0, "missing degree line")
+        raise GeneratorFileError(None, "missing degree line")
     return PermGroup(gens, degree=degree)
 
 

@@ -149,6 +149,15 @@ def test_check_malformed_file(tmp_path, capsys):
     assert "cannot read group file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["", "# a comment\n\n"])
+def test_check_file_without_degree_line(tmp_path, text, capsys):
+    g = write(tmp_path, "empty.gens", text)
+    assert main(["check", "--group", g]) == 2
+    err = capsys.readouterr().err
+    assert "cannot read group file: missing degree line" in err
+    assert "line 0" not in err
+
+
 def test_check_file_not_utf8(tmp_path, capsys):
     g = tmp_path / "latin1.gens"
     g.write_bytes(b"degree 3\n# caf\xe9\ngen (1 2 3)\n")

@@ -520,12 +520,13 @@ def test_backtrack_route_agrees_on_m11_12(m11_12):
 
 
 def test_backtrack_route_agrees_on_a384_natural(env):
-    # the backtrack runs over C_G(t), of order 128, at r = 2 and over
-    # C_G(x), of order 63, at r = 3, not over the 1,024,128 elements of G
+    # the backtrack runs over C_G(t), of order 128, at r = 2 and over a
+    # cyclic Sylow 3-subgroup <y>, of order 9, at r = 3, not over the
+    # 1,024,128 elements of G
     A = natural_action(env.a384().group, "the a384 group, natural action")
     with recorded_backtracks() as calls:
         assert_backtrack_route_agrees(A, Budgets(exhaustive=100_000))
-    assert calls == [128, 63]
+    assert calls == [128, 9]
 
 
 @pytest.mark.parametrize("budget,h_order", [(440, 18), (439, 7920)])
@@ -541,6 +542,22 @@ def test_sylow_search_walks_count_against_the_budget(budget, h_order):
     assert len(walker.seen) == sum(w.size for w in walks)
 
 
+@pytest.mark.parametrize("r,h_order", [(3, 9), (2, 1_024_128)])
+def test_cyclic_sylow_rule_does_not_depend_on_the_budget(env, r, h_order):
+    """PSL(2,127) under a budget of 0: at r = 3 a sampled r-part of order
+    9 generates a cyclic Sylow 3-subgroup with no walk.  At r = 2 the
+    Sylow 2-subgroup is dihedral, so no r-part has full order, and the
+    first walk passes the budget: H = G."""
+    G = env.line127().subgroups["PSL"]
+    H, walker, walks = sylow_subgroup(G, r, 0)
+    assert H.order() == h_order
+    assert walks == [] and walker.seen == {}
+    if r == 3:
+        assert [g.order() for g in H.generators] == [9]
+    else:
+        assert H is G
+
+
 def test_backtrack_route_past_the_budget_searches_all_of_g(env):
     # M11 on 12 under a budget of 100: the search's first walk (165
     # elements at r = 2, 440 at r = 3) passes it, so H = G
@@ -548,8 +565,8 @@ def test_backtrack_route_past_the_budget_searches_all_of_g(env):
         assert_backtrack_route_agrees(env.m11_on_12(),
                                       Budgets(exhaustive=100))
     assert calls == [7920, 7920]
-    # M11 on 11 points under a budget of 1000 at r = 11: H = <x> takes no
-    # walk, so the search is over its 11 elements
+    # M11 on 11 points under a budget of 1000 at r = 11: the cyclic Sylow
+    # subgroup H = <y> takes no walk, so the search is over its 11 elements
     A = natural_action(fresh(env.m11_action().group), "M11")
     with recorded_backtracks() as calls:
         assert_backtrack_route_agrees(A, Budgets(exhaustive=1000))
@@ -619,15 +636,19 @@ def test_own_classes_verdict_agrees_with_the_scan_on_psl127(
 @pytest.mark.parametrize("group,r,h_order", [
     (lambda env: env.line127().subgroups["PSL"], 7, 7),
     (lambda env: env.line127().subgroups["PSL"], 2, 128),
-    (lambda env: cyclic(300), 5, 300),
+    (lambda env: cyclic(300), 5, 25),
+    (lambda env: env.line127().subgroups["PSL"], 3, 9),
+    (lambda env: env.line127().subgroups["PGL"], 3, 9),
     (lambda env: env.m11_action().group, 2, 48),
-    (lambda env: env.m11_action().group, 3, 18),
+    (lambda env: env.m11_action().group, 3, 18),  # Sylow C3 x C3
     (lambda env: dihedral(300), 2, 600),
     (lambda env: symmetric(9), 2, 384),
 ], ids=[
     "cyclic P, r^2 not dividing |G|: PSL(2,127) r=7",
     "r-group centralizer D128: PSL(2,127) r=2",
-    "abelian centralizer: C300 r=5",
+    "cyclic Sylow r-part C25: C300 r=5",
+    "cyclic Sylow r-part C9: PSL(2,127) r=3",
+    "cyclic Sylow r-part C9: PGL(2,127) r=3",
     "centralizer C(t) = GL(2,3): M11 r=2",
     "centralizer C(x) = C3 x S3: M11 r=3",
     "central z, C(z) = D600 = G: D600 r=2",
@@ -637,8 +658,8 @@ def test_sylow_route_rules(env, line127_scanned, group, r, h_order):
     """The subgroup H that the Sylow route enumerates, one per case, and
     the classes it finds, against the scan."""
     G = group(env)
-    psl, scanned = line127_scanned["PSL"]
-    want = scanned[r] if G is psl else scan_reference(G, r)
+    line127 = {id(G): scanned for G, scanned in line127_scanned.values()}
+    want = line127[id(G)][r] if id(G) in line127 else scan_reference(G, r)
     with recorded_scans() as scans:
         got = sylow_classes(G, r)
     assert scans == [(h_order, DEFAULT_BUDGETS.exhaustive)]
