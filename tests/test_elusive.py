@@ -658,8 +658,8 @@ def test_sylow_route_rules(env, line127_scanned, group, r, h_order):
     """The subgroup H that the Sylow route enumerates, one per case, and
     the classes it finds, against the scan."""
     G = group(env)
-    line127 = {id(G): scanned for G, scanned in line127_scanned.values()}
-    want = line127[id(G)][r] if id(G) in line127 else scan_reference(G, r)
+    scanned = {id(H): sc for H, sc in line127_scanned.values()}.get(id(G))
+    want = scanned[r] if scanned else scan_reference(G, r)
     with recorded_scans() as scans:
         got = sylow_classes(G, r)
     assert scans == [(h_order, DEFAULT_BUDGETS.exhaustive)]
