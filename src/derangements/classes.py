@@ -54,7 +54,7 @@ from .config import (DEFAULT_BUDGETS, DEFAULT_SEED, BudgetExceeded,
                      CertificateError)
 from .numbers import factorize
 from .perm import (_BATCH_ENTRIES, Permutation, PermGroup, StabilizerChain,
-                   _inverse_row, _order_r_filter, batch_power)
+                   _inverse_rows, _order_r_filter, batch_power)
 
 __all__ = [
     "batch_power",
@@ -142,8 +142,9 @@ class _ClassWalker:
     def __init__(self, G, limit=math.inf):
         n = G.degree
         self.dtype = np.min_scalar_type(n - 1)
-        self.gens = np.stack([g.images for g in G.generators]).astype(self.dtype)
-        self.inverses = np.stack([_inverse_row(g.images) for g in G.generators])
+        gens = np.stack([g.images for g in G.generators])
+        self.gens = gens.astype(self.dtype)
+        self.inverses = _inverse_rows(gens)
         self.base = np.array(G.chain.base, dtype=np.int64)
         self.weights = (n ** np.arange(len(self.base), dtype=np.int64)
                         if n ** len(self.base) < 2 ** 63 else None)
@@ -306,11 +307,11 @@ def _order_r_sample(G, r: int, sylow: int, full: Optional[list] = None):
     ident = np.arange(n, dtype=np.int64)
     rng = np.random.default_rng(DEFAULT_SEED)
     for _ in range(max(1, 8 * n // _DRAW)):
-        img = np.tile(ident, (_DRAW, 1))
+        inv = np.tile(ident, (_DRAW, 1))
         for lvl in reversed(G.chain.levels):
-            u = lvl.rows[rng.integers(0, len(lvl.points), size=_DRAW)]
-            img = np.take_along_axis(u, img, axis=1)  # img * u
-        rows = batch_power(img, order // sylow)
+            v = lvl.inverse[rng.integers(0, len(lvl.points), size=_DRAW)]
+            inv = np.take_along_axis(inv, v, axis=1)  # u^-1 * inv
+        rows = batch_power(_inverse_rows(inv), order // sylow)
         rows = rows[(rows != ident).any(axis=1)]
         if full is not None:
             top = (batch_power(rows, sylow // r) != ident).any(axis=1)

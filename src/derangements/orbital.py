@@ -114,19 +114,14 @@ class OrbitalGraph:
                 f"self_paired={self.self_paired})")
 
 
-def _transversal_row(G: PermGroup, alpha: int, beta: int):
-    """Image row of an element of G sending alpha to beta, or None when
-    beta lies outside the orbit of alpha."""
-    points, rows = G.orbit_with_transversal(alpha)
+def _transversal_inverse(G: PermGroup, alpha: int, beta: int):
+    """Image row of the inverse of an element of G sending alpha to beta,
+    or None when beta lies outside the orbit of alpha."""
+    points, inverse = G.orbit_with_transversal(alpha)
     k = int(np.searchsorted(points, beta))
     if k == len(points) or points[k] != beta:
         return None
-    return rows[k].copy()
-
-
-def _preimage(row: np.ndarray, point: int) -> int:
-    """The point that the image row sends to `point`."""
-    return int(np.flatnonzero(row == point)[0])
+    return inverse[k].copy()
 
 
 def paired_suborbit(A: GroupAction, alpha: int, beta: int) -> int:
@@ -134,21 +129,24 @@ def paired_suborbit(A: GroupAction, alpha: int, beta: int) -> int:
 
     Uses a transversal element g0 with beta^{g0} = alpha and returns
     alpha^{g0}; the suborbit of beta is self-paired exactly when the result
-    lies in the G_alpha-orbit of beta.
+    lies in the G_alpha-orbit of beta.  The inverse of an element u with
+    alpha^u = beta is such a g0.
     """
     if alpha == beta:
         raise ValueError("paired_suborbit needs two distinct points")
-    u = _transversal_row(A.group, alpha, beta)
-    if u is None:
+    g0 = _transversal_inverse(A.group, alpha, beta)
+    if g0 is None:
         raise ValueError("alpha and beta lie in different orbits")
-    return _preimage(u, alpha)
+    return int(g0[alpha])
 
 
 def orbital_graph(A: GroupAction, alpha: int, beta: int) -> OrbitalGraph:
     """Orbital digraph with arc set (alpha, beta)^G, built by one gather.
 
-    With rows[u] a group element sending alpha to u and S the G_alpha-orbit
-    of beta, the arcs leaving u are S^{rows[u]}: the gather rows[:, S].
+    With u an element sending alpha to a point t and S the G_alpha-orbit of
+    beta, the arcs leaving t are S^u: the points v with v^{u^-1} in S.  So
+    the heads of every tail come from one gather of the inverse transversal,
+    in_S[inverse], already sorted.
     Certificates, each raising CertificateError:
     * alpha's orbit is every point, so all out-valencies equal |S|;
     * the stabilizer's generators fix alpha, so S lies in the suborbit of
@@ -161,16 +159,19 @@ def orbital_graph(A: GroupAction, alpha: int, beta: int) -> OrbitalGraph:
         raise ValueError("orbital graphs need two distinct points")
     G = A.group
     n = A.degree
-    points, rows = G.orbit_with_transversal(alpha)
+    points, inverse = G.orbit_with_transversal(alpha)
     if len(points) != n:
         raise CertificateError("orbital digraph has non-uniform out-valency")
     stab = G.point_stabilizer(alpha)
     if any(g.images[alpha] != alpha for g in stab.generators):
         raise CertificateError("point stabilizer moves alpha")
     suborbit = np.array(sorted(stab.orbit(beta)), dtype=np.int64)
-    adj = np.sort(rows[:, suborbit], axis=1)  # points == range(n)
-    rep = _preimage(rows[beta], alpha)
-    del rows  # drop the n x n transversal before the checks and tuples
+    in_S = np.zeros(n, dtype=bool)
+    in_S[suborbit] = True
+    # points == range(n); row-major nonzero columns ascend in each row
+    adj = np.nonzero(in_S[inverse])[1].reshape(n, len(suborbit))
+    rep = int(inverse[beta][alpha])  # the paired point
+    del inverse  # drop the n x n transversal before the checks and tuples
 
     for g in G.generators:
         img = g.images
@@ -224,14 +225,15 @@ def connectivity_by_generation(A: GroupAction, alpha: int, beta: int) -> bool:
         raise ValueError("need two distinct points")
     G = A.group
     stab = G.point_stabilizer(alpha)
-    u_beta = _transversal_row(G, alpha, beta)
-    if u_beta is None:
+    u_inv = _transversal_inverse(G, alpha, beta)
+    if u_inv is None:
         raise ValueError("alpha and beta lie in different orbits")
-    v = _transversal_row(stab, beta, _preimage(u_beta, alpha))
-    if v is None:
+    v_inv = _transversal_inverse(stab, beta, int(u_inv[alpha]))
+    if v_inv is None:
         raise ValueError("suborbit of beta is not self-paired; "
                          "no element interchanges alpha and beta")
-    g = Permutation._raw(u_beta[v])  # v * u_beta
+    # (v * u)^-1 interchanges alpha and beta as v * u does
+    g = Permutation._raw(v_inv[u_inv])
     if int(g.images[alpha]) != beta or int(g.images[beta]) != alpha:
         raise CertificateError("element does not interchange alpha and beta")
     return PermGroup(list(stab.generators) + [g]).is_transitive()
@@ -382,16 +384,18 @@ def verify_double_cover_scenario(scn: MersenneScenario,
     psi[:n_half] = iota
     psi[n_half:] = [cc_full.index_of(g_mult * cc_half.coset_reps[i])
                     for i in range(n_half)]
-    if len(set(int(x) for x in psi)) != 2 * n_half:
+    if np.unique(psi).size != 2 * n_half:
         raise CertificateError("psi is not a bijection")
 
-    cover = standard_double_cover(sigma)
-    mapped = {(int(psi[u]), int(psi[v]))
-              for u in range(cover.n) for v in cover.adj[u]}
-    first = min(mapped)
-    gamma = orbital_graph(a_full, first[0], first[1])
-    gamma_arcs = {(u, v) for u in range(gamma.n) for v in gamma.adj[u]}
-    ok = mapped == gamma_arcs and gamma.self_paired and is_connected(gamma)
+    # arcs (u, v) as sorted distinct keys u * n + v
+    n = 2 * n_half
+    tails, heads = _arcs(standard_double_cover(sigma))
+    mapped = np.unique(psi[tails] * n + psi[heads])
+    gamma = orbital_graph(a_full, *divmod(int(mapped[0]), n))
+    tails, heads = _arcs(gamma)
+    gamma_arcs = np.unique(tails * n + heads)
+    ok = (np.array_equal(mapped, gamma_arcs) and gamma.self_paired
+          and is_connected(gamma))
     return DoubleCoverReport(ok=ok, p=p, s=s, sigma=sigma, gamma=gamma,
                              psi=tuple(int(x) for x in psi),
                              edge_count=len(gamma_arcs) // 2)

@@ -40,16 +40,19 @@ random phase that falls short of the bound leaves the full sweep to run
 as without one.
 
 The chain alone decides the transversal format (see _Orbit): per level, an
-int64 matrix of representative image rows, one per orbit point in sorted
-order.  Strong generators are image rows too, so building and sifting make
-no Permutation objects.  Inverse rows are not stored: a sift step computes
-the one it needs with one scatter, whereas a stored inverse would double
-the matrices, the part of a chain whose size grows with the degree.
+int64 matrix of inverse representative rows u^-1, one per orbit point in
+sorted order, as in Sims's chains (Seress, section 4.1).  Strong
+generators are image rows too, so building and sifting make no
+Permutation objects.  A sift step g * u^-1 is then one gather, and _orbit
+builds each inverse row from its parent's by one gather too, since
+(u g)^-1 = g^-1 u^-1.  Forward rows are not stored beside them, which
+would double the matrices, the part of a chain whose size grows with the
+degree; the few readers of u itself (the Schreier sweep once per orbit
+point, element_batches once per level per call) invert it with a scatter.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -353,17 +356,25 @@ def _inverse_row(row: np.ndarray) -> np.ndarray:
     return inv
 
 
+def _inverse_rows(rows: np.ndarray) -> np.ndarray:
+    """The inverse of each image row of a matrix, in one scatter."""
+    inv = np.empty_like(rows)
+    inv[np.arange(len(rows))[:, None], rows] = np.arange(rows.shape[1])
+    return inv
+
+
 class _Orbit(NamedTuple):
     """An orbit with a transversal, the format of every chain level.
 
-    Row k of `rows` is the image array of an element taking `point` to
-    points[k] (sorted); `index` maps a point to its row (-1 off the orbit);
-    `discovered` lists the points in breadth-first order.
+    Row k of `inverse` is the image array of u^-1, where u is the
+    representative taking `point` to points[k] (sorted); `index` maps a
+    point to its row (-1 off the orbit); `discovered` lists the points in
+    breadth-first order.
     """
 
     point: int
     points: np.ndarray
-    rows: np.ndarray
+    inverse: np.ndarray
     index: np.ndarray
     discovered: np.ndarray
 
@@ -371,8 +382,10 @@ class _Orbit(NamedTuple):
 def _orbit(point: int, gens: np.ndarray) -> _Orbit:
     """Breadth-first orbit of `point` under the image rows `gens`.
 
-    A new point q is first reached as p^g; its representative rep(p) * g
-    is written after the search straight into the one rows matrix.
+    A new point q is first reached as p^g; its representative is
+    rep(p) * g, whose inverse g^-1 * rep(p)^-1 is the inverse row of p
+    gathered by g^-1.  Those rows are written after the search straight
+    into the one inverse matrix.
     """
     n = gens.shape[1]
     images = gens.tolist()
@@ -387,12 +400,13 @@ def _orbit(point: int, gens: np.ndarray) -> _Orbit:
     points = np.array(sorted(reached), dtype=np.int64)
     index = np.full(n, -1, dtype=np.int64)
     index[points] = np.arange(points.size)
-    rows = np.empty((points.size, n), dtype=np.int64)
-    rows[index[point]] = np.arange(n)
+    inv_gens = _inverse_rows(gens)
+    inverse = np.empty((points.size, n), dtype=np.int64)
+    inverse[index[point]] = np.arange(n)
     for q in discovered[1:]:
         p, j = reached[q]
-        rows[index[q]] = gens[j][rows[index[p]]]
-    return _Orbit(point, points, rows, index, np.array(discovered))
+        inverse[index[q]] = inverse[index[p]][inv_gens[j]]
+    return _Orbit(point, points, inverse, index, np.array(discovered))
 
 
 class StabilizerChain:
@@ -400,8 +414,8 @@ class StabilizerChain:
 
     ``strong`` holds all strong generators as (image row, depth) pairs; a
     generator belongs to level i when it fixes base[0..i-1] pointwise.
-    Level i's row for an orbit point q is a representative u with
-    base[i]^u = q.
+    Level i's row for an orbit point q is the inverse of a representative
+    u with base[i]^u = q.
 
     ``bound`` is the certified order of a group known to contain the one
     generated.  The random phase then ends as soon as the order reaches
@@ -466,7 +480,7 @@ class StabilizerChain:
             k = lvl.index[g[lvl.point]]
             if k < 0:
                 return g, i
-            g = _inverse_row(lvl.rows[k])[g]  # g * u^-1
+            g = lvl.inverse[k][g]  # g * u^-1
         return g, len(self.levels)
 
     def _reached_bound(self) -> bool:
@@ -519,23 +533,32 @@ class StabilizerChain:
         i = len(self.levels) - 1
         while i >= 0:
             self._recompute_transversal(i)
-            lvl = self.levels[i]
-            for pt, s in itertools.product(lvl.discovered.tolist(),
-                                           self._level_gens(i)):
-                u = lvl.rows[lvl.index[pt]]
-                u2 = lvl.rows[lvl.index[s[pt]]]
-                schreier = _inverse_row(u2)[s[u]]  # u * s * u2^-1
-                residue, j = self._sift(schreier, i + 1)
-                if not (residue == self._identity).all():
-                    d = self._add_strong(residue)
-                    for lev in range(min(d, j), len(self.levels)):
-                        self._recompute_transversal(lev)
-                    i = len(self.levels) - 1 if d >= len(self.levels) else max(d, i)
-                    break
-            else:
+            found = self._schreier_residue(i)
+            if found is None:
                 i -= 1
+                continue
+            residue, j = found
+            d = self._add_strong(residue)
+            for lev in range(min(d, j), len(self.levels)):
+                self._recompute_transversal(lev)
+            i = len(self.levels) - 1 if d >= len(self.levels) else max(d, i)
         self._swept = True
         self._reached_bound()  # raises when the sweep went past the bound
+
+    def _schreier_residue(self, i: int):
+        """(residue, stuck level) of the first Schreier generator
+        u * s * u2^-1 of level i, points in breadth-first order, that does
+        not sift to the identity; None when all do."""
+        lvl = self.levels[i]
+        gens = self._level_gens(i)
+        for pt in lvl.discovered.tolist():
+            u = _inverse_row(lvl.inverse[lvl.index[pt]])
+            for s in gens:
+                residue, j = self._sift(lvl.inverse[lvl.index[s[pt]]][s[u]],
+                                        i + 1)
+                if not (residue == self._identity).all():
+                    return residue, j
+        return None
 
     # -- queries -----------------------------------------------------------
 
@@ -556,18 +579,20 @@ class StabilizerChain:
         return [Permutation._raw(g) for g, depth in self.strong if depth >= level]
 
     def random_element(self, rng: np.random.Generator) -> Permutation:
-        img = np.arange(self.degree, dtype=np.int64)
+        inv = np.arange(self.degree, dtype=np.int64)
         for lvl in reversed(self.levels):
             pts = lvl.discovered
-            u = lvl.rows[lvl.index[pts[int(rng.integers(0, len(pts)))]]]
-            img = u[img]  # img := img * u, building t_{k-1}...t_0
-        return Permutation._raw(img)
+            v = lvl.inverse[lvl.index[pts[int(rng.integers(0, len(pts)))]]]
+            inv = inv[v]  # inv := t^-1 * inv, the inverse of t_{k-1}...t_0
+        return Permutation._raw(_inverse_row(inv))
 
     def canonical_row(self, img: np.ndarray) -> np.ndarray:
         """Image row of the element of the right coset H*x (x given by its
         image row, H this chain's group) whose base images are least."""
         for lvl in self.levels:
-            img = img[lvl.rows[int(np.argmin(img[lvl.points]))]]
+            nxt = np.empty_like(img)
+            nxt[lvl.inverse[int(np.argmin(img[lvl.points]))]] = img  # u * img
+            img = nxt
         return img
 
 
@@ -647,10 +672,11 @@ class PermGroup:
 
     def orbit_with_transversal(self, point: int) -> tuple:
         """The orbit of `point`, sorted, and an image-row matrix whose row k
-        is a group element sending `point` to points[k], as a chain level."""
+        is the inverse of a group element sending `point` to points[k], as
+        a chain level."""
         gens = np.stack([g.images for g in self.generators])
         orbit = _orbit(point, gens)
-        return orbit.points, orbit.rows
+        return orbit.points, orbit.inverse
 
     # -- derived subgroups, closures ----------------------------------------
 
@@ -784,9 +810,10 @@ class PermGroup:
         from the chain's unique factorization.
 
         A node at level i is a product t_i * ... * t_0 of transversal rows
-        (t_i applied first).  DFS frames hold a level's parent rows; a chunk
-        of parents, about _BATCH_ENTRIES entries of children, is expanded
-        in one gather, and its children are walked before the next chunk.
+        (t_i applied first; each level's inverse rows are inverted once per
+        call).  DFS frames hold a level's parent rows; a chunk of parents,
+        about _BATCH_ENTRIES entries of children, is expanded in one
+        gather, and its children are walked before the next chunk.
         So no chunk has more than max(_BATCH_ENTRIES // degree, largest
         level) rows.  The trivial group yields one row, the identity.
         """
@@ -795,7 +822,8 @@ class PermGroup:
         if not chain.levels:
             yield root
             return
-        last = len(chain.levels) - 1
+        levels = [_inverse_rows(lvl.inverse) for lvl in chain.levels]
+        last = len(levels) - 1
         frames = [[0, root, 0]]  # [level, parent rows, next parent]
         while frames:
             frame = frames[-1]
@@ -803,7 +831,7 @@ class PermGroup:
             if lo >= len(parents):
                 frames.pop()
                 continue
-            T = chain.levels[i].rows
+            T = levels[i]
             frame[2] = lo + max(1, _BATCH_ENTRIES // (n * len(T)))
             children = np.take(parents[lo:frame[2]], T, axis=1).reshape(-1, n)
             if i < last:

@@ -157,12 +157,12 @@ Generator file format: one 'degree <n>' line (n at most 1000000), then one
 
 
 class GeneratorFileError(ValueError):
-    """A malformed generator file; `lineno` is None for a fault of the
-    whole file, such as a missing degree line."""
+    """A malformed generator file.  The message names line `lineno`, or
+    no line when it is None, for a fault of the whole file such as a
+    missing degree line."""
 
     def __init__(self, lineno: Optional[int], message: str):
         super().__init__(message if lineno is None else f"line {lineno}: {message}")
-        self.lineno = lineno
 
 
 def load_generators(path) -> PermGroup:

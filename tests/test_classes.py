@@ -266,6 +266,56 @@ def sampled_order_r(G, r):
     return next(classes._order_r_sample(G, r, sylow))
 
 
+def forward_order_r_sample(G, r, sylow, full=None):
+    """_order_r_sample with its draws taken on forward rows u (argsort of
+    the stored u^-1) and the product built as img * u."""
+    n, order = G.degree, G.order()
+    ident = np.arange(n, dtype=np.int64)
+    rng = np.random.default_rng(DEFAULT_SEED)
+    levels = [(np.argsort(lvl.inverse, axis=1), len(lvl.points))
+              for lvl in G.chain.levels]
+    for _ in range(max(1, 8 * n // classes._DRAW)):
+        img = np.tile(ident, (classes._DRAW, 1))
+        for rows, size in reversed(levels):
+            u = rows[rng.integers(0, size, size=classes._DRAW)]
+            img = np.take_along_axis(u, img, axis=1)  # img * u
+        rows = batch_power(img, order // sylow)
+        rows = rows[(rows != ident).any(axis=1)]
+        if full is not None:
+            top = (batch_power(rows, sylow // r) != ident).any(axis=1)
+            if top.any():
+                full.append(rows[top.argmax()])
+                return
+        while len(rows):
+            nxt = batch_power(rows, r)
+            last = (nxt == ident).all(axis=1)
+            yield from rows[last]
+            rows = nxt[~last]
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["rows", "full"])
+def test_order_r_sample_matches_forward_rows(env, m11_12, full):
+    line = env.line127()
+    groups = [("PSL(2,127)", line.subgroups["PSL"]),
+              ("PGL(2,127)", line.subgroups["PGL"]),
+              ("M11 on 12", m11_12.group), ("A6", alternating(6)),
+              ("D600", dihedral(300))]
+    for name, G in groups:
+        for r in prime_divisors(G.order()):
+            sylow = r ** factorize(G.order())[r]
+            got_full, want_full = ([], []) if full else (None, None)
+            got = list(classes._order_r_sample(G, r, sylow, got_full))
+            want = list(forward_order_r_sample(G, r, sylow, want_full))
+            assert len(got) == len(want), (name, r)
+            for a, b in zip(got, want):
+                assert a.dtype == np.min_scalar_type(G.degree - 1)
+                assert np.array_equal(a, b), (name, r)
+            if full:
+                assert len(got_full) == len(want_full), (name, r)
+                for a, b in zip(got_full, want_full):
+                    assert np.array_equal(a, b), (name, r)
+
+
 def walk_group(env, name):
     if name == "PSL(2,127)":
         return env.line127().subgroups["PSL"]

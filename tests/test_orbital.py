@@ -10,6 +10,7 @@ everywhere.
 import numpy as np
 import pytest
 
+from derangements import orbital
 from derangements import (BlockSystem, CertificateError, Graph, PermGroup,
                           Permutation, WreathSpec, block_divisibility_check,
                           connectivity_by_generation, is_connected,
@@ -316,6 +317,32 @@ def test_double_cover_at_127(env):
     assert report.sigma.valency == 127 == report.gamma.valency
     assert report.edge_count == 768 * 127 // 2
     assert sorted(report.psi) == list(range(768))
+
+
+def test_double_cover_with_a_moved_arc_is_refused(env, monkeypatch):
+    # the last cover vertex trades its first neighbour for a vertex it
+    # was not joined to, so one mapped arc leaves the orbital graph
+    def scenario():
+        return verify_double_cover_scenario(
+            env.scn127(), budgets=env.budgets,
+            actions={"a_half": env.a384(), "a_full": env.a768(),
+                     "line": env.line127()})
+
+    def moved_cover(graph):
+        cover = true_cover(graph)
+        last, heads = cover.n - 1, cover.adj[-1]
+        new = next(v for v in range(cover.n)
+                   if v not in heads and v != last)
+        adj = cover.adj[:-1] + (tuple(sorted((new,) + heads[1:])),)
+        return Graph(n=cover.n, adj=adj)
+
+    good = scenario()
+    true_cover = orbital.standard_double_cover
+    monkeypatch.setattr(orbital, "standard_double_cover", moved_cover)
+    bad = scenario()
+    assert good.ok and not bad.ok and not bool(bad)
+    assert bad.psi == good.psi
+    assert bad.edge_count == good.edge_count == 768 * 127 // 2
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from derangements import (BlockSystem, CertificateError, PermGroup,
                           derangement_backtrack, parse_cycles,
                           projective_line_action)
 import derangements.perm as perm_module
-from derangements.perm import (StabilizerChain,
+from derangements.perm import (StabilizerChain, _inverse_rows,
                                permutation_from_cycles_1indexed)
 
 from tests.conftest import (alternating, cyclic, dihedral,
@@ -179,7 +179,7 @@ def test_element_batches_identity_group():
 def test_element_batches_are_bounded_blocks_in_enumeration_order(monkeypatch):
     G = symmetric(9)
     n = G.degree
-    widest = max(len(lvl.rows) for lvl in G.chain.levels)
+    widest = max(len(lvl.inverse) for lvl in G.chain.levels)
 
     def chunks():
         batches = list(G.element_batches())
@@ -202,8 +202,9 @@ def test_element_batches_are_bounded_blocks_in_enumeration_order(monkeypatch):
 
 def explicit_products(G):
     """Image rows of t_{k-1} * ... * t_0 over itertools.product of the
-    level indices, lexicographic in (t_0, ..., t_{k-1})."""
-    levels = [lvl.rows for lvl in G.chain.levels]
+    level indices, lexicographic in (t_0, ..., t_{k-1}); the forward rows
+    t_i are the chain's inverse rows inverted."""
+    levels = [_inverse_rows(lvl.inverse) for lvl in G.chain.levels]
     index = np.array(list(itertools.product(*(range(len(T)) for T in levels))),
                      dtype=np.int64).reshape(-1, len(levels))
     rows = np.tile(np.arange(G.degree), (len(index), 1))
@@ -253,14 +254,14 @@ def node_by_node_backtrack(G, r):
     if G.order() % r != 0:
         return None
     chain = G.chain
-    levels = chain.levels
+    levels = [_inverse_rows(lvl.inverse) for lvl in chain.levels]
     if not levels:
         return None
     ident = np.arange(G.degree, dtype=np.int64)
     stack = [(0, None)]  # (level, t_{i-1} * ... * t_0)
     while stack:
         i, partial = stack.pop()
-        rows = levels[i].rows
+        rows = levels[i]
         new = rows if partial is None else partial[rows]
         bases = chain.base[: i + 1]
         new = new[(new[:, bases] != bases).all(axis=1)]
@@ -277,7 +278,7 @@ def node_by_node_backtrack(G, r):
 def small_chunks(monkeypatch, G):
     """Chunks of three parents at the widest level (more at the others),
     so every level with more than a few parents spans several chunks."""
-    widest = max((len(lvl.rows) for lvl in G.chain.levels), default=1)
+    widest = max((len(lvl.inverse) for lvl in G.chain.levels), default=1)
     monkeypatch.setattr(perm_module, "_BATCH_ENTRIES",
                         3 * G.degree * widest)
 
@@ -356,9 +357,15 @@ def test_chain_level_rows_are_transversals(corpus):
             assert lvl.point == chain.base[i], name
             assert (np.diff(lvl.points) > 0).all(), name
             assert sorted(lvl.discovered.tolist()) == lvl.points.tolist()
-            assert (lvl.rows[:, lvl.point] == lvl.points).all(), name
+            rows = _inverse_rows(lvl.inverse)
+            assert (rows[:, lvl.point] == lvl.points).all(), name
             for b in chain.base[:i]:
-                assert (lvl.rows[:, b] == b).all(), name
+                assert (rows[:, b] == b).all(), name
+            # the stored inverse rows send points[k] back to the base point
+            k = np.arange(len(lvl.points))
+            assert (lvl.inverse[k, lvl.points] == lvl.point).all(), name
+            for b in chain.base[:i]:
+                assert (lvl.inverse[:, b] == b).all(), name
             index = np.full(A.degree, -1)
             index[lvl.points] = np.arange(len(lvl.points))
             assert (lvl.index == index).all(), name
@@ -376,6 +383,101 @@ def test_canonical_coset_row_is_least_in_its_coset(m11_12):
         keys = coset[:, chain.base]
         least = coset[np.lexsort(keys.T[::-1])[0]]
         assert (chain.canonical_row(x.images) == least).all()
+
+
+# ---------------------------------------------------------------------------
+# inverse transversal rows against forward-row references
+
+
+def point_by_point_orbit(point, gens, n):
+    """The orbit of `point` in breadth-first order and, per point q, the
+    representative u with point^u = q as a product of Permutations: the
+    reference for _orbit."""
+    reps = {point: Permutation.identity(n)}
+    order = [point]
+    for p in order:  # grows while it is walked
+        for g in gens:
+            q = g(p)
+            if q not in reps:
+                reps[q] = reps[p] * g
+                order.append(q)
+    return order, reps
+
+
+def random_partial_permutation(rng, n):
+    """A random permutation of a random subset of the points, so that
+    orbits are often proper."""
+    img = np.arange(n)
+    moved = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+    img[moved] = rng.permutation(moved)
+    return Permutation(img)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_orbit_matches_point_by_point_bfs(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        n = int(rng.integers(1, 13))
+        gens = [random_partial_permutation(rng, n)
+                for _ in range(int(rng.integers(0, 4)))]
+        point = int(rng.integers(0, n))
+        rows = np.array([g.images for g in gens],
+                        dtype=np.int64).reshape(len(gens), n)
+        orbit = perm_module._orbit(point, rows)
+        order, reps = point_by_point_orbit(point, gens, n)
+        assert orbit.point == point
+        assert orbit.discovered.tolist() == order
+        assert orbit.points.tolist() == sorted(order)
+        index = np.full(n, -1)
+        index[sorted(order)] = np.arange(len(order))
+        assert (orbit.index == index).all()
+        assert orbit.inverse.shape == (len(order), n)
+        for k, q in enumerate(orbit.points.tolist()):
+            # row k is u^-1 for this very u: u * u^-1 is the identity
+            assert (orbit.inverse[k][reps[q].images] == np.arange(n)).all()
+
+
+def test_orbit_under_no_generators_is_the_point():
+    orbit = perm_module._orbit(3, np.empty((0, 5), dtype=np.int64))
+    assert orbit.points.tolist() == orbit.discovered.tolist() == [3]
+    assert orbit.index.tolist() == [-1, -1, -1, 0, -1]
+    assert orbit.inverse.tolist() == [[0, 1, 2, 3, 4]]
+
+
+def forward_rows(lvl):
+    """A level's forward rows u, by argsort of the stored u^-1."""
+    return np.argsort(lvl.inverse, axis=1)
+
+
+def test_random_element_matches_forward_rows(corpus, env):
+    for name, A in corpus + [("M11 wr C2 on 144", env.wreath144()[1])]:
+        chain = A.group.chain
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(5):
+            img = np.arange(A.degree)
+            for lvl in reversed(chain.levels):
+                pts = lvl.discovered
+                u = forward_rows(lvl)[
+                    lvl.index[pts[int(ref.integers(0, len(pts)))]]]
+                img = u[img]  # img * u
+            assert np.array_equal(chain.random_element(rng).images, img), name
+
+
+def test_canonical_row_matches_forward_rows(corpus, m11_12):
+    cc = m11_12.parent
+    cases = [(name, A.group, A.group.point_stabilizer(0))
+             for name, A in corpus]
+    cases.append(("M11 on 12 cosets", cc.parent_group, cc.stabilizer))
+    rng = np.random.default_rng(9)
+    for name, G, H in cases:
+        chain = H.chain
+        for _ in range(10):
+            x = G.random_element(rng).images
+            img = x
+            for lvl in chain.levels:
+                u = forward_rows(lvl)[int(np.argmin(img[lvl.points]))]
+                img = img[u]  # u * img
+            assert np.array_equal(chain.canonical_row(x), img), name
 
 
 @pytest.mark.parametrize("dtype, n, m", [(np.uint8, 200, 40),
