@@ -168,8 +168,9 @@ def orbital_graph(A: GroupAction, alpha: int, beta: int) -> OrbitalGraph:
     suborbit = np.array(sorted(stab.orbit(beta)), dtype=np.int64)
     in_S = np.zeros(n, dtype=bool)
     in_S[suborbit] = True
-    # points == range(n); row-major nonzero columns ascend in each row
-    adj = np.nonzero(in_S[inverse])[1].reshape(n, len(suborbit))
+    # points == range(n); the flat indices t * n + v ascend, so each row's
+    # heads v do too
+    adj = (np.flatnonzero(in_S[inverse]) % n).reshape(n, len(suborbit))
     rep = int(inverse[beta][alpha])  # the paired point
     del inverse  # drop the n x n transversal before the checks and tuples
 
