@@ -114,16 +114,6 @@ class OrbitalGraph:
                 f"self_paired={self.self_paired})")
 
 
-def _transversal_inverse(G: PermGroup, alpha: int, beta: int):
-    """Image row of the inverse of an element of G sending alpha to beta,
-    or None when beta lies outside the orbit of alpha."""
-    points, inverse = G.orbit_with_transversal(alpha)
-    k = int(np.searchsorted(points, beta))
-    if k == len(points) or points[k] != beta:
-        return None
-    return inverse[k].copy()
-
-
 def paired_suborbit(A: GroupAction, alpha: int, beta: int) -> int:
     """Representative of the suborbit paired to that of beta.
 
@@ -134,7 +124,7 @@ def paired_suborbit(A: GroupAction, alpha: int, beta: int) -> int:
     """
     if alpha == beta:
         raise ValueError("paired_suborbit needs two distinct points")
-    g0 = _transversal_inverse(A.group, alpha, beta)
+    g0 = A.group.transversal_inverse(alpha, beta)
     if g0 is None:
         raise ValueError("alpha and beta lie in different orbits")
     return int(g0[alpha])
@@ -226,10 +216,10 @@ def connectivity_by_generation(A: GroupAction, alpha: int, beta: int) -> bool:
         raise ValueError("need two distinct points")
     G = A.group
     stab = G.point_stabilizer(alpha)
-    u_inv = _transversal_inverse(G, alpha, beta)
+    u_inv = G.transversal_inverse(alpha, beta)
     if u_inv is None:
         raise ValueError("alpha and beta lie in different orbits")
-    v_inv = _transversal_inverse(stab, beta, int(u_inv[alpha]))
+    v_inv = stab.transversal_inverse(beta, int(u_inv[alpha]))
     if v_inv is None:
         raise ValueError("suborbit of beta is not self-paired; "
                          "no element interchanges alpha and beta")

@@ -14,7 +14,10 @@ words (from a generator seeded with the constant DEFAULT_SEED) for speed,
 followed by a deterministic verification sweep in which every Schreier
 generator of every level is sifted; the result is therefore exact, not
 Monte Carlo.  A built chain can absorb further elements and be swept exact
-again; normal_closure grows one chain per call so (Seress, ch. 4).  Chains
+again; normal_closure grows one chain per call so (Seress, ch. 4).  Each
+new strong generator grows the levels it belongs to in place (_grow): a
+level it keeps closed stays the same object, and otherwise the search
+starts from the new points only, keeping the old representatives.  Chains
 are refused above DEFAULT_BUDGETS.chain_degree points.
 The chain supplies order, membership, uniform random elements, canonical
 right-coset representatives and the one element scan, element_batches:
@@ -43,8 +46,8 @@ The chain alone decides the transversal format (see _Orbit): per level, an
 int64 matrix of inverse representative rows u^-1, one per orbit point in
 sorted order, as in Sims's chains (Seress, section 4.1).  Strong
 generators are image rows too, so building and sifting make no
-Permutation objects.  A sift step g * u^-1 is then one gather, and _orbit
-builds each inverse row from its parent's by one gather too, since
+Permutation objects.  A sift step g * u^-1 is then one gather, and _grow
+builds each new inverse row from its parent's by one gather too, since
 (u g)^-1 = g^-1 u^-1.  Forward rows are not stored beside them, which
 would double the matrices, the part of a chain whose size grows with the
 degree; the few readers of u itself (the Schreier sweep once per orbit
@@ -369,7 +372,8 @@ class _Orbit(NamedTuple):
     Row k of `inverse` is the image array of u^-1, where u is the
     representative taking `point` to points[k] (sorted); `index` maps a
     point to its row (-1 off the orbit); `discovered` lists the points in
-    breadth-first order.
+    growth order: the points of the orbit it was grown from, then the new
+    ones in the order _grow reached them (breadth first for _orbit).
     """
 
     point: int
@@ -379,34 +383,73 @@ class _Orbit(NamedTuple):
     discovered: np.ndarray
 
 
-def _orbit(point: int, gens: np.ndarray) -> _Orbit:
-    """Breadth-first orbit of `point` under the image rows `gens`.
-
-    A new point q is first reached as p^g; its representative is
-    rep(p) * g, whose inverse g^-1 * rep(p)^-1 is the inverse row of p
-    gathered by g^-1.  Those rows are written after the search straight
-    into the one inverse matrix.
-    """
-    n = gens.shape[1]
-    images = gens.tolist()
-    reached = {point: None}  # q -> (p, generator index)
-    discovered = [point]
-    for p in discovered:  # grows while it is walked
+def _search(images: list, inside: list, sources: list, start: int) -> tuple:
+    """The points outside `inside` (a list of flags, set as points are
+    reached) that a breadth-first search reaches: the points `sources`
+    mapped by each row of images[start:], then the new points walked
+    under all of images.  Returns the new points in the order reached
+    and, for each, the pair (p, j) with q = p^images[j] that first
+    reached it."""
+    found, tree = [], []
+    for p in sources:
+        for j in range(start, len(images)):
+            q = images[j][p]
+            if not inside[q]:
+                inside[q] = True
+                found.append(q)
+                tree.append((p, j))
+    for p in found:  # grows while it is walked
         for j, img in enumerate(images):
             q = img[p]
-            if q not in reached:
-                reached[q] = (p, j)
-                discovered.append(q)
-    points = np.array(sorted(reached), dtype=np.int64)
+            if not inside[q]:
+                inside[q] = True
+                found.append(q)
+                tree.append((p, j))
+    return found, tree
+
+
+def _grow(orb: _Orbit, gens: np.ndarray, start: int) -> _Orbit:
+    """The orbit of orb.point under the image rows `gens`, grown from orb,
+    which is closed under gens[:start].
+
+    orb itself is returned, nothing copied, when gens[start:] map each of
+    its points into it.  Otherwise the search starts from the new points
+    only: the old points, in discovered order, are mapped by each row of
+    gens[start:], then the new points are walked breadth first under all
+    of gens.  A new point q is first reached as p^g; its representative
+    is rep(p) * g, whose inverse g^-1 * rep(p)^-1 is the inverse row of p
+    gathered by g^-1.  Old rows are kept, so a grown orbit may have other
+    representatives than one searched from scratch.  The rows are laid
+    out anew in sorted point order, and `discovered` is the old order
+    followed by the new points.
+    """
+    if (orb.index[gens[start:, orb.discovered]] >= 0).all():
+        return orb
+    inside = (orb.index >= 0).tolist()
+    found, tree = _search(gens.tolist(), inside, orb.discovered.tolist(),
+                          start)
+    n = gens.shape[1]
+    points = np.flatnonzero(inside)
     index = np.full(n, -1, dtype=np.int64)
     index[points] = np.arange(points.size)
-    inv_gens = _inverse_rows(gens)
     inverse = np.empty((points.size, n), dtype=np.int64)
-    inverse[index[point]] = np.arange(n)
-    for q in discovered[1:]:
-        p, j = reached[q]
+    inverse[index[orb.points]] = orb.inverse
+    inv_gens = _inverse_rows(gens)
+    for q, (p, j) in zip(found, tree):
         inverse[index[q]] = inverse[index[p]][inv_gens[j]]
-    return _Orbit(point, points, inverse, index, np.array(discovered))
+    return _Orbit(orb.point, points, inverse, index,
+                  np.concatenate([orb.discovered, found]))
+
+
+def _orbit(point: int, gens: np.ndarray) -> _Orbit:
+    """Breadth-first orbit of `point` under the image rows `gens`: the
+    one-point orbit grown by all of them."""
+    n = gens.shape[1]
+    index = np.full(n, -1, dtype=np.int64)
+    index[point] = 0
+    one = np.array([point], dtype=np.int64)
+    return _grow(_Orbit(point, one, np.arange(n)[None, :], index, one),
+                 gens, 0)
 
 
 class StabilizerChain:
@@ -415,7 +458,10 @@ class StabilizerChain:
     ``strong`` holds all strong generators as (image row, depth) pairs; a
     generator belongs to level i when it fixes base[0..i-1] pointwise.
     Level i's row for an orbit point q is the inverse of a representative
-    u with base[i]^u = q.
+    u with base[i]^u = q.  Levels grow in place: a strong generator of
+    depth d extends levels 0..d by _grow as it is added, so every level is
+    always the orbit of its base point under its generators, and its
+    `discovered` order is the order in which the points were added.
 
     ``bound`` is the certified order of a group known to contain the one
     generated.  The random phase then ends as soon as the order reaches
@@ -461,27 +507,28 @@ class StabilizerChain:
         self.base.append(point)
         self.levels.append(_orbit(point, self._level_gens(len(self.base) - 1)))
 
-    def _recompute_transversal(self, i: int):
-        self.levels[i] = _orbit(self.base[i], self._level_gens(i))
-
     def _add_strong(self, g: np.ndarray):
+        """Add g as a strong generator and grow levels 0..depth(g), the
+        ones it belongs to, in place; return its depth."""
         depth = self._depth(g)
         if depth == len(self.base):
             # g fixes the whole base: extend it with g's first moved point
             self._new_level(int(np.flatnonzero(g != self._identity)[0]))
         self.strong.append((g, depth))
+        for i in range(depth + 1):
+            gens = self._level_gens(i)  # g comes last
+            self.levels[i] = _grow(self.levels[i], gens, len(gens) - 1)
         return depth
 
-    def _sift(self, g: np.ndarray, from_level: int = 0):
-        """Strip the image row g through the levels; return (residue,
-        stuck_level)."""
+    def _sift(self, g: np.ndarray, from_level: int = 0) -> np.ndarray:
+        """Strip the image row g through the levels; return the residue."""
         for i in range(from_level, len(self.levels)):
             lvl = self.levels[i]
             k = lvl.index[g[lvl.point]]
             if k < 0:
-                return g, i
+                return g
             g = lvl.inverse[k][g]  # g * u^-1
-        return g, len(self.levels)
+        return g
 
     def _reached_bound(self) -> bool:
         """True when the order equals the bound; raises above it."""
@@ -498,8 +545,6 @@ class StabilizerChain:
             self._new_level(b)
         for g in gens:
             self._add_strong(g)
-        for i in range(len(self.levels)):
-            self._recompute_transversal(i)
 
         # randomized seeding: sift random words, add residues
         if self.strong:
@@ -516,12 +561,10 @@ class StabilizerChain:
     def _absorb(self, g: np.ndarray) -> bool:
         """Sift the image row g and keep a nonidentity residue as a strong
         generator; True when g was absorbed, False when it is a member."""
-        residue, _ = self._sift(g)
+        residue = self._sift(g)
         if (residue == self._identity).all():
             return False
-        d = self._add_strong(residue)
-        for i in range(d + 1):
-            self._recompute_transversal(i)
+        self._add_strong(residue)
         self._swept = False
         return True
 
@@ -532,32 +575,29 @@ class StabilizerChain:
             return
         i = len(self.levels) - 1
         while i >= 0:
-            self._recompute_transversal(i)
-            found = self._schreier_residue(i)
-            if found is None:
+            residue = self._schreier_residue(i)
+            if residue is None:
                 i -= 1
                 continue
-            residue, j = found
-            d = self._add_strong(residue)
-            for lev in range(min(d, j), len(self.levels)):
-                self._recompute_transversal(lev)
-            i = len(self.levels) - 1 if d >= len(self.levels) else max(d, i)
+            # the residue fixes base[0..i], so its depth d exceeds i; the
+            # levels below d+1 grew, and the sweep resumes at level d
+            i = self._add_strong(residue)
         self._swept = True
         self._reached_bound()  # raises when the sweep went past the bound
 
     def _schreier_residue(self, i: int):
-        """(residue, stuck level) of the first Schreier generator
-        u * s * u2^-1 of level i, points in breadth-first order, that does
-        not sift to the identity; None when all do."""
+        """The residue of the first Schreier generator u * s * u2^-1 of
+        level i, points in discovered order, that does not sift to the
+        identity; None when all do."""
         lvl = self.levels[i]
         gens = self._level_gens(i)
         for pt in lvl.discovered.tolist():
             u = _inverse_row(lvl.inverse[lvl.index[pt]])
             for s in gens:
-                residue, j = self._sift(lvl.inverse[lvl.index[s[pt]]][s[u]],
-                                        i + 1)
+                residue = self._sift(lvl.inverse[lvl.index[s[pt]]][s[u]],
+                                     i + 1)
                 if not (residue == self._identity).all():
-                    return residue, j
+                    return residue
         return None
 
     # -- queries -----------------------------------------------------------
@@ -571,7 +611,7 @@ class StabilizerChain:
     def contains(self, g: Permutation) -> bool:
         if g.degree != self.degree:
             return False
-        residue, _ = self._sift(g.images)
+        residue = self._sift(g.images)
         return bool((residue == self._identity).all())
 
     def stabilizer_gens(self, level: int = 1) -> list:
@@ -658,9 +698,12 @@ class PermGroup:
                                        [g.images for g in self.generators])
         return self._labels
 
-    def orbit(self, point: int) -> set:
+    def _check_point(self, point: int):
         if not 0 <= point < self.degree:
             raise ValueError(f"point {point} out of range")
+
+    def orbit(self, point: int) -> set:
+        self._check_point(point)
         labels = self._orbit_labels()
         return set(np.flatnonzero(labels == labels[point]).tolist())
 
@@ -674,15 +717,36 @@ class PermGroup:
         """The orbit of `point`, sorted, and an image-row matrix whose row k
         is the inverse of a group element sending `point` to points[k], as
         a chain level."""
+        self._check_point(point)
         gens = np.stack([g.images for g in self.generators])
         orbit = _orbit(point, gens)
         return orbit.points, orbit.inverse
 
+    def transversal_inverse(self, point: int, target: int) -> Optional[np.ndarray]:
+        """The row of orbit_with_transversal(point) for `target`, or None
+        when target lies off the orbit, built alone: the same search, then
+        the inverted generators on its tree path from target back to
+        point composed into one row."""
+        self._check_point(point)
+        self._check_point(target)
+        gens = np.stack([g.images for g in self.generators])
+        inside = [False] * self.degree
+        inside[point] = True
+        found, tree = _search(gens.tolist(), inside, [point], 0)
+        if not inside[target]:
+            return None
+        parent = dict(zip(found, tree))
+        inv_gens = _inverse_rows(gens)
+        row = np.arange(self.degree)
+        while target != point:
+            target, j = parent[target]
+            row = inv_gens[j][row]  # row * g^-1, the last step first
+        return row
+
     # -- derived subgroups, closures ----------------------------------------
 
     def point_stabilizer(self, point: int) -> "PermGroup":
-        if not 0 <= point < self.degree:
-            raise ValueError(f"point {point} out of range")
+        self._check_point(point)
         if point not in self._stab_cache:
             chain = StabilizerChain(self.degree, self.generators,
                                     base_prefix=[point], bound=self.order())

@@ -13,7 +13,7 @@ import pytest
 from derangements import orbital
 from derangements import (BlockSystem, CertificateError, Graph, PermGroup,
                           Permutation, WreathSpec, block_divisibility_check,
-                          connectivity_by_generation, is_connected,
+                          connectivity_by_generation, is_connected, m11,
                           mersenne_scenario, natural_action, orbital_graph,
                           paired_suborbit, standard_double_cover, suborbits,
                           verify_double_cover_scenario, wreath)
@@ -90,6 +90,44 @@ def test_paired_suborbit_directed_cycle():
     assert paired_suborbit(A, 0, 2) == 2  # self-paired
     with pytest.raises(ValueError):
         paired_suborbit(A, 1, 1)
+
+
+@pytest.mark.parametrize("call, alpha, beta", [
+    (paired_suborbit, -1, 3),
+    (orbital_graph, -1, 3),
+    (paired_suborbit, 0, 11),
+    (connectivity_by_generation, 0, 11),
+], ids=["paired negative", "graph negative", "paired past the end",
+        "generation past the end"])
+def test_points_out_of_range_are_refused(call, alpha, beta):
+    # a negative point must not wrap round to the last one, nor a point
+    # past the end read as off the orbit
+    A = m11()
+    bad = alpha if alpha < 0 else beta
+    with pytest.raises(ValueError, match=f"point {bad} out of range"):
+        call(A, alpha, beta)
+    with pytest.raises(ValueError, match=f"point {bad} out of range"):
+        A.group.transversal_inverse(alpha, beta)
+    with pytest.raises(ValueError, match="point -1 out of range"):
+        A.group.orbit_with_transversal(-1)
+
+
+def test_transversal_inverse_is_the_row_of_the_full_transversal(corpus):
+    # S3 on {0, 1, 2} fixing 3 and 4: targets off the orbit give None
+    S3 = PermGroup([Permutation(np.array([1, 0, 2, 3, 4])),
+                    Permutation(np.array([1, 2, 0, 3, 4]))])
+    cases = [(name, A.group) for name, A in corpus] + [("S3+2", S3)]
+    for name, G in cases:
+        for alpha in sorted({0, G.degree // 2, G.degree - 1}):
+            points, inverse = G.orbit_with_transversal(alpha)
+            rows = dict(zip(points.tolist(), inverse))
+            for beta in range(G.degree):
+                got = G.transversal_inverse(alpha, beta)
+                if beta in rows:
+                    assert np.array_equal(got, rows[beta]), (name, beta)
+                else:
+                    assert got is None, (name, beta)
+    assert S3.transversal_inverse(0, 4) is None
 
 
 def test_orbital_graph_k4():

@@ -444,6 +444,83 @@ def test_orbit_under_no_generators_is_the_point():
     assert orbit.inverse.tolist() == [[0, 1, 2, 3, 4]]
 
 
+def gen_rows(gens, n):
+    return np.array([g.images for g in gens],
+                    dtype=np.int64).reshape(len(gens), n)
+
+
+def check_inverse_representatives(orbit, gens, n):
+    """Every row of `orbit` is the inverse of an element of <gens> sending
+    the orbit's point to the row's point."""
+    G = PermGroup(gens, degree=n)
+    k = np.arange(len(orbit.points))
+    assert (orbit.inverse[k, orbit.points] == orbit.point).all()
+    for row in orbit.inverse:
+        assert G.contains(Permutation(row))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_grow_by_a_generator_matches_orbit_from_scratch(seed):
+    rng = np.random.default_rng(100 + seed)
+    grown_count = 0
+    for _ in range(40):
+        n = int(rng.integers(1, 13))
+        gens = [random_partial_permutation(rng, n)
+                for _ in range(int(rng.integers(0, 4)))]
+        point = int(rng.integers(0, n))
+        old = perm_module._orbit(point, gen_rows(gens, n))
+        gens.append(random_partial_permutation(rng, n))
+        rows = gen_rows(gens, n)
+        grown = perm_module._grow(old, rows, len(gens) - 1)
+        order, _ = point_by_point_orbit(point, gens, n)
+        assert grown.points.tolist() == sorted(order) == \
+            perm_module._orbit(point, rows).points.tolist()
+        assert grown.point == point
+        assert sorted(grown.discovered.tolist()) == sorted(order)
+        # old rows and the old discovery order are kept
+        assert grown.discovered[:len(old.points)].tolist() == \
+            old.discovered.tolist()
+        assert np.array_equal(grown.inverse[grown.index[old.points]],
+                              old.inverse)
+        index = np.full(n, -1)
+        index[grown.points] = np.arange(len(grown.points))
+        assert (grown.index == index).all()
+        check_inverse_representatives(grown, gens, n)
+        grown_count += grown is not old
+    assert grown_count >= 10  # most cases grow
+
+
+def test_grow_by_a_member_keeps_the_orbit_object():
+    rows = gen_rows(frobenius21().generators, 7)
+    orbit = perm_module._orbit(0, rows)
+    product = rows[1][rows[0]]  # rows[0] * rows[1] maps the orbit into itself
+    assert perm_module._grow(orbit, np.vstack([rows, product]), 2) is orbit
+    # (3 4) fixes the first three base points of S5, so it joins levels
+    # 0..3, and keeps each closed: every level object stays
+    chain = StabilizerChain(5, symmetric(5).generators)
+    assert chain.base == [0, 1, 2, 3]
+    before = list(chain.levels)
+    assert chain._add_strong(np.array([0, 1, 2, 4, 3])) == 3
+    assert len(chain.levels) == len(before)
+    assert all(a is b for a, b in zip(before, chain.levels))
+
+
+def test_levels_after_normal_closure_are_orbits_of_their_generators(env):
+    _spec, W = env.wreath144()
+    socle = W.declared_socle
+    top = next(g for g in W.group.generators if not socle.subgroup.contains(g))
+    for seed in (socle.factors[0].generators[0], top):
+        G = PermGroup(W.group.generators)
+        chain = G.normal_closure([seed]).chain
+        for i, lvl in enumerate(chain.levels):
+            gens = chain._level_gens(i)
+            scratch = perm_module._orbit(chain.base[i], gens)
+            assert lvl.points.tolist() == scratch.points.tolist(), i
+            assert sorted(lvl.discovered.tolist()) == lvl.points.tolist()
+            k = np.arange(len(lvl.points))
+            assert (lvl.inverse[k, lvl.points] == chain.base[i]).all(), i
+
+
 def forward_rows(lvl):
     """A level's forward rows u, by argsort of the stored u^-1."""
     return np.argsort(lvl.inverse, axis=1)

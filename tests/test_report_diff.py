@@ -1,5 +1,5 @@
-"""`tools/report_diff.py compare` on synthetic reports: sizes, digests
-and the first differing line."""
+"""`tools/report_diff.py` on synthetic reports: sizes, digests, the first
+differing line, and the differing JSON leaves per collapsed path."""
 
 import hashlib
 import importlib
@@ -43,3 +43,25 @@ def test_first_difference(report_diff, change, line, parent_text,
     assert lines[2:] == [f"first difference at line {line}:",
                          f"  parent: {parent_text}",
                          f"  change: {change_text}"]
+
+
+def test_leaf_diffs_count_by_collapsed_path(report_diff):
+    parent = b'{"s": [{"r": "(1,2)", "h": [[1, 2]]}, {"r": "(1,3)"}], "n": 1}'
+    change = (b'{"s": [{"r": "(2,3)", "h": [[2, 1]]}, {"r": "(1,2)", '
+              b'"h": []}], "n": 1, "e": {}}')
+    assert report_diff.leaf_diffs(parent, change) == [
+        "differing JSON leaves: 6",
+        "  1 e",  # only the change has it
+        "  1 s[].h",  # an empty list, a leaf itself
+        "  2 s[].h[][]",
+        "  2 s[].r"]
+
+
+@pytest.mark.parametrize("parent,change,lines", [
+    (REPORT, REPORT[:-1], ["differing JSON leaves: 0"]),  # same document
+    (b"1", b"true", ["differing JSON leaves: 1", "  1 <root>"]),
+    (REPORT, REPORT[:-2], []),  # the change does not parse
+    (b"\xff", REPORT, []),  # nor does the parent
+], ids=["newline only", "value type", "truncated", "not text"])
+def test_leaf_diffs_edge_cases(report_diff, parent, change, lines):
+    assert report_diff.leaf_diffs(parent, change) == lines

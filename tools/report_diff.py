@@ -9,17 +9,23 @@ removed at the end, and runs each side's own
     python -m derangements.cli report --format json --determinism
 
 there.  Prints the byte count and sha256 of each report and, when they
-differ, the first line where they do.  Exits 0 when the two reports are
-byte-identical and both commands succeed, else 1.  Standard library only.
+differ, the first line where they do and, if both parse as JSON, the
+number of differing leaves for each JSON path, list indices collapsed to
+`[]` (so `scenarios[].certificates.structure.closures[].representative`
+counts every closure representative that moved).  Exits 0 when the two
+reports are byte-identical and both commands succeed, else 1.  Standard
+library only.
 """
 
 import argparse
 import hashlib
+import json
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 from bench_pairs import SIDES, _checkout
@@ -53,6 +59,39 @@ def compare(parent: bytes, change: bytes) -> tuple:
     return False, lines
 
 
+def _leaves(node, path=()):
+    """(path, value) for each leaf of a parsed JSON document: a path is
+    the tuple of keys and list indices leading to it, and an empty list
+    or object is a leaf itself."""
+    if isinstance(node, (dict, list)) and node:
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from _leaves(child, path + (key,))
+    else:
+        yield path, node
+
+
+def _collapsed(path) -> str:
+    name = "".join("[]" if isinstance(key, int) else "." + key
+                   for key in path)
+    return name.lstrip(".") or "<root>"
+
+
+def leaf_diffs(parent: bytes, change: bytes) -> list:
+    """Lines to print: per JSON path, list indices collapsed to [], the
+    number of leaves that differ (one side's value changed, or it has no
+    such leaf); none unless both reports parse as JSON."""
+    try:
+        a, b = ({path: json.dumps(value) for path, value in
+                 _leaves(json.loads(data))} for data in (parent, change))
+    except ValueError:
+        return []
+    counts = Counter(_collapsed(path) for path in a.keys() | b.keys()
+                     if a.get(path) != b.get(path))
+    return ([f"differing JSON leaves: {sum(counts.values())}"]
+            + [f"  {count} {name}" for name, count in sorted(counts.items())])
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="git revision")
@@ -69,7 +108,10 @@ def main() -> int:
                   f"code {runs[side].returncode}")
     finally:
         shutil.rmtree(workdir)
-    same, lines = compare(*(runs[s].stdout for s in SIDES))
+    reports = [runs[s].stdout for s in SIDES]
+    same, lines = compare(*reports)
+    if not same:
+        lines += leaf_diffs(*reports)
     print("\n".join(lines))
     ok = same and all(run.returncode == 0 for run in runs.values())
     return 0 if ok else 1
