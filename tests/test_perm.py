@@ -413,6 +413,11 @@ def random_partial_permutation(rng, n):
     return Permutation(img)
 
 
+def gen_rows(gens, n):
+    return np.array([g.images for g in gens],
+                    dtype=np.int64).reshape(len(gens), n)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_orbit_matches_point_by_point_bfs(seed):
     rng = np.random.default_rng(seed)
@@ -421,8 +426,7 @@ def test_orbit_matches_point_by_point_bfs(seed):
         gens = [random_partial_permutation(rng, n)
                 for _ in range(int(rng.integers(0, 4)))]
         point = int(rng.integers(0, n))
-        rows = np.array([g.images for g in gens],
-                        dtype=np.int64).reshape(len(gens), n)
+        rows = gen_rows(gens, n)
         orbit = perm_module._orbit(point, rows)
         order, reps = point_by_point_orbit(point, gens, n)
         assert orbit.point == point
@@ -442,11 +446,6 @@ def test_orbit_under_no_generators_is_the_point():
     assert orbit.points.tolist() == orbit.discovered.tolist() == [3]
     assert orbit.index.tolist() == [-1, -1, -1, 0, -1]
     assert orbit.inverse.tolist() == [[0, 1, 2, 3, 4]]
-
-
-def gen_rows(gens, n):
-    return np.array([g.images for g in gens],
-                    dtype=np.int64).reshape(len(gens), n)
 
 
 def check_inverse_representatives(orbit, gens, n):
