@@ -1,15 +1,18 @@
-"""Budgets, the default seed and the library's exception types.
+"""Budgets, fixed limits, the default seed and the library's exception types.
 
-Every exhaustive claim made by the library carries the budget it ran under,
-so certificates stay auditable.  The defaults here are deliberate choices:
+Every exhaustive claim made by the library carries the budgets it ran
+under, so certificates stay auditable.  A ``Budgets`` holds the two limits
+a caller can set (``--budget-exhaustive``, ``--budget-degree``):
 
 * ``exhaustive`` — largest group order we will fully enumerate (element
   streams, conjugacy-class bucketing).  Refusals are explicit, never a
   silent truncation.
 * ``degree`` — largest point count for a coset action we will build by BFS.
-* ``chain_degree`` — largest degree at which a stabilizer chain may be
-  constructed.  Product actions beyond this are handled structurally; an
-  accidental attempt to chain them is an error, not a hang.
+
+Two limits are fixed: ``CHAIN_DEGREE``, the largest degree at which a
+stabilizer chain may be built (product actions beyond it are handled
+structurally; an accidental attempt to chain them is an error, not a hang),
+and ``MATERIALIZE``, the largest degree for explicit image arrays.
 """
 
 from __future__ import annotations
@@ -21,12 +24,12 @@ from dataclasses import dataclass
 class Budgets:
     exhaustive: int = 10_000_000
     degree: int = 100_000
-    chain_degree: int = 20_000
-    materialize: int = 1_000_000  # largest degree for explicit image arrays
 
 
 DEFAULT_BUDGETS = Budgets()
 DEFAULT_SEED = 0
+CHAIN_DEGREE = 20_000
+MATERIALIZE = 1_000_000
 
 
 class BudgetExceeded(RuntimeError):

@@ -36,7 +36,8 @@ import numpy as np
 
 from .classes import (_budget_error, centralizer, sylow_classes,
                       sylow_subgroup)
-from .config import DEFAULT_BUDGETS, Budgets, BudgetExceeded, CertificateError
+from .config import (DEFAULT_BUDGETS, MATERIALIZE, Budgets, BudgetExceeded,
+                     CertificateError)
 from .numbers import is_prime, prime_divisors
 from .perm import Permutation, PermGroup, derangement_backtrack
 from .zoo import GroupAction, WreathElement, WreathSpec
@@ -338,7 +339,7 @@ def wreath_prime_order_class_reps(
             for p, c in zip(fixed, f):
                 base[p] = labels[c][0]
             rep = WreathElement(spec, tuple(base), pi)
-            infos.append(_wreath_class_info(spec, rep, r, size, budgets))
+            infos.append(_wreath_class_info(rep, r, size))
 
     worder = spec.order()
     for ci in infos:
@@ -348,12 +349,10 @@ def wreath_prime_order_class_reps(
     return infos
 
 
-def _wreath_class_info(
-    spec: WreathSpec, rep: WreathElement, r: int, size: int, budgets: Budgets
-) -> ClassInfo:
+def _wreath_class_info(rep: WreathElement, r: int, size: int) -> ClassInfo:
     if rep.order() != r:
         raise CertificateError("wreath class representative has the wrong order")
-    mat = rep.to_permutation(budgets)
+    mat = rep.to_permutation()
     return ClassInfo(
         representative=mat,
         order=r,
@@ -565,8 +564,8 @@ def _structural_verdict(spec: WreathSpec, r: int, budgets: Budgets) -> Elusivity
         pi = _backtrack(spec.top, r, budgets)
         if pi is not None:
             w = WreathElement(spec, (ident,) * spec.k, pi)
-    if w is not None and spec.degree <= budgets.materialize:
-        w = w.to_permutation(budgets)
+    if w is not None and spec.degree <= MATERIALIZE:
+        w = w.to_permutation()
     return _verdict(r, METHOD_WREATH, budgets, w)
 
 
@@ -620,7 +619,7 @@ def semiregular_search(
         if transitive:
             w = is_r_elusive(A, p, budgets).witness
             if isinstance(w, WreathElement):
-                w = w.to_permutation(budgets)
+                w = w.to_permutation()
         else:
             w = _backtrack(G, p, budgets)
         if w is not None:

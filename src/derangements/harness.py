@@ -740,7 +740,7 @@ def _build_m11_wr2_product(env: ScenarioEnv):
         base = [L.random_element(rng) for _ in range(2)]
         top = top_gen if rng.integers(2) else Permutation.identity(2)
         w = spec.element(base, top)
-        direct = w.to_permutation(env.budgets).num_fixed() > 0
+        direct = w.to_permutation().num_fixed() > 0
         if wreath_fixed_point_check(spec, w) == direct:
             agreements += 1
     values["structural_agreement"] = agreements
@@ -754,8 +754,7 @@ def _build_m11_wr2_product(env: ScenarioEnv):
     values["socle_minimal"] = mn.minimal
     values["socle_unique"] = mn.unique
     stab12 = spec.base_action.group.point_stabilizer(0)
-    H = assemble_stabilizer(spec, [stab12, stab12], env.top2(),
-                            budgets=env.budgets)
+    H = assemble_stabilizer(spec, [stab12, stab12], env.top2())
     values["assembled_stabilizer_index"] = W.order() // H.order()
     return values, certs
 
@@ -805,8 +804,7 @@ def _build_m11_wr2_biquasi(env: ScenarioEnv):
                                         declare_socle=True))
     psl11 = env.psl211()
     trivial_top = PermGroup([], degree=2)
-    H = assemble_stabilizer(spec22, [psl11, m11n.group], trivial_top,
-                            budgets=env.budgets)
+    H = assemble_stabilizer(spec22, [psl11, m11n.group], trivial_top)
     A = coset_action(W22, H, budgets=env.budgets,
                      provenance="M11 wr C2 on the cosets of "
                                 "PSL(2,11) x M11")

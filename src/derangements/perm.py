@@ -18,7 +18,7 @@ again; normal_closure grows one chain per call so (Seress, ch. 4).  Each
 new strong generator grows the levels it belongs to in place (_grow): a
 level it keeps closed stays the same object, and otherwise the search
 starts from the new points only, keeping the old representatives.  Chains
-are refused above DEFAULT_BUDGETS.chain_degree points.
+are refused above config.CHAIN_DEGREE points.
 The chain supplies order, membership, uniform random elements, canonical
 right-coset representatives and the one element scan, element_batches:
 a walk of its product tree depth first, a level at a time for a chunk of
@@ -62,7 +62,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .config import (DEFAULT_BUDGETS, DEFAULT_SEED, BudgetExceeded,
+from .config import (CHAIN_DEGREE, DEFAULT_SEED, BudgetExceeded,
                      CertificateError)
 
 
@@ -477,11 +477,10 @@ class StabilizerChain:
     def __init__(self, degree: int, generators: Sequence[Permutation],
                  base_prefix: Sequence[int] = (), *,
                  bound: Optional[int] = None):
-        limit = DEFAULT_BUDGETS.chain_degree
-        if degree > limit:
+        if degree > CHAIN_DEGREE:
             raise BudgetExceeded(
                 f"refusing to build a stabilizer chain at degree {degree} "
-                f"(limit {limit}); use the structural checkers instead")
+                f"(limit {CHAIN_DEGREE}); use the structural checkers instead")
         self.degree = degree
         self.base: list = []
         self.levels: list = []
@@ -822,6 +821,8 @@ class PermGroup:
         None means the pair forces the universal partition (no proper
         nontrivial block contains both points).  Requires transitivity.
         """
+        self._check_point(alpha)
+        self._check_point(beta)
         if not self.is_transitive():
             raise ValueError("block systems need a transitive group")
         if alpha == beta:

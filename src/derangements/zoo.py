@@ -16,8 +16,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .classes import _budget_error, sylow_classes
-from .config import (DEFAULT_BUDGETS, DEFAULT_SEED, Budgets, BudgetExceeded,
-                     CertificateError)
+from .config import (CHAIN_DEGREE, DEFAULT_BUDGETS, DEFAULT_SEED, MATERIALIZE,
+                     Budgets, BudgetExceeded, CertificateError)
 from .numbers import is_prime, prime_divisors, primitive_root_mod, radical
 from .perm import (
     Permutation,
@@ -188,10 +188,10 @@ def load_generators(path) -> PermGroup:
                     raise GeneratorFileError(lineno, f"bad degree {rest.strip()!r}") from None
                 if degree < 1:
                     raise GeneratorFileError(lineno, "degree must be positive")
-                if degree > DEFAULT_BUDGETS.materialize:
+                if degree > MATERIALIZE:
                     raise GeneratorFileError(
                         lineno, f"degree {degree} exceeds the materialize "
-                        f"budget {DEFAULT_BUDGETS.materialize}")
+                        f"budget {MATERIALIZE}")
             elif head == "gen":
                 if degree is None:
                     raise GeneratorFileError(lineno, "gen before degree line")
@@ -712,14 +712,13 @@ class WreathElement:
             out = math.lcm(out, len(cycle) * self.cycle_product(cycle).order())
         return out
 
-    def to_permutation(self, budgets: Budgets = DEFAULT_BUDGETS) -> Permutation:
+    def to_permutation(self) -> Permutation:
         """Materialize on the points of the spec's flavor of action."""
         spec = self.spec
         d, k = spec.base_degree, spec.k
-        if spec.degree > budgets.materialize:
+        if spec.degree > MATERIALIZE:
             raise BudgetExceeded(
-                f"degree {spec.degree} exceeds the materialize budget {budgets.materialize}"
-            )
+                f"degree {spec.degree} exceeds the materialize budget {MATERIALIZE}")
         if spec.flavor == "imprimitive":
             row = np.empty(k * d, dtype=np.int64)
             for i in range(k):
@@ -738,21 +737,17 @@ class WreathElement:
         return f"WreathElement([{parts}]; {self.top.cycle_string()})"
 
 
-def coordinate_embedding(
-    spec: WreathSpec, i: int, a: Permutation, budgets: Budgets = DEFAULT_BUDGETS
-) -> Permutation:
+def coordinate_embedding(spec: WreathSpec, i: int, a: Permutation) -> Permutation:
     """The base-group element a placed in coordinate i, materialized."""
     ident = Permutation.identity(spec.base_degree)
     base = tuple(a if j == i else ident for j in range(spec.k))
-    return WreathElement(spec, base, Permutation.identity(spec.k)).to_permutation(budgets)
+    return WreathElement(spec, base, Permutation.identity(spec.k)).to_permutation()
 
 
-def top_embedding(
-    spec: WreathSpec, pi: Permutation, budgets: Budgets = DEFAULT_BUDGETS
-) -> Permutation:
+def top_embedding(spec: WreathSpec, pi: Permutation) -> Permutation:
     """The top-group element pi with trivial base components, materialized."""
     ident = Permutation.identity(spec.base_degree)
-    return WreathElement(spec, (ident,) * spec.k, pi).to_permutation(budgets)
+    return WreathElement(spec, (ident,) * spec.k, pi).to_permutation()
 
 
 def wreath(
@@ -763,18 +758,20 @@ def wreath(
     """Materialize L wr K in the flavor given by the spec.
 
     Generators are the coordinate embeddings of the base generators plus
-    the top generators.  When the degree is small enough to chain, the
-    group order is checked against |L|^k * |K|.  declare_socle attaches
-    the base-power subgroup L^k with its coordinate factors.
+    the top generators.  When the degree is small enough to chain (at most
+    CHAIN_DEGREE), the group order is checked against |L|^k * |K| and a
+    declared socle's normality is checked.  declare_socle attaches the
+    base-power subgroup L^k with its coordinate factors.  `budgets` is
+    accepted for callers that pass it and reaches nothing.
     """
     gens = []
     for i in range(spec.k):
         for a in spec.base_group.generators:
-            gens.append(coordinate_embedding(spec, i, a, budgets))
+            gens.append(coordinate_embedding(spec, i, a))
     for pi in spec.top.generators:
-        gens.append(top_embedding(spec, pi, budgets))
+        gens.append(top_embedding(spec, pi))
     group = PermGroup(gens, degree=spec.degree)
-    if spec.degree <= budgets.chain_degree and group.order() != spec.order():
+    if spec.degree <= CHAIN_DEGREE and group.order() != spec.order():
         raise CertificateError(
             f"wreath product order {group.order()}, expected {spec.order()}"
         )
@@ -782,7 +779,7 @@ def wreath(
     if declare_socle:
         factors = []
         for i in range(spec.k):
-            fg = [coordinate_embedding(spec, i, a, budgets) for a in spec.base_group.generators]
+            fg = [coordinate_embedding(spec, i, a) for a in spec.base_group.generators]
             factors.append(PermGroup(fg, degree=spec.degree))
         all_gens = [g for F in factors for g in F.generators]
         socle = SocleDecl(
@@ -800,7 +797,7 @@ def wreath(
         faithful=True,
     )
     if socle is not None:
-        socle.validate(action, check_normal=spec.degree <= budgets.chain_degree)
+        socle.validate(action, check_normal=spec.degree <= CHAIN_DEGREE)
     return action
 
 
@@ -808,7 +805,6 @@ def assemble_stabilizer(
     spec: WreathSpec,
     factor_subgroups: Sequence[PermGroup],
     top_subgroup: PermGroup,
-    budgets: Budgets = DEFAULT_BUDGETS,
 ) -> PermGroup:
     """The subgroup (S_1 x ... x S_k).T of L wr K, materialized.
 
@@ -827,7 +823,7 @@ def assemble_stabilizer(
     gens = []
     for i, S in enumerate(factor_subgroups):
         for a in S.generators:
-            gens.append(coordinate_embedding(spec, i, a, budgets))
+            gens.append(coordinate_embedding(spec, i, a))
     for pi in top_subgroup.generators:
-        gens.append(top_embedding(spec, pi, budgets))
+        gens.append(top_embedding(spec, pi))
     return PermGroup(gens, degree=spec.degree)

@@ -211,7 +211,7 @@ def test_check_budget_exceeded_in_verdict_is_a_usage_error(
 
 
 def test_check_chain_degree_budget_is_a_usage_error(tmp_path, capsys):
-    # the order line needs a chain, refused above Budgets.chain_degree
+    # the order line needs a chain, refused above config.CHAIN_DEGREE
     big = write(tmp_path, "big.gens", "degree 25000\ngen (1,2)\n")
     assert main(["check", "--group", big]) == 2
     captured = capsys.readouterr()

@@ -376,8 +376,7 @@ def test_action_class_reps_pushed_through_coset_table(m11_12, env):
 
 
 def test_budget_exceeded_is_loud():
-    tiny = Budgets(exhaustive=10, degree=10**5, chain_degree=2 * 10**4,
-                   materialize=10**6)
+    tiny = Budgets(exhaustive=10, degree=10**5)
     G = symmetric(5)
     with pytest.raises(BudgetExceeded):
         prime_order_class_reps(G, 2, budgets=tiny)

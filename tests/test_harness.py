@@ -94,8 +94,7 @@ def test_report_json_schema(env):
     assert set(doc) == {"version", "seed", "budgets", "scenarios"}
     assert doc["version"] == __version__
     assert doc["seed"] == env.seed
-    assert set(doc["budgets"]) == {"exhaustive", "degree", "chain_degree",
-                                   "materialize"}
+    assert set(doc["budgets"]) == {"exhaustive", "degree"}
     ids = [s["scenario"] for s in doc["scenarios"]]
     assert ids == sorted(ids)
     for s in doc["scenarios"]:

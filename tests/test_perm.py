@@ -6,7 +6,7 @@ import pytest
 
 from derangements import (BlockSystem, CertificateError, PermGroup,
                           Permutation, conjugate, commutator,
-                          derangement_backtrack, parse_cycles,
+                          derangement_backtrack, m11, parse_cycles,
                           projective_line_action)
 import derangements.perm as perm_module
 from derangements.perm import (StabilizerChain, _inverse_rows,
@@ -152,6 +152,15 @@ def test_block_systems():
     assert not cyclic(6).is_primitive()
     assert cyclic(6).nontrivial_block_system() is not None
     assert symmetric(5).nontrivial_block_system() is None
+
+
+def test_block_system_points_are_checked():
+    # a negative point must not wrap round to the last one, nor a point past
+    # the end raise a bare IndexError
+    with pytest.raises(ValueError, match="point -1 out of range"):
+        cyclic(6).minimal_block_system(-1, 2)
+    with pytest.raises(ValueError, match="point 11 out of range"):
+        m11().group.minimal_block_system(0, 11)
 
 
 def test_block_system_validation():

@@ -152,22 +152,41 @@ def _raises_assertion_error(node) -> bool:
     return isinstance(exc, ast.Name) and exc.id == "AssertionError"
 
 
-def test_no_assert_statements_in_the_library():
-    # python -O strips assert; library checks must raise instead, and raise
-    # CertificateError so that a failed certificate is told apart by type
+def _library_trees():
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src",
                        "derangements", "*.py")
     paths = sorted(glob.glob(src))
     assert paths
-    found = []
     for path in paths:
         with open(path) as fh:
-            tree = ast.parse(fh.read(), filename=path)
-        found += [f"{os.path.basename(path)}:{node.lineno}"
-                  for node in ast.walk(tree)
-                  if isinstance(node, ast.Assert)
-                  or (isinstance(node, ast.Raise) and node.exc is not None
-                      and _raises_assertion_error(node))]
+            yield os.path.basename(path), ast.parse(fh.read(), filename=path)
+
+
+def test_no_assert_statements_in_the_library():
+    # python -O strips assert; library checks must raise instead, and raise
+    # CertificateError so that a failed certificate is told apart by type
+    found = [f"{name}:{node.lineno}"
+             for name, tree in _library_trees()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Assert)
+             or (isinstance(node, ast.Raise) and node.exc is not None
+                 and _raises_assertion_error(node))]
+    assert found == []
+
+
+def test_no_function_body_reads_the_default_budgets():
+    # a body that reads DEFAULT_BUDGETS.<field> ignores the caller's
+    # budgets while its certificate records them; a default in a signature
+    # is the caller's to override
+    found = sorted({f"{name}:{node.lineno}"
+                    for name, tree in _library_trees()
+                    for fn in ast.walk(tree)
+                    if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    for stmt in fn.body
+                    for node in ast.walk(stmt)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "DEFAULT_BUDGETS"})
     assert found == []
 
 

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from derangements import (GeneratorFileError, GroupAction, PermGroup,
-                          Permutation, SocleDecl, WreathSpec,
+from derangements import (Budgets, CertificateError, GeneratorFileError,
+                          GroupAction, PermGroup, Permutation, SocleDecl,
+                          WreathSpec,
                           assemble_stabilizer, borel_subgroup, coset_action,
                           format_generator_file, load_generators, m11,
                           mersenne_scenario, natural_action,
                           projective_line_action, subgroup_search, wreath)
 
+from derangements import zoo
 from derangements.classes import exhaustive_class_partition
 from derangements.zoo import _is_simple
 
@@ -240,6 +242,24 @@ def test_wreath_product_flavor_materialization():
                           Permutation.identity(2))
         assert (w1 * w2).to_permutation() == \
             w1.to_permutation() * w2.to_permutation()
+
+
+@pytest.mark.parametrize("flavor, message", [
+    ("product", "wreath product order 1296, expected 72"),
+    ("imprimitive", "wreath product order 36, expected 72"),
+])
+def test_wrong_top_embedding_fails_the_order_certificate(monkeypatch, flavor,
+                                                         message):
+    # a top generator embedded as the transposition of points 0 and 1; no
+    # caller budget switches the order check off
+    c2 = PermGroup([Permutation(np.array([1, 0]))])
+    s3 = natural_action(symmetric(3), "S3")
+    monkeypatch.setattr(
+        zoo, "top_embedding",
+        lambda spec, pi: Permutation.from_cycles(spec.degree, [(0, 1)]))
+    with pytest.raises(CertificateError, match=message):
+        wreath(WreathSpec(s3, 2, c2, flavor),
+               budgets=Budgets(exhaustive=1, degree=1))
 
 
 def test_wreath_socle_declaration():
