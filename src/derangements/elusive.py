@@ -8,9 +8,10 @@ criterion) together with the budgets in force, and NotElusive witnesses are
 re-verified at construction.
 
 Fixed-point counts are class functions, so one representative of each
-class of order-r elements decides.  An exhaustive-enumeration verdict
-reads the classes of the acting group itself, a class-coverage verdict
-those of a faithful parent, pushed through the coset action.
+class of order-r elements decides.  One selector, `_class_route`, reads
+from the action where those classes come from; `is_r_elusive` maps its
+route to a method and `action_prime_order_class_reps`, which `structure`
+reads, follows it too, so both read the same classes of one action.
 
 `prime_order_class_reps` is the one route to those classes, for every
 group: `classes.sylow_classes`, the G-classes of the order-r elements of
@@ -229,30 +230,56 @@ def _class_infos(G: PermGroup, r: int, classes: list) -> list:
 def action_prime_order_class_reps(
     A: GroupAction, r: int, *, budgets: Budgets = DEFAULT_BUDGETS,
 ) -> list:
-    """Order-r ClassInfo records for an action group, computed the cheapest
-    exact way available: wreath decomposition when the action was built as a
-    wreath product, the classes of the smaller faithful parent pushed
-    through the coset homomorphism, or the action group's own classes
-    (`prime_order_class_reps`)."""
+    """Order-r ClassInfo records for an action group, by the route
+    `_class_route` reads from it, the one `is_r_elusive` follows too.  An
+    action with no route raises BudgetExceeded."""
     if not is_prime(r):
         raise ValueError(f"r={r} is not prime")
-    if A.wreath is not None:
+    route = _class_route(A, budgets)
+    if route == METHOD_ENUM:
+        return prime_order_class_reps(A.group, r, budgets=budgets)
+    if route == METHOD_WREATH:
         return wreath_prime_order_class_reps(A.wreath, r, budgets)
-    G = A.group
+    if route is None:
+        raise BudgetExceeded("no exact class-representative route for order "
+                             f"{A.group.order()} at degree {A.degree}")
+    spec = getattr(A.parent.parent_action, "wreath", None)
+    if spec is not None:
+        infos = wreath_prime_order_class_reps(spec, r, budgets)
+    else:
+        infos = prime_order_class_reps(A.parent.parent_group, r,
+                                       budgets=budgets)
+    return [_push_class_info(A, ci) for ci in infos]
+
+
+# Largest acting order at which a coset action or a wreath-built action
+# still reads its own classes rather than its parent's or the wreath
+# decomposition's.
+_OWN_CLASSES = 100_000
+
+
+def _acting_order(A: GroupAction) -> int:
+    return A.wreath.order() if A.wreath is not None else A.group.order()
+
+
+def _class_route(A: GroupAction, budgets: Budgets) -> Optional[str]:
+    """Where an action's prime-order classes come from, named by the verdict
+    method they give: its own group's (exhaustive-enumeration) up to
+    `_OWN_CLASSES` and the exhaustive budget; else a faithful coset
+    parent's (class-coverage) when it, or a wreath-built parent's base
+    group, fits the budget; else the wreath decomposition
+    (wreath-structural); else its own group's within the budget; else None."""
+    worder = _acting_order(A)
+    if worder <= min(_OWN_CLASSES, budgets.exhaustive):
+        return METHOD_ENUM
     if A.parent is not None and A.faithful:
-        pa = A.parent.parent_action
-        if pa is not None and pa.wreath is not None:
-            parent_infos = wreath_prime_order_class_reps(pa.wreath, r, budgets)
-            return [_push_class_info(A, ci) for ci in parent_infos]
-        P = A.parent.parent_group
+        spec = getattr(A.parent.parent_action, "wreath", None)
+        P = spec.base_group if spec is not None else A.parent.parent_group
         if P.order() <= budgets.exhaustive:
-            parent_infos = prime_order_class_reps(P, r, budgets=budgets)
-            return [_push_class_info(A, ci) for ci in parent_infos]
-    if G.order() <= budgets.exhaustive:
-        return prime_order_class_reps(G, r, budgets=budgets)
-    raise BudgetExceeded(
-        f"no exact class-representative route for order {G.order()} at degree {G.degree}"
-    )
+            return METHOD_COVER
+    if A.wreath is not None:
+        return METHOD_WREATH
+    return METHOD_ENUM if worder <= budgets.exhaustive else None
 
 
 def _push_class_info(A: GroupAction, ci: ClassInfo) -> ClassInfo:
@@ -415,25 +442,6 @@ def _coverage(r: int, infos: list, method: str,
     return _verdict(r, method, budgets, w)
 
 
-def _parent_coverage_available(A: GroupAction, budgets: Budgets) -> bool:
-    if A.parent is None or not A.faithful:
-        return False
-    pa = A.parent.parent_action
-    if pa is not None and pa.wreath is not None:
-        return pa.wreath.base_group.order() <= budgets.exhaustive
-    return A.parent.parent_group.order() <= budgets.exhaustive
-
-
-# Largest acting order at which a coset action or a wreath-built action
-# still reads its own classes rather than its parent's or the wreath
-# decomposition's.
-_OWN_CLASSES = 100_000
-
-
-def _acting_order(A: GroupAction) -> int:
-    return A.wreath.order() if A.wreath is not None else A.group.order()
-
-
 def is_r_elusive(
     A: GroupAction,
     r: int,
@@ -441,15 +449,11 @@ def is_r_elusive(
 ) -> ElusivityVerdict:
     """Certified r-elusivity verdict for a transitive action.
 
-    Method selection: groups of order at most `_OWN_CLASSES` (and at most
-    the exhaustive budget), and groups within the exhaustive budget that
-    have neither a parent nor a wreath spec, read their own order-r
-    classes (exhaustive-enumeration); coset actions with an enumerable
-    faithful parent go through class coverage on the parent; wreath-built
-    actions use the structural criterion; the rest fall back to backtrack
-    search over a subgroup holding a Sylow r-subgroup (`_backtrack`).
-    Fixed-point counts are class functions, so one representative per
-    class decides.
+    The method is the class route of `_class_route`: the action's own
+    classes or a faithful parent's (class coverage), the structural
+    wreath criterion, or, with no route, the backtrack search over a
+    subgroup holding a Sylow r-subgroup (`_backtrack`).  Fixed-point
+    counts are class functions, so one representative per class decides.
     """
     if not is_prime(r):
         raise ValueError(f"r={r} is not prime")
@@ -462,17 +466,14 @@ def is_r_elusive(
             reason=f"{r} does not divide the group order {worder}",
             budgets=asdict(budgets),
         )
-    if worder > min(_OWN_CLASSES, budgets.exhaustive):
-        if _parent_coverage_available(A, budgets):
-            infos = action_prime_order_class_reps(A, r, budgets=budgets)
-            return _coverage(r, infos, METHOD_COVER, budgets)
-        if A.wreath is not None:
-            return _structural_verdict(A.wreath, r, budgets)
-        if worder > budgets.exhaustive:
-            w = _backtrack(A.group, r, budgets)
-            return _verdict(r, METHOD_BACKTRACK, budgets, w)
-    infos = prime_order_class_reps(A.group, r, budgets=budgets)
-    return _coverage(r, infos, METHOD_ENUM, budgets)
+    method = _class_route(A, budgets)
+    if method == METHOD_WREATH:
+        return _structural_verdict(A.wreath, r, budgets)
+    if method is None:
+        w = _backtrack(A.group, r, budgets)
+        return _verdict(r, METHOD_BACKTRACK, budgets, w)
+    infos = action_prime_order_class_reps(A, r, budgets=budgets)
+    return _coverage(r, infos, method, budgets)
 
 
 def _backtrack(G: PermGroup, r: int, budgets: Budgets) -> Optional[Permutation]:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import Budgets, DEFAULT_BUDGETS, CertificateError
 from .numbers import is_prime
-from .perm import BlockSystem, PermGroup, Permutation, _components
+from .perm import BlockSystem, PermGroup, Permutation, _components, _search
 from .zoo import (GroupAction, MersenneScenario, borel_subgroup, coset_action,
                   projective_line_action)
 
@@ -131,47 +131,47 @@ def paired_suborbit(A: GroupAction, alpha: int, beta: int) -> int:
 
 
 def orbital_graph(A: GroupAction, alpha: int, beta: int) -> OrbitalGraph:
-    """Orbital digraph with arc set (alpha, beta)^G, built by one gather.
+    """Orbital digraph with arc set (alpha, beta)^G, built along the BFS
+    tree of alpha's orbit (`perm._search`), with no transversal.
 
-    With u an element sending alpha to a point t and S the G_alpha-orbit of
-    beta, the arcs leaving t are S^u: the points v with v^{u^-1} in S.  So
-    the heads of every tail come from one gather of the inverse transversal,
-    in_S[inverse], already sorted.
+    The heads of alpha are S, the G_alpha-orbit of beta.  A tree edge
+    q = p^g gives heads(q) = heads(p)^g, one gather per point, and one
+    sort of the whole (n, |S|) matrix puts every row in order.
     Certificates, each raising CertificateError:
     * alpha's orbit is every point, so all out-valencies equal |S|;
     * the stabilizer's generators fix alpha, so S lies in the suborbit of
-      beta and every gathered arc in (alpha, beta)^G;
+      beta and every arc in (alpha, beta)^G;
     * the arcs are invariant under G's generators, so they contain, hence
       equal, (alpha, beta)^G; an S shorter than the out-valency fails here;
-    * a self-paired orbital (alpha's paired point in S) is symmetric.
+    * a self-paired orbital (alpha among the heads of beta) is symmetric.
     """
     if alpha == beta:
         raise ValueError("orbital graphs need two distinct points")
     G = A.group
     n = A.degree
-    points, inverse = G.orbit_with_transversal(alpha)
-    if len(points) != n:
-        raise CertificateError("orbital digraph has non-uniform out-valency")
     stab = G.point_stabilizer(alpha)
     if any(g.images[alpha] != alpha for g in stab.generators):
         raise CertificateError("point stabilizer moves alpha")
-    suborbit = np.array(sorted(stab.orbit(beta)), dtype=np.int64)
-    in_S = np.zeros(n, dtype=bool)
-    in_S[suborbit] = True
-    # points == range(n); the flat indices t * n + v ascend, so each row's
-    # heads v do too
-    adj = (np.flatnonzero(in_S[inverse]) % n).reshape(n, len(suborbit))
-    rep = int(inverse[beta][alpha])  # the paired point
-    del inverse  # drop the n x n transversal before the checks and tuples
+    suborbit = sorted(stab.orbit(beta))
+    images = [g.images for g in G.generators]
+    inside = [p == alpha for p in range(n)]
+    found, tree = _search([img.tolist() for img in images], inside, [alpha],
+                          0)
+    if len(found) + 1 != n:
+        raise CertificateError("orbital digraph has non-uniform out-valency")
+    adj = np.empty((n, len(suborbit)), dtype=np.int64)
+    adj[alpha] = suborbit
+    for q, (p, j) in zip(found, tree):
+        adj[q] = images[j][adj[p]]
+    adj.sort(axis=1)
 
-    for g in G.generators:
-        img = g.images
+    for img in images:
         if not (np.sort(img[adj], axis=1) == adj[img]).all():
             raise CertificateError(
                 "arc set is not invariant: the suborbit length differs "
                 "from the out-valency of the orbital")
 
-    self_paired = rep in suborbit
+    self_paired = bool((adj[beta] == alpha).any())
     if self_paired:
         tails = np.arange(n, dtype=np.int64)[:, None]
         arcs = (tails * n + adj).ravel()  # sorted: rows and tails ascend

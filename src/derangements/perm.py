@@ -52,6 +52,8 @@ builds each new inverse row from its parent's by one gather too, since
 would double the matrices, the part of a chain whose size grows with the
 degree; the few readers of u itself (the Schreier sweep once per orbit
 point, element_batches once per level per call) invert it with a scatter.
+Chains hold the only transversal matrices: outside a chain,
+transversal_inverse and orbital.orbital_graph walk the tree of _search.
 """
 
 from __future__ import annotations
@@ -712,19 +714,11 @@ class PermGroup:
     def is_transitive(self) -> bool:
         return not self._orbit_labels().any()
 
-    def orbit_with_transversal(self, point: int) -> tuple:
-        """The orbit of `point`, sorted, and an image-row matrix whose row k
-        is the inverse of a group element sending `point` to points[k], as
-        a chain level."""
-        self._check_point(point)
-        gens = np.stack([g.images for g in self.generators])
-        orbit = _orbit(point, gens)
-        return orbit.points, orbit.inverse
-
     def transversal_inverse(self, point: int, target: int) -> Optional[np.ndarray]:
-        """The row of orbit_with_transversal(point) for `target`, or None
-        when target lies off the orbit, built alone: the same search, then
-        the inverted generators on its tree path from target back to
+        """The inverse u^-1 of an element u with point^u = target, or None
+        when target lies off the orbit: the row for target of the chain
+        level `_orbit(point, generators)`, built alone by the same search,
+        then the inverted generators on its tree path from target back to
         point composed into one row."""
         self._check_point(point)
         self._check_point(target)

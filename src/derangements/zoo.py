@@ -63,7 +63,7 @@ class SocleDecl:
     factors: list
     coordinates: Optional[list] = None
 
-    def validate(self, action: "GroupAction", check_normal: bool = True) -> None:
+    def validate(self, action: "GroupAction") -> None:
         G = action.group
         if self.subgroup.degree != G.degree:
             raise ValueError("socle degree does not match the action")
@@ -78,7 +78,7 @@ class SocleDecl:
             self._check_disjoint_supports()
         else:
             self._check_coordinate_supports(action)
-        if check_normal and not G.is_normal(self.subgroup):
+        if not G.is_normal(self.subgroup):
             raise ValueError("declared socle is not normal")
 
     def _check_disjoint_supports(self) -> None:
@@ -759,10 +759,10 @@ def wreath(
 
     Generators are the coordinate embeddings of the base generators plus
     the top generators.  When the degree is small enough to chain (at most
-    CHAIN_DEGREE), the group order is checked against |L|^k * |K| and a
-    declared socle's normality is checked.  declare_socle attaches the
-    base-power subgroup L^k with its coordinate factors.  `budgets` is
-    accepted for callers that pass it and reaches nothing.
+    CHAIN_DEGREE), the group order is checked against |L|^k * |K|.
+    declare_socle attaches the base-power subgroup L^k with its coordinate
+    factors, validated whole; above CHAIN_DEGREE that raises BudgetExceeded.
+    `budgets` is accepted for callers that pass it and reaches nothing.
     """
     gens = []
     for i in range(spec.k):
@@ -797,7 +797,7 @@ def wreath(
         faithful=True,
     )
     if socle is not None:
-        socle.validate(action, check_normal=spec.degree <= CHAIN_DEGREE)
+        socle.validate(action)
     return action
 
 

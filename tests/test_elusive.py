@@ -12,8 +12,8 @@ from derangements import (DEFAULT_BUDGETS, Budgets, BudgetExceeded, PermGroup,
                           structural_wreath_elusivity, wreath,
                           wreath_fixed_point_check,
                           wreath_prime_order_class_reps)
-from derangements import (classes, coset_action, derangement_backtrack,
-                          normal_structure)
+from derangements import (assemble_stabilizer, classes, coset_action,
+                          derangement_backtrack, normal_structure)
 from derangements.classes import (_walk_rows, order_r_rows, sylow_classes,
                                   sylow_subgroup)
 from derangements.numbers import is_prime, prime_divisors
@@ -366,13 +366,53 @@ def test_structural_verdicts_match_exhaustive():
     assert calls == [3]
 
 
-def test_action_class_reps_pushed_through_coset_table(m11_12, env):
-    # parent route: classes computed in M11 at degree 11, pushed to 12
-    infos = action_prime_order_class_reps(m11_12, 3)
-    direct = prime_order_class_reps(m11_12.group, 3)
-    assert sorted(ci.class_size for ci in infos) == \
-        sorted(ci.class_size for ci in direct)
+def test_action_class_reps_pushed_through_coset_table(env):
+    # parent route: PSL(2,127) on 384 cosets has order 1,024,128, above the
+    # 100,000 up to which an action reads its own classes, so the classes
+    # are computed in PSL(2,127) at degree 128 and pushed to 384
+    A = env.a384()
+    infos = action_prime_order_class_reps(A, 3)
+    parent = prime_order_class_reps(A.parent.parent_group, 3)
+    assert [ci.representative for ci in infos] == \
+        [A.parent.push(ci.representative) for ci in parent]
+    direct = prime_order_class_reps(A.group, 3)
+    assert sorted((ci.class_size, ci.min_fixed_points) for ci in infos) == \
+        sorted((ci.class_size, ci.min_fixed_points) for ci in direct)
     assert all(isinstance(ci, ClassInfo) for ci in infos)
+    assert is_r_elusive(A, 3).method == "class-coverage"
+
+
+def test_normal_structure_reads_the_own_classes_of_m11_12(m11_12):
+    # M11 on 12 points (order 7,920) reads its own classes for its verdicts
+    # and, through the same route, for its normal structure
+    G = m11_12.group
+    assert is_r_elusive(m11_12, 3).method == "exhaustive-enumeration"
+    reps = [rep for rep, _, _ in normal_structure(m11_12).closures]
+    assert reps == [ci.representative for r in prime_divisors(G.order())
+                    for ci in prime_order_class_reps(G, r)]
+
+
+@pytest.mark.parametrize("budget,method", [(6, "class-coverage"),
+                                           (5, "backtrack")])
+def test_wreath_parent_covers_only_when_its_base_is_enumerable(budget,
+                                                               method):
+    # S3 wr C2 (order 72) on the 6 cosets of S3 x S2: a coset parent that
+    # is a wreath action gives class coverage only when its base group S3
+    # fits the exhaustive budget; below that no class route is left
+    spec = WreathSpec(natural_action(symmetric(3), "S3"), 2, cyclic(2),
+                      "imprimitive")
+    S2 = PermGroup([Permutation.from_cycles(3, [(0, 1)])])
+    H = assemble_stabilizer(spec, [symmetric(3), S2], PermGroup([], degree=2))
+    A = coset_action(wreath(spec), H)
+    assert (A.degree, A.faithful) == (6, True)
+    tiny = Budgets(exhaustive=budget)
+    v = is_r_elusive(A, 3, tiny)
+    assert (v.method, v.status) == (method, "NotElusive")
+    if method == "backtrack":
+        with pytest.raises(BudgetExceeded):
+            action_prime_order_class_reps(A, 3, budgets=tiny)
+    else:
+        assert action_prime_order_class_reps(A, 3, budgets=tiny)
 
 
 def test_budget_exceeded_is_loud():

@@ -10,7 +10,7 @@ everywhere.
 import numpy as np
 import pytest
 
-from derangements import orbital
+from derangements import orbital, perm
 from derangements import (BlockSystem, CertificateError, Graph, PermGroup,
                           Permutation, WreathSpec, block_divisibility_check,
                           connectivity_by_generation, is_connected, m11,
@@ -108,8 +108,6 @@ def test_points_out_of_range_are_refused(call, alpha, beta):
         call(A, alpha, beta)
     with pytest.raises(ValueError, match=f"point {bad} out of range"):
         A.group.transversal_inverse(alpha, beta)
-    with pytest.raises(ValueError, match="point -1 out of range"):
-        A.group.orbit_with_transversal(-1)
 
 
 def test_transversal_inverse_is_the_row_of_the_full_transversal(corpus):
@@ -118,9 +116,10 @@ def test_transversal_inverse_is_the_row_of_the_full_transversal(corpus):
                     Permutation(np.array([1, 2, 0, 3, 4]))])
     cases = [(name, A.group) for name, A in corpus] + [("S3+2", S3)]
     for name, G in cases:
+        gens = np.stack([g.images for g in G.generators])
         for alpha in sorted({0, G.degree // 2, G.degree - 1}):
-            points, inverse = G.orbit_with_transversal(alpha)
-            rows = dict(zip(points.tolist(), inverse))
+            level = perm._orbit(alpha, gens)
+            rows = dict(zip(level.points.tolist(), level.inverse))
             for beta in range(G.degree):
                 got = G.transversal_inverse(alpha, beta)
                 if beta in rows:
@@ -147,6 +146,14 @@ def test_orbital_graph_certificate_failure_raises(monkeypatch):
                         lambda self, point: trivial)
     with pytest.raises(CertificateError, match="suborbit length"):
         orbital_graph(natural_action(symmetric(4), "S4"), 0, 1)
+
+
+def test_orbital_graph_of_an_intransitive_action_raises():
+    # S3 on {0, 1, 2} fixing 3 and 4: alpha's orbit misses two points
+    S3 = PermGroup([Permutation(np.array([1, 0, 2, 3, 4])),
+                    Permutation(np.array([1, 2, 0, 3, 4]))])
+    with pytest.raises(CertificateError, match="non-uniform out-valency"):
+        orbital_graph(natural_action(S3, "S3 fixing two points"), 0, 1)
 
 
 def test_orbital_graph_directed_4_cycle():

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from derangements import (Budgets, CertificateError, GeneratorFileError,
-                          GroupAction, PermGroup, Permutation, SocleDecl,
-                          WreathSpec,
+from derangements import (BudgetExceeded, Budgets, CertificateError,
+                          GeneratorFileError, GroupAction, PermGroup,
+                          Permutation, SocleDecl, WreathSpec,
                           assemble_stabilizer, borel_subgroup, coset_action,
                           format_generator_file, load_generators, m11,
                           mersenne_scenario, natural_action,
@@ -271,6 +271,18 @@ def test_wreath_socle_declaration():
     assert socle.subgroup.order() == 36
     assert len(socle.factors) == 2
     socle.validate(W)
+
+
+def test_wreath_socle_past_the_chain_degree_is_refused():
+    # C150 wr C2 in the product action has degree 22,500, above
+    # config.CHAIN_DEGREE: the group builds without its order certificate,
+    # but validating a declared socle needs chains, so it is refused
+    spec = WreathSpec(natural_action(cyclic(150), "C150"), 2, cyclic(2),
+                      "product")
+    assert spec.degree == 22_500
+    assert wreath(spec).degree == 22_500
+    with pytest.raises(BudgetExceeded, match="stabilizer chain at degree"):
+        wreath(spec, declare_socle=True)
 
 
 def test_socle_decl_rejects_bad_factorization():
