@@ -379,7 +379,6 @@ def test_action_class_reps_pushed_through_coset_table(env):
     assert sorted((ci.class_size, ci.min_fixed_points) for ci in infos) == \
         sorted((ci.class_size, ci.min_fixed_points) for ci in direct)
     assert all(isinstance(ci, ClassInfo) for ci in infos)
-    assert is_r_elusive(A, 3).method == "class-coverage"
 
 
 def test_normal_structure_reads_the_own_classes_of_m11_12(m11_12):
