@@ -66,9 +66,10 @@ print("\nV4 in S4: minimal", rep.minimal, "; unique", rep.unique,
       "; closures of its involutions have orders", rep.closure_orders)
 
 # For a wreath product in product action the socle N = T x ... x T is
-# usually far beyond any element scan, but constructions can declare it,
-# and the certificate is then assembled from per-factor conjugacy class
-# representatives.
+# usually far beyond any element scan.  The certificate reads the same
+# prime-order classes of G as the elusivity verdicts, here from the
+# wreath decomposition, and takes the normal closure of each one lying
+# in N.
 c2 = PermGroup([Permutation(np.array([1, 0]))])
 spec = WreathSpec(natural_action(PermGroup([
     Permutation.from_cycles(5, [(0, 1, 2, 3, 4)]),

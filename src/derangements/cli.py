@@ -10,7 +10,7 @@ import dataclasses
 import json
 import sys
 
-from .config import DEFAULT_BUDGETS, DEFAULT_SEED, BudgetExceeded
+from .config import DEFAULT_BUDGETS, DEFAULT_SEED, MATERIALIZE, BudgetExceeded
 from .zoo import (GENERATOR_FILE_DOC, GeneratorFileError, coset_action,
                   load_generators, natural_action)
 from .elusive import is_2prime_elusive, is_elusive, is_r_elusive
@@ -92,6 +92,12 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    # A prime dividing |G| is at most the degree, so a larger R answers
+    # nothing; refusing it first keeps trial division off huge numbers.
+    if args.prime is not None and args.prime > MATERIALIZE:
+        print(f"--prime {args.prime} exceeds {MATERIALIZE}, the largest "
+              "degree a generator file may declare", file=sys.stderr)
+        return USAGE_ERROR
     if args.prime is not None and not is_prime(args.prime):
         print(f"--prime {args.prime} is not a prime", file=sys.stderr)
         return USAGE_ERROR

@@ -40,7 +40,8 @@ from .classes import (_budget_error, centralizer, sylow_classes,
 from .config import (DEFAULT_BUDGETS, MATERIALIZE, Budgets, BudgetExceeded,
                      CertificateError)
 from .numbers import is_prime, prime_divisors
-from .perm import Permutation, PermGroup, derangement_backtrack
+from .perm import (Permutation, PermGroup, _cells, _components,
+                   derangement_backtrack)
 from .zoo import GroupAction, WreathElement, WreathSpec
 
 __all__ = [
@@ -319,9 +320,11 @@ def wreath_prime_order_class_reps(
     the r-cycles of pi force trivial cycle products, contributing a free
     factor |L|^(r-1) per cycle to the class size.  A central pi has
     C_K(pi) = K (for pi = 1 the all-identity labelling is left out), and
-    otherwise C_K(pi) comes from `classes.centralizer`.  An orbit is a BFS
-    over C_K(pi)'s generators, represented by its least labelling.  The
-    labellings walked for one pi count against the exhaustive budget.
+    otherwise C_K(pi) comes from `classes.centralizer`.  The orbits are the
+    components (`perm._components`) of the labellings, numbered in
+    `np.ndindex` order and joined to their images under C_K(pi)'s
+    generators, so each is represented by its least labelling.  The
+    labellings of one pi count against the exhaustive budget.
     Representatives are materialized permutations on the spec's point set.
     """
     if not is_prime(r):
@@ -341,25 +344,22 @@ def wreath_prime_order_class_reps(
         m = sum(1 for c in cycles if len(c) == r)
         if len(fixed) + m * r != k:
             raise CertificateError("order-r top element with a bad cycle type")
-        if len(labels) ** len(fixed) > budgets.exhaustive:
+        nf, total = len(fixed), len(labels) ** len(fixed)
+        if total > budgets.exhaustive:
             raise BudgetExceeded(
-                f"{len(labels) ** len(fixed)} labellings of the fixed "
-                f"coordinates exceed the exhaustive budget {budgets.exhaustive}")
+                f"{total} labellings of the fixed coordinates exceed the "
+                f"exhaustive budget {budgets.exhaustive}")
+        grid = np.indices((len(labels),) * nf).reshape(nf, total).T
+        weights = len(labels) ** np.arange(nf - 1, -1, -1)
         where = {p: i for i, p in enumerate(fixed)}
-        moves = [[where[int(s.images[p])] for p in fixed] for s in C.generators]
-        seen = {(0,) * k} if m == 0 else set()
-        for f in np.ndindex(*([len(labels)] * len(fixed))):
-            if f in seen:
-                continue
-            orbit, todo = {f}, [f]
-            while todo:
-                t = todo.pop()
-                for move in moves:
-                    u = tuple(t[i] for i in move)
-                    if u not in orbit:
-                        orbit.add(u)
-                        todo.append(u)
-            seen |= orbit
+        images = [grid[:, [where[int(s.images[p])] for p in fixed]] @ weights
+                  for s in C.generators]
+        labelled = _components(total, np.arange(total),
+                               np.reshape(images, (len(images), total)))
+        for orbit in _cells(labelled):
+            if m == 0 and orbit[0] == 0:
+                continue  # the all-identity labelling of pi = 1
+            f = grid[orbit[0]]
             size = (k_size * len(orbit) * free ** m
                     * math.prod(labels[c][1] for c in f))
             base = [ident] * k

@@ -23,7 +23,7 @@ from . import __version__
 from .config import Budgets, DEFAULT_BUDGETS, DEFAULT_SEED, CertificateError
 from .numbers import factorize, prime_divisors
 from .perm import Permutation, PermGroup
-from .zoo import (GroupAction, SocleDecl, WreathSpec, assemble_stabilizer,
+from .zoo import (GroupAction, WreathSpec, assemble_stabilizer,
                   borel_subgroup, coset_action, load_generators, m11,
                   mersenne_scenario, natural_action, projective_line_action,
                   subgroup_search, wreath)
@@ -808,15 +808,9 @@ def _build_m11_wr2_biquasi(env: ScenarioEnv):
     A = coset_action(W22, H, budgets=env.budgets,
                      provenance="M11 wr C2 on the cosets of "
                                 "PSL(2,11) x M11")
-    socle22 = W22.declared_socle
-    push = A.parent.push
-    factors24 = [PermGroup([push(g) for g in T.generators], degree=A.degree)
-                 for T in socle22.factors]
-    N24 = PermGroup([push(g) for g in socle22.subgroup.generators],
+    N24 = PermGroup([A.parent.push(g)
+                     for g in W22.declared_socle.subgroup.generators],
                     degree=A.degree)
-    socle24 = SocleDecl(subgroup=N24, factors=factors24)
-    A = dataclasses.replace(A, declared_socle=socle24)
-    socle24.validate(A)
 
     values: dict = {"degree": A.degree, "order": A.group.order(),
                     "faithful": A.faithful,

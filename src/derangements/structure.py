@@ -12,6 +12,13 @@ generate the same closure, so it is enough to look at the closures of
 prime-order class representatives: if all of those are transitive, every
 nontrivial normal subgroup is transitive; if all have at most two orbits,
 so does every nontrivial normal subgroup.
+
+`verify_minimal_normal` rests on the same reduction.  A normal subgroup N
+is a union of G-classes, so its prime-order elements are the G-conjugates
+of the prime-order class representatives that lie in N, and N is minimal
+normal exactly when each of those has <y^G> = N.  Both functions read the
+classes through `elusive.action_prime_order_class_reps`, the one route
+`is_r_elusive` follows too.
 """
 
 from dataclasses import dataclass, field
@@ -19,11 +26,10 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .config import (Budgets, DEFAULT_BUDGETS, DEFAULT_SEED, BudgetExceeded,
-                     CertificateError)
+from .config import Budgets, DEFAULT_BUDGETS, DEFAULT_SEED, CertificateError
 from .perm import Permutation, PermGroup
 from .zoo import GroupAction
-from .elusive import action_prime_order_class_reps, prime_order_class_reps
+from .elusive import action_prime_order_class_reps
 from .numbers import prime_divisors
 
 PRIMITIVE = "primitive"
@@ -178,12 +184,14 @@ def g_plus(A: GroupAction, N: PermGroup):
 
 @dataclass
 class MinimalNormalReport:
-    """Certificate that N is (or is not) a minimal normal subgroup.
+    """Certificate that N is (or is not) a minimal normal subgroup, read
+    off the action's prime-order class representatives y of G.
 
-    minimal: every prime-order class representative of N has <x^G> = N.
-    unique: no prime-order class representative of G outside N generates a
-    normal closure meeting N trivially (triviality of the intersection is
-    decided by |<M, N>| = |M| * |N| on the join).  Truthiness is minimality.
+    minimal: every y inside N has <y^G> = N (closure_orders lists |<y^G>|
+    for those y, prime by prime).  unique: no y outside N generates a
+    normal closure meeting N trivially (decided by |<M, N>| = |M| * |N| on
+    the join); independent_witness is the first that does.  Truthiness is
+    minimality.
     """
 
     minimal: bool
@@ -197,61 +205,19 @@ class MinimalNormalReport:
         return self.minimal
 
 
-def _prime_order_reps_of_subgroup(A: GroupAction, N: PermGroup,
-                                  budgets: Budgets):
-    """Prime-order class representatives of N (reps of N-classes suffice).
-
-    N within the exhaustive budget reads its own order-r classes, prime by
-    prime in increasing order (`prime_order_class_reps`).  Otherwise,
-    when N is the declared socle of the action with literal per-factor
-    supports or a direct product pushed through a coset table,
-    representatives are assembled as products of factor class
-    representatives (one choice of order-r-or-1 per factor, not all
-    trivial); these hit every N-class since classes of a direct product
-    are products of factor classes.
-    """
-    if N.order() <= budgets.exhaustive:
-        return [ci.representative for r in prime_divisors(N.order())
-                for ci in prime_order_class_reps(N, r, budgets=budgets)]
-
-    socle = A.declared_socle
-    if socle is not None and socle.subgroup.order() == N.order() \
-            and all(N.contains(g) for g in socle.subgroup.generators):
-        factor_reps = [{r: [ci.representative for ci in
-                            prime_order_class_reps(T, r, budgets=budgets)]
-                        for r in prime_divisors(T.order())}
-                       for T in socle.factors]
-        reps = []
-        all_primes = sorted({r for pp in factor_reps for r in pp})
-        k = len(socle.factors)
-        ident = Permutation.identity(N.degree)
-        for r in all_primes:
-            choice_lists = [[ident] + pp.get(r, []) for pp in factor_reps]
-            for combo in np.ndindex(*[len(c) for c in choice_lists]):
-                if all(i == 0 for i in combo):
-                    continue
-                x = ident
-                for j in range(k):
-                    x = x * choice_lists[j][combo[j]]
-                reps.append(x)
-        return reps
-
-    raise BudgetExceeded(
-        "subgroup of order %d exceeds the exhaustive budget and is not a "
-        "declared socle; cannot enumerate its prime-order classes" % N.order())
-
-
 def verify_minimal_normal(A: GroupAction, N: PermGroup,
                           budgets: Budgets = DEFAULT_BUDGETS,
                           seed: int = DEFAULT_SEED) -> MinimalNormalReport:
     """Certify minimality (and uniqueness) of a normal subgroup N of G.
 
-    Minimality: for every prime-order class representative x of N the
-    normal closure <x^G> equals N; since <x^G> <= N automatically, the
-    order comparison decides equality.  Uniqueness: scans prime-order class
-    representatives y of G outside N; if some closure M = <y^G> satisfies
-    |<M, N>| = |M| * |N| then M meets N trivially, so M contains a minimal
-    normal subgroup different from N.
+    One pass over the prime-order class representatives y of G from
+    `action_prime_order_class_reps`.  For y in N, the normal closure
+    <y^G> lies in N, so the order comparison decides <y^G> = N; N is
+    minimal when every such closure is N, since each nontrivial normal
+    subgroup inside N contains one of them.  Until the first witness, each
+    y outside N has its closure M = <y^G> tested: |<M, N>| = |M| * |N|
+    means M meets N trivially, so M contains a minimal normal subgroup
+    different from N.
 
     As in `normal_structure`, ``seed`` is accepted but reaches nothing.
     """
@@ -262,31 +228,19 @@ def verify_minimal_normal(A: GroupAction, N: PermGroup,
     if n_order == 1:
         raise ValueError("N must be nontrivial")
 
-    reps = _prime_order_reps_of_subgroup(A, N, budgets)
-    minimal = True
     closure_orders = []
-    for x in reps:
-        closure = G.normal_closure([x])
-        closure_orders.append(closure.order())
-        if closure.order() != n_order:
-            minimal = False
-
-    unique = True
     independent = None
     for r in prime_divisors(G.order()):
         for ci in action_prime_order_class_reps(A, r, budgets=budgets):
             y = ci.representative
             if N.contains(y):
-                continue
-            M = G.normal_closure([y])
-            if M.join(N).order() == M.order() * n_order:
-                unique = False
-                independent = y
-                break
-        if not unique:
-            break
+                closure_orders.append(G.normal_closure([y]).order())
+            elif independent is None:
+                M = G.normal_closure([y])
+                if M.join(N).order() == M.order() * n_order:
+                    independent = y
 
-    return MinimalNormalReport(minimal=minimal, unique=unique,
-                               n_order=n_order,
-                               closure_orders=closure_orders,
-                               independent_witness=independent)
+    return MinimalNormalReport(
+        minimal=all(o == n_order for o in closure_orders),
+        unique=independent is None, n_order=n_order,
+        closure_orders=closure_orders, independent_witness=independent)

@@ -12,6 +12,7 @@ import sys
 import pytest
 
 from derangements import BudgetExceeded
+from derangements.config import MATERIALIZE
 from derangements.cli import main
 from derangements.harness import RunReport
 
@@ -186,6 +187,21 @@ def test_check_non_prime_is_a_usage_error(capsys):
     assert main(["check", "--group", str(m11), "--prime", "4"]) == 2
     err = capsys.readouterr().err
     assert err.strip() == "--prime 4 is not a prime"
+
+
+def test_check_prime_past_any_degree_is_refused_before_primality(
+        monkeypatch, capsys):
+    # trial division of 10**15 + 37 takes seconds; the refusal comes first
+    def refuse(n):
+        raise AssertionError(f"is_prime({n}) was called")
+
+    monkeypatch.setattr("derangements.cli.is_prime", refuse)
+    m11 = pathlib.Path(__file__).parents[1] / "demos" / "data" / "m11.gens"
+    big = 10**15 + 37
+    assert main(["check", "--group", str(m11), "--prime", str(big)]) == 2
+    err = capsys.readouterr().err
+    assert err.strip() == (f"--prime {big} exceeds {MATERIALIZE}, the largest "
+                           "degree a generator file may declare")
 
 
 def test_check_degree_budget_is_a_usage_error(s4_file, tmp_path, capsys):

@@ -197,18 +197,16 @@ def test_wreath_class_reps_match_materialized(base_factory, k, top_factory,
     assert sorted(ci.class_size for ci in infos) == \
         naive_wreath_order_r_classes(spec, r)
     # representatives come back materialized at these degrees; they really
-    # have order r and the declared minimum is attained by the class
+    # have order r, and their classes, by brute conjugation, have the
+    # declared size and attain the declared minimum
     W = wreath(spec)
     for ci in infos:
         perm = ci.representative
         assert perm.order() == r
         assert W.group.contains(perm)
-        # min fixed points over the whole class, by brute conjugation
-        cls_min = min(
-            (g.inverse() * perm * g).num_fixed()
-            for g in enumerate_elements(W.group)
-        )
-        assert ci.min_fixed_points == cls_min
+        cls = [g.inverse() * perm * g for g in enumerate_elements(W.group)]
+        assert len({x.key() for x in cls}) == ci.class_size
+        assert ci.min_fixed_points == min(x.num_fixed() for x in cls)
 
 
 def test_wreath_fixed_point_check_vs_materialized():
@@ -412,6 +410,17 @@ def test_wreath_parent_covers_only_when_its_base_is_enumerable(budget,
             action_prime_order_class_reps(A, 3, budgets=tiny)
     else:
         assert action_prime_order_class_reps(A, 3, budgets=tiny)
+
+
+def test_non_faithful_coset_action_reads_its_own_image():
+    # S4 on the 3 cosets of D8 has kernel V4, so the image is S3 of order
+    # 6; its own classes decide r = 3, not S4's pushed through the table
+    S4 = natural_action(symmetric(4), "S4")
+    A = coset_action(S4, dihedral(4))
+    assert (A.degree, A.faithful, A.order()) == (3, False, 6)
+    v = is_r_elusive(A, 3)
+    assert (v.method, v.status) == ("exhaustive-enumeration", "NotElusive")
+    assert v.witness.num_fixed() == 0
 
 
 def test_budget_exceeded_is_loud():

@@ -16,15 +16,18 @@ import textwrap
 import pytest
 
 from derangements import (BIQUASIPRIMITIVE, NEITHER, PRIMITIVE,
-                          QUASIPRIMITIVE, BudgetExceeded, CertificateError,
+                          QUASIPRIMITIVE, CertificateError,
                           DEFAULT_BUDGETS,
                           PermGroup, Permutation, WreathSpec, coset_action,
                           g_plus, natural_action, normal_structure,
-                          verify_minimal_normal, wreath)
+                          prime_order_class_reps, verify_minimal_normal,
+                          wreath)
 from derangements import classes
 
-from tests.conftest import (alternating, cyclic, dihedral, klein4,
-                            symmetric)
+from derangements.numbers import is_prime, prime_divisors
+
+from tests.conftest import (alternating, bfs_transversal, cyclic, dihedral,
+                            enumerate_elements, klein4, symmetric)
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +193,26 @@ def test_no_function_body_reads_the_default_budgets():
     assert found == []
 
 
+def test_structure_reads_classes_only_through_the_action_route():
+    # one route per question: the normal structure reads the classes that
+    # `is_r_elusive` reads, never a socle declaration or a route of its own
+    tree = dict(_library_trees())["structure.py"]
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    modules = {node.module for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)}
+    assert "classes" not in modules
+    assert {n for n in names if "class_reps" in n or n.endswith("classes")} \
+        == {"action_prime_order_class_reps"}
+    assert "declared_socle" not in names
+
+
 def test_certificate_checks_survive_python_O():
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -259,7 +282,9 @@ def test_v4_minimal_and_unique_in_s4():
     assert rep.minimal and rep.unique
     assert bool(rep)
     assert rep.n_order == 4
-    assert rep.closure_orders == [4, 4, 4]
+    # one closure per S4-class of prime order inside V4: the double
+    # transpositions form a single class of S4
+    assert rep.closure_orders == [4]
     assert rep.independent_witness is None
     assert rep.exact
 
@@ -299,9 +324,10 @@ def test_minimal_normal_guards():
 
 
 def test_socle_route_certifies_a5_squared(monkeypatch):
-    # A5 wr C2 in product action: the socle A5 x A5 (order 3600) is above
-    # an exhaustive budget of 1000, so the certificate is assembled from
-    # per-factor class representatives hung off the declared socle.
+    # A5 wr C2 in product action: the group (order 7200) and its socle
+    # A5 x A5 (order 3600) are above an exhaustive budget of 1000, so the
+    # certificate reads the wreath decomposition's classes, the action's
+    # one class route, whether or not the socle is declared.
     scanned = []
     real = classes.order_r_rows
 
@@ -312,18 +338,66 @@ def test_socle_route_certifies_a5_squared(monkeypatch):
     monkeypatch.setattr("derangements.classes.order_r_rows", recording)
     c2 = PermGroup([Permutation(__import__("numpy").array([1, 0]))])
     spec = WreathSpec(natural_action(alternating(5), "A5"), 2, c2, "product")
-    A = wreath(spec, declare_socle=True)
-    N = A.declared_socle.subgroup
+    N = wreath(spec, declare_socle=True).declared_socle.subgroup
     assert N.order() == 3600
     tight = dataclasses.replace(DEFAULT_BUDGETS, exhaustive=1000)
-    rep = verify_minimal_normal(A, N, budgets=tight)
-    assert rep.minimal and rep.unique and rep.exact
-    assert set(rep.closure_orders) == {3600}
+    for A in (wreath(spec, declare_socle=True), wreath(spec)):
+        rep = verify_minimal_normal(A, N, budgets=tight)
+        assert rep.minimal and rep.unique and rep.exact
+        assert set(rep.closure_orders) == {3600}
     # the Sylow route covers A5 at 2, 3 and 5 from subgroups holding a
     # Sylow subgroup, so neither factor (nor anything larger) is scanned
     assert scanned and all(size < 60 for size in scanned)
 
-    # without the declaration the same subgroup is undecidable in budget
-    bare = wreath(spec)
-    with pytest.raises(BudgetExceeded):
-        verify_minimal_normal(bare, N, budgets=tight)
+
+def reference_minimal_normal(A, N):
+    """(minimal, unique, closure orders) without the action's class route:
+    the closures of N's own prime-order classes decide minimality, and
+    every prime-order element of G outside N, one per class walked by
+    plain conjugation, is tried for a closure meeting N trivially."""
+    G = A.group
+    orders = {G.normal_closure([ci.representative]).order()
+              for r in prime_divisors(N.order())
+              for ci in prime_order_class_reps(N, r)}
+    unique, seen = True, set()
+    for x in enumerate_elements(G):
+        if x.key() in seen or not is_prime(x.order()) or N.contains(x):
+            continue
+        rows, _ = bfs_transversal(G, x.images)
+        seen |= {Permutation._raw(row).key() for row in rows}
+        M = G.normal_closure([x])
+        unique = unique and M.join(N).order() != M.order() * N.order()
+    return orders == {N.order()}, unique, orders
+
+
+def _a5_wr_c2_socle():
+    c2 = PermGroup([Permutation(__import__("numpy").array([1, 0]))])
+    spec = WreathSpec(natural_action(alternating(5), "A5"), 2, c2, "product")
+    A = wreath(spec, declare_socle=True)
+    return A, A.declared_socle.subgroup
+
+
+def _s4_with(make_n):
+    A = natural_action(symmetric(4), "S4")
+    return A, make_n(A.group)
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(lambda: _s4_with(lambda G: G.normal_closure(
+        [Permutation.from_cycles(4, [(0, 1), (2, 3)])])), id="S4-V4"),
+    pytest.param(lambda: _s4_with(lambda G: G.derived_subgroup()),
+                 id="S4-A4"),
+    pytest.param(lambda: (natural_action(klein4(), "V4"),
+                          PermGroup([klein4().generators[0]])), id="V4-a"),
+    pytest.param(lambda: (natural_action(dihedral(4), "D8"),
+                          PermGroup([Permutation.from_cycles(
+                              4, [(0, 2), (1, 3)])])), id="D8-center"),
+    pytest.param(_a5_wr_c2_socle, id="A5wrC2-socle"),
+])
+def test_minimal_normal_agrees_with_the_subgroup_class_reference(case):
+    A, N = case()
+    rep = verify_minimal_normal(A, N)
+    minimal, unique, orders = reference_minimal_normal(A, N)
+    assert (rep.minimal, rep.unique) == (minimal, unique)
+    # an N-class lies in one G-class, and conjugates share a closure
+    assert set(rep.closure_orders) == orders
