@@ -93,7 +93,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_check(args) -> int:
     # A prime dividing |G| is at most the degree, so a larger R answers
-    # nothing; refusing it first keeps trial division off huge numbers.
+    # nothing and is refused before any primality test.
     if args.prime is not None and args.prime > MATERIALIZE:
         print(f"--prime {args.prime} exceeds {MATERIALIZE}, the largest "
               "degree a generator file may declare", file=sys.stderr)

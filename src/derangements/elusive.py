@@ -284,7 +284,7 @@ def _class_route(A: GroupAction, budgets: Budgets) -> Optional[str]:
 
 
 def _push_class_info(A: GroupAction, ci: ClassInfo) -> ClassInfo:
-    pushed = A.parent.push(ci.representative, check_membership=False)
+    pushed = A.parent.push(ci.representative)
     return ClassInfo(
         representative=pushed,
         order=ci.order,

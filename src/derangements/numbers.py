@@ -1,22 +1,39 @@
-"""Small exact number-theory helpers (trial division scale)."""
+"""Small exact number-theory helpers: primality by deterministic
+Miller-Rabin, factorization by trial division."""
 
 from __future__ import annotations
 
 import math
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to every base in _MR_BASES (Sorenson and
+# Webster 2015): Miller-Rabin on those bases is exact below it
+_MR_LIMIT = 3317044064679887385961981
+
 
 def is_prime(n: int) -> bool:
+    """Exact: Miller-Rabin on _MR_BASES below _MR_LIMIT, trial division
+    above it."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n >= _MR_LIMIT:
+        return all(n % f for f in range(43, math.isqrt(n) + 1, 2))
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

@@ -82,7 +82,7 @@ class Graph:
 
 
 @dataclass
-class OrbitalGraph:
+class OrbitalGraph(Graph):
     """Digraph whose arc set is one orbit of G on ordered point pairs.
 
     Arc-set invariance under every generator is checked exhaustively at
@@ -90,20 +90,14 @@ class OrbitalGraph:
     treated as an undirected graph.
     """
 
-    n: int
-    adj: Tuple[Tuple[int, ...], ...]
     self_paired: bool
     valency: int
     action: GroupAction
     base_arc: Tuple[int, int]
 
-    def arc_count(self) -> int:
-        return sum(len(a) for a in self.adj)
-
     def edge_set(self) -> set:
         if self.self_paired:
-            return {(u, v) for u in range(self.n) for v in self.adj[u]
-                    if u <= v}
+            return super().edge_set()
         return {(u, v) for u in range(self.n) for v in self.adj[u]}
 
     def is_complete(self) -> bool:
@@ -355,8 +349,7 @@ def verify_double_cover_scenario(scn: MersenneScenario,
 
     # iota: PSL cosets -> PGL cosets through the shared canonical reps.
     cc_half, cc_full = a_half.parent, a_full.parent
-    iota = np.array([cc_full.index_of(cc_half.coset_reps[i])
-                     for i in range(n_half)], dtype=np.int64)
+    iota = cc_full.index_of(cc_half.reps)
 
     # A normalizer of H outside PSL: the diagonal map with a primitive-root
     # (hence non-square) multiplier normalizes every C_p:C_s above it.
@@ -371,10 +364,8 @@ def verify_double_cover_scenario(scn: MersenneScenario,
     if line.subgroups["PSL"].contains(g_mult):
         raise CertificateError("multiplier map lies inside PSL")
 
-    psi = np.empty(2 * n_half, dtype=np.int64)
-    psi[:n_half] = iota
-    psi[n_half:] = [cc_full.index_of(g_mult * cc_half.coset_reps[i])
-                    for i in range(n_half)]
+    psi = np.concatenate(
+        [iota, cc_full.index_of(cc_half.reps[:, g_mult.images])])
     if np.unique(psi).size != 2 * n_half:
         raise CertificateError("psi is not a bijection")
 

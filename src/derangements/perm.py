@@ -627,14 +627,15 @@ class StabilizerChain:
             inv = inv[v]  # inv := t^-1 * inv, the inverse of t_{k-1}...t_0
         return Permutation._raw(_inverse_row(inv))
 
-    def canonical_row(self, img: np.ndarray) -> np.ndarray:
-        """Image row of the element of the right coset H*x (x given by its
-        image row, H this chain's group) whose base images are least."""
+    def canonical_rows(self, rows: np.ndarray) -> np.ndarray:
+        """For each image row x of a matrix, the row of the element of the
+        right coset H*x (H this chain's group) whose base images are least."""
         for lvl in self.levels:
-            nxt = np.empty_like(img)
-            nxt[lvl.inverse[int(np.argmin(img[lvl.points]))]] = img  # u * img
-            img = nxt
-        return img
+            k = np.argmin(rows[:, lvl.points], axis=1)
+            nxt = np.empty_like(rows)
+            np.put_along_axis(nxt, lvl.inverse[k], rows, axis=1)  # u * row
+            rows = nxt
+        return rows
 
 
 # ---------------------------------------------------------------------------

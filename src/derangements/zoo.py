@@ -20,6 +20,7 @@ from .config import (CHAIN_DEGREE, DEFAULT_BUDGETS, DEFAULT_SEED, MATERIALIZE,
                      Budgets, BudgetExceeded, CertificateError)
 from .numbers import is_prime, prime_divisors, primitive_root_mod, radical
 from .perm import (
+    _BATCH_ENTRIES,
     Permutation,
     PermGroup,
     parse_cycles,
@@ -501,10 +502,11 @@ def subgroup_search(
 class CosetConstruction:
     """Bookkeeping for a right-coset action of G on the cosets of H.
 
-    Holds the canonical coset representatives (point i is the coset
-    H*reps[i], point 0 the trivial coset) and the action homomorphism
-    push().  Canonical representatives are computed with H's stabilizer
-    chain: the unique element of Hx minimizing the image tuple of H's base.
+    Holds the canonical coset representatives as the rows of the int64
+    matrix reps (point i is the coset H*reps[i], point 0 the trivial coset)
+    and the action homomorphism push().  The canonical representative of
+    Hx is the element whose images of H's base are least
+    (StabilizerChain.canonical_rows); its image row is the coset's key.
     """
 
     def __init__(self, G: PermGroup, H: PermGroup, parent_action: Optional["GroupAction"] = None):
@@ -512,55 +514,48 @@ class CosetConstruction:
         self.stabilizer = H
         self.parent_action = parent_action
 
-    def canonical(self, x: Permutation) -> Permutation:
-        return Permutation._raw(self.stabilizer.chain.canonical_row(x.images))
+    def _keys(self, rows: np.ndarray) -> list:
+        """The key of the coset H*x for each image row x of a matrix."""
+        step = max(1, _BATCH_ENTRIES // rows.shape[1])
+        return [row.tobytes() for lo in range(0, len(rows), step)
+                for row in self.stabilizer.chain.canonical_rows(rows[lo:lo + step])]
 
     def _build_table(self, budgets: Budgets):
+        """Number the cosets breadth first, a layer at a time, new ones in
+        (coset, generator) order; returns the generators' images."""
         G, H = self.parent_group, self.stabilizer
         index = G.order() // H.order()
         if index > budgets.degree:
             raise BudgetExceeded(
                 f"coset action degree {index} exceeds the degree budget {budgets.degree}"
             )
-        ident = self.canonical(Permutation.identity(G.degree))
-        reps = [ident]
-        lookup = {ident.key(): 0}
-        rows = [np.full(index, -1, dtype=np.int64) for _ in G.generators]
-        i = 0
-        while i < len(reps):
-            x = reps[i]
-            for gi, g in enumerate(G.generators):
-                y = self.canonical(x * g)
-                j = lookup.get(y.key())
-                if j is None:
-                    j = len(reps)
-                    if j >= index:
-                        raise CertificateError("coset walk left the coset space")
-                    reps.append(y)
-                    lookup[y.key()] = j
-                rows[gi][i] = j
-            i += 1
-        if len(reps) != index:
+        n, gens = G.degree, np.stack([g.images for g in G.generators])
+        lookup = dict.fromkeys(self._keys(np.arange(n)[None, :]), 0)
+        images, done = [], 0
+        while done < len(lookup) <= index:  # keys in insertion order
+            layer = np.frombuffer(b"".join(list(lookup)[done:]), dtype=np.int64)
+            done = len(lookup)
+            prods = gens[:, layer.reshape(-1, n)].swapaxes(0, 1)  # layer[i] * g
+            images += [lookup.setdefault(key, len(lookup))
+                       for key in self._keys(prods.reshape(-1, n))]
+        if len(lookup) != index:
             raise CertificateError(
-                f"coset walk found {len(reps)} cosets, index is {index}"
-            )
-        self.coset_reps = reps
+                f"coset walk found {len(lookup)} cosets, index is {index}")
+        self.reps = np.frombuffer(b"".join(lookup), dtype=np.int64).reshape(index, n)
         self._lookup = lookup
         self.index = index
-        return [Permutation._raw(r) for r in rows]
+        return [Permutation._raw(r) for r in np.reshape(images, (index, -1)).T]
 
-    def index_of(self, x: Permutation) -> int:
-        """The point corresponding to the coset H*x."""
-        return self._lookup[self.canonical(x).key()]
+    def index_of(self, rows: np.ndarray) -> np.ndarray:
+        """The point of the coset H*x for each image row x of a matrix."""
+        return np.array([self._lookup[key] for key in self._keys(rows)],
+                        dtype=np.int64)
 
-    def push(self, x: Permutation, check_membership: bool = True) -> Permutation:
+    def push(self, x: Permutation) -> Permutation:
         """Image of a parent-group element under the coset action."""
-        if check_membership and not self.parent_group.contains(x):
+        if not self.parent_group.contains(x):
             raise ValueError("element is not in the parent group")
-        row = np.empty(self.index, dtype=np.int64)
-        for i, rep in enumerate(self.coset_reps):
-            row[i] = self._lookup[self.canonical(rep * x).key()]
-        return Permutation._raw(row)
+        return Permutation._raw(self.index_of(x.images[self.reps]))
 
 
 def coset_action(
@@ -575,7 +570,7 @@ def coset_action(
     The resulting action's .parent is the CosetConstruction (canonical
     representatives plus the push homomorphism) and .faithful records
     whether the action kernel is trivial.  Points are labelled 1..index;
-    point i stands for the coset of .parent.coset_reps[i].
+    point i stands for the coset of .parent.reps[i].
     """
     parent = G if isinstance(G, GroupAction) else None
     group = _as_group(G)
@@ -648,11 +643,7 @@ class WreathSpec:
 
 
 class WreathElement:
-    """An element (a_1,...,a_k; pi) of L wr K, kept in decomposed form.
-
-    Multiplication follows the project-wide left-to-right convention:
-    (a; pi)(b; sigma) = ((a_i b_{pi(i)})_i; pi sigma).
-    """
+    """An element (a_1,...,a_k; pi) of L wr K, kept in decomposed form."""
 
     __slots__ = ("spec", "base", "top")
 
@@ -668,35 +659,6 @@ class WreathElement:
         self.spec = spec
         self.base = tuple(base)
         self.top = top
-
-    def __mul__(self, other: "WreathElement") -> "WreathElement":
-        if other.spec is not self.spec and other.spec != self.spec:
-            raise ValueError("wreath elements from different specs")
-        pi = self.top.images
-        base = tuple(
-            self.base[i] * other.base[int(pi[i])] for i in range(self.spec.k)
-        )
-        return WreathElement(self.spec, base, self.top * other.top)
-
-    def inverse(self) -> "WreathElement":
-        inv_top = self.top.inverse()
-        base = tuple(
-            self.base[int(inv_top.images[j])].inverse() for j in range(self.spec.k)
-        )
-        return WreathElement(self.spec, base, inv_top)
-
-    def is_identity(self) -> bool:
-        return self.top.is_identity() and all(a.is_identity() for a in self.base)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, WreathElement)
-            and self.top == other.top
-            and self.base == other.base
-        )
-
-    def __hash__(self):
-        return hash((self.base, self.top))
 
     def cycle_product(self, cycle: Sequence[int]) -> Permutation:
         """Product a_{i1} a_{i2} ... a_{im} along a cycle (i1 i2 ... im)

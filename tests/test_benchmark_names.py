@@ -41,6 +41,7 @@ def test_tracer_installs_and_restores(monkeypatch):
     assert ("StabilizerChain", "__init__") in changed
     assert ("PermGroup", "element_batches") in changed
     assert ("CosetConstruction", "push") in changed
+    assert ("CosetConstruction", "index_of") in changed
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[k] is before[k] for k in before)

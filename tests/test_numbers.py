@@ -5,8 +5,12 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from derangements import natural_action
+from derangements.elusive import is_r_elusive
 from derangements.numbers import (factorize, is_prime, prime_divisors,
                                   primitive_root_mod, radical)
+
+from tests.conftest import symmetric
 
 
 def test_small_primes():
@@ -54,7 +58,28 @@ def test_primitive_root_rejects_composite():
         primitive_root_mod(8)
 
 
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
 @given(st.integers(min_value=0, max_value=10**6))
 def test_is_prime_agrees_with_trial_division(n):
-    naive = n >= 2 and all(n % d for d in range(2, int(math.isqrt(n)) + 1))
-    assert is_prime(n) == naive
+    assert is_prime(n) == _trial_division(n)
+
+
+def test_is_prime_matches_trial_division_below_10_5():
+    assert all(is_prime(n) == _trial_division(n) for n in range(10**5))
+
+
+@pytest.mark.parametrize("n, factor", [
+    (3215031751, 151),                # strong pseudoprime to bases 2, 3, 5, 7
+    (3825123056546413051, 149491),    # strong pseudoprime to bases 2 to 31
+])
+def test_is_prime_rejects_strong_pseudoprimes(n, factor):
+    assert n % factor == 0
+    assert not is_prime(n)
+
+
+def test_huge_prime_is_not_applicable_to_a_small_group():
+    v = is_r_elusive(natural_action(symmetric(3), "S3"), 10**15 + 37)
+    assert v.status == "NotApplicable"

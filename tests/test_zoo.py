@@ -11,7 +11,7 @@ from derangements import (BudgetExceeded, Budgets, CertificateError,
 
 from derangements import zoo
 from derangements.classes import exhaustive_class_partition
-from derangements.zoo import _is_simple
+from derangements.zoo import _is_simple, coordinate_embedding, top_embedding
 
 from tests.conftest import alternating, cyclic, symmetric
 
@@ -178,6 +178,61 @@ def test_coset_push_is_a_homomorphism(m11_12):
     assert H.order() == cc.stabilizer.order()
 
 
+@pytest.fixture(scope="module")
+def a4_on_6():
+    H = PermGroup([Permutation.from_cycles(4, [(0, 1), (2, 3)])])
+    return coset_action(natural_action(alternating(4), "A4"), H)
+
+
+COSET_ACTIONS = ["m11_12", "a4_on_6"]
+
+
+@pytest.mark.parametrize("name", COSET_ACTIONS)
+def test_coset_representatives_are_least_in_their_cosets(request, name):
+    cc = request.getfixturevalue(name).parent
+    H = cc.stabilizer
+    hrows = np.concatenate(list(H.element_batches()))
+    assert cc.reps.shape == (cc.index, cc.parent_group.degree)
+    for rep in cc.reps:
+        coset = rep[hrows]  # rows of h * rep for every h in H
+        least = coset[np.lexsort(coset[:, H.chain.base].T[::-1])[0]]
+        assert (rep == least).all()
+
+
+@pytest.mark.parametrize("name", COSET_ACTIONS)
+def test_push_matches_coset_membership(request, name):
+    cc = request.getfixturevalue(name).parent
+    G, H = cc.parent_group, cc.stabilizer
+    reps = [Permutation(r) for r in cc.reps]
+    rng = np.random.default_rng(27)
+    for _ in range(5):
+        x = G.random_element(rng)
+        image = cc.push(x).images
+        for rep, j in zip(reps, image):
+            # H rep x = H reps[j] exactly when rep x reps[j]^-1 lies in H
+            assert H.contains(rep * x * reps[j].inverse())
+
+
+@pytest.mark.parametrize("name", COSET_ACTIONS)
+def test_index_of_batch_matches_single_rows(monkeypatch, request, name):
+    cc = request.getfixturevalue(name).parent
+    G = cc.parent_group
+    rng = np.random.default_rng(5)
+    rows = np.stack([G.random_element(rng).images for _ in range(9)])
+    single = [int(cc.index_of(row[None, :])[0]) for row in rows]
+    # chunks of two rows
+    monkeypatch.setattr(zoo, "_BATCH_ENTRIES", 2 * G.degree)
+    assert cc.index_of(rows).tolist() == single
+
+
+@pytest.mark.parametrize("name", COSET_ACTIONS)
+def test_push_rejects_a_non_member(request, name):
+    cc = request.getfixturevalue(name).parent
+    # both parent groups are even, so a transposition lies outside
+    with pytest.raises(ValueError, match="not in the parent group"):
+        cc.push(Permutation.from_cycles(cc.parent_group.degree, [(0, 1)]))
+
+
 def test_coset_action_degree():
     S4 = natural_action(symmetric(4), "S4")
     H = S4.group.point_stabilizer(0)
@@ -212,36 +267,30 @@ def test_wreath_imprimitive_blocks():
     assert bs is not None
 
 
-def test_wreath_element_arithmetic():
+def _check_wreath_elements(flavor, seed):
+    # (a; pi) = (a_1; 1) ... (a_k; 1) (1; pi), each factor materialized by
+    # the embedding the wreath generators use
     c2 = PermGroup([Permutation(np.array([1, 0]))])
     s3 = natural_action(symmetric(3), "S3")
-    spec = WreathSpec(s3, 2, c2, "imprimitive")
-    rng = np.random.default_rng(11)
+    spec = WreathSpec(s3, 2, c2, flavor)
+    rng = np.random.default_rng(seed)
     swap = Permutation(np.array([1, 0]))
     for _ in range(25):
-        w1 = spec.element([s3.group.random_element(rng) for _ in range(2)],
-                          swap if rng.integers(2) else Permutation.identity(2))
-        w2 = spec.element([s3.group.random_element(rng) for _ in range(2)],
-                          swap if rng.integers(2) else Permutation.identity(2))
-        # decomposed arithmetic matches the materialized one
-        assert (w1 * w2).to_permutation() == \
-            w1.to_permutation() * w2.to_permutation()
-        assert w1.inverse().to_permutation() == w1.to_permutation().inverse()
-        assert w1.order() == w1.to_permutation().order()
+        base = [s3.group.random_element(rng) for _ in range(2)]
+        top = swap if rng.integers(2) else Permutation.identity(2)
+        product = coordinate_embedding(spec, 0, base[0]) * \
+            coordinate_embedding(spec, 1, base[1]) * top_embedding(spec, top)
+        w = spec.element(base, top)
+        assert w.to_permutation() == product
+        assert w.order() == product.order()
+
+
+def test_wreath_element_arithmetic():
+    _check_wreath_elements("imprimitive", 11)
 
 
 def test_wreath_product_flavor_materialization():
-    c2 = PermGroup([Permutation(np.array([1, 0]))])
-    s3 = natural_action(symmetric(3), "S3")
-    spec = WreathSpec(s3, 2, c2, "product")
-    rng = np.random.default_rng(5)
-    for _ in range(25):
-        w1 = spec.element([s3.group.random_element(rng) for _ in range(2)],
-                          Permutation(np.array([1, 0])))
-        w2 = spec.element([s3.group.random_element(rng) for _ in range(2)],
-                          Permutation.identity(2))
-        assert (w1 * w2).to_permutation() == \
-            w1.to_permutation() * w2.to_permutation()
+    _check_wreath_elements("product", 5)
 
 
 @pytest.mark.parametrize("flavor, message", [
