@@ -53,8 +53,8 @@ import numpy as np
 from .config import (DEFAULT_BUDGETS, DEFAULT_SEED, BudgetExceeded,
                      CertificateError)
 from .numbers import factorize
-from .perm import (_BATCH_ENTRIES, Permutation, PermGroup, StabilizerChain,
-                   _inverse_rows, _order_r_filter, batch_power)
+from .perm import (_BATCH_ENTRIES, Permutation, PermGroup, _inverse_rows,
+                   _order_r_filter, batch_power)
 
 __all__ = [
     "batch_power",
@@ -348,13 +348,11 @@ def _centralizer(walker: _ClassWalker, x: np.ndarray, walk: _Walk,
         inverse = np.argsort(walker.transversal(walk, succ), axis=1)
         gens = np.concatenate([gens, np.take_along_axis(inverse, moved, axis=1)])
         lo, step = lo + step, 2 * step
-        perms = [Permutation._raw(g) for g in gens]
-        chain = StabilizerChain(n, perms, bound=bound)
-        if chain.order() == bound:
+        C = PermGroup([Permutation._raw(g) for g in gens], degree=n,
+                      bound=bound)
+        if C.order() == bound:
             if not (gens[:, x] == x[gens]).all():
                 raise CertificateError("a Schreier generator does not centralize x")
-            C = PermGroup(perms, degree=n)
-            C._chain = chain
             return C
     raise CertificateError("Schreier generators fall short of the centralizer order")
 

@@ -12,15 +12,15 @@ _MR_LIMIT = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Exact: Miller-Rabin on _MR_BASES below _MR_LIMIT, trial division
-    above it."""
+    """Exact: Miller-Rabin on _MR_BASES below _MR_LIMIT; at and above it
+    ValueError unless one of them divides n (trial division cannot end)."""
     if n < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
     if n >= _MR_LIMIT:
-        return all(n % f for f in range(43, math.isqrt(n) + 1, 2))
+        raise ValueError(f"cannot decide primality at or above {_MR_LIMIT}")
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1

@@ -20,26 +20,24 @@ level it keeps closed stays the same object, and otherwise the search
 starts from the new points only, keeping the old representatives.  Chains
 are refused above config.CHAIN_DEGREE points.
 The chain supplies order, membership, uniform random elements, canonical
-right-coset representatives and the one element scan, element_batches:
-a walk of its product tree depth first, a level at a time for a chunk of
-parents in one gather, on compact rows (the smallest unsigned dtype that
-holds a point).  The search for fixed-point-free elements of prime order
-(derangement_backtrack) and the class scan (classes.order_r_rows) are
-filters over it; both pass the single-prime order-r filter,
-_order_r_filter.
+right-coset representatives and the one element scan, element_batches,
+which the derangement search (derangement_backtrack) and the class scan
+(classes.order_r_rows) filter through _order_r_filter.
 
 Known-order early stop (Sims 1970; Seress, Permutation Group Algorithms,
 section 4.5).  The product of the basic orbit lengths of a partial chain
-of H is a lower bound on |H|.  So when H lies in a group K of certified
-order and that product reaches |K|, H = K and the chain is complete: the
-random phase ends there and the sweep is skipped.  A product above |K|
-refutes the containment and raises CertificateError.  Only a caller that
-knows such a K passes its order as `bound`: point_stabilizer (G's own
-chain with a new base point) and normal_closure (a certified normal
-subgroup containing the seeds, else G).  A caller whose next step checks
-the order against the bound must not pass it: a bounded build that
-reaches the bound skips the sweep, so that check could not fail.  A
-random phase that falls short of the bound leaves the full sweep to run
+of H is a lower bound on |H|.  Once it reaches a proven upper bound on |H|
+the chain is complete, the random phase ends and the sweep is skipped; a
+product above the bound refutes it (CertificateError).  The bound is the
+order of a group H lies in, of a group H is a quotient of, or of a direct
+product of commuting factors H is the join of.  Only PermGroup hands one
+to a chain: |G| in point_stabilizer, else its own bound= keyword, passed
+by normal_closure (|N| for a certified normal N holding the seeds, else
+|G|), classes._centralizer (|G|/|x^G|), zoo.coset_action (|G|, for the
+image), zoo.subgroup_search (|G|, per candidate) and
+zoo.SocleDecl.validate (the factors' orders, for their join).  A caller
+whose next step checks the order against the bound must not pass it, as a
+build that reaches the bound skips the sweep; one that falls short sweeps
 as without one.
 
 The chain alone decides the transversal format (see _Orbit): per level, an
@@ -465,13 +463,13 @@ class StabilizerChain:
     always the orbit of its base point under its generators, and its
     `discovered` order is the order in which the points were added.
 
-    ``bound`` is the certified order of a group known to contain the one
-    generated.  The random phase then ends as soon as the order reaches
-    it, and the Schreier sweep is skipped: the order is a lower bound on
-    the group's, so the group is the whole container and the chain is
-    complete.  The chain is then the one an unbounded build returns,
-    since every later random word and Schreier generator would sift to
-    the identity.  An order above the bound raises CertificateError.
+    ``bound`` is a proven upper bound on the order of the group generated
+    (module docstring).  The random phase then ends as soon as the order
+    reaches it, and the Schreier sweep is skipped: the order is a lower
+    bound on the group's, so the two are equal and the chain is complete.
+    The chain is then the one an unbounded build returns, since every
+    later random word and Schreier generator would sift to the identity.
+    An order above the bound raises CertificateError.
     ``_absorb`` grows a built chain by an element and ``_complete`` makes
     it exact again, both under the same bound.
     """
@@ -615,10 +613,6 @@ class StabilizerChain:
         residue = self._sift(g.images)
         return bool((residue == self._identity).all())
 
-    def stabilizer_gens(self, level: int = 1) -> list:
-        """Strong generators fixing base[0..level-1] pointwise."""
-        return [Permutation._raw(g) for g, depth in self.strong if depth >= level]
-
     def random_element(self, rng: np.random.Generator) -> Permutation:
         inv = np.arange(self.degree, dtype=np.int64)
         for lvl in reversed(self.levels):
@@ -647,11 +641,14 @@ _BATCH_ENTRIES = 1 << 18  # entries per chunk of the product-tree walk
 class PermGroup:
     """A finite permutation group on {0, ..., degree-1} given by generators.
 
-    The chain is built unbounded on first use; a normal closure comes
-    with the chain it was grown on.
+    The chain is built on first use, under `bound`, a proven upper bound
+    on the order (module docstring), when one is given; a normal closure
+    comes with the chain it was grown on.  No other class builds chains.
     """
 
-    def __init__(self, generators: Sequence[Permutation], degree: Optional[int] = None):
+    def __init__(self, generators: Sequence[Permutation],
+                 degree: Optional[int] = None, *,
+                 bound: Optional[int] = None):
         gens = list(generators)
         if not gens:
             if degree is None:
@@ -664,6 +661,7 @@ class PermGroup:
             raise ValueError("generators have unequal degrees")
         self.degree = d
         self.generators = tuple(gens)
+        self._bound = bound
         self._chain: Optional[StabilizerChain] = None
         self._stab_cache: dict = {}
         self._normal: list = []  # proper closures certified normal in self
@@ -675,7 +673,8 @@ class PermGroup:
     @property
     def chain(self) -> StabilizerChain:
         if self._chain is None:
-            self._chain = StabilizerChain(self.degree, self.generators)
+            self._chain = StabilizerChain(self.degree, self.generators,
+                                          bound=self._bound)
         return self._chain
 
     def order(self) -> int:
@@ -744,7 +743,8 @@ class PermGroup:
         if point not in self._stab_cache:
             chain = StabilizerChain(self.degree, self.generators,
                                     base_prefix=[point], bound=self.order())
-            sub = PermGroup(chain.stabilizer_gens(1), degree=self.degree)
+            sub = PermGroup([Permutation._raw(g) for g, depth in chain.strong
+                             if depth >= 1], degree=self.degree)
             # orbit-stabilizer cross-check comes for free
             if chain.order() != sub.order() * len(chain.levels[0].points):
                 raise CertificateError(
@@ -755,12 +755,13 @@ class PermGroup:
     def normal_closure(self, elements: Sequence[Permutation]) -> "PermGroup":
         """Smallest normal subgroup of self containing the given elements.
 
-        One chain grows per call: the seeds' chain absorbs each conjugate
-        of a listed generator by a generator of self, and a conjugate that
-        leaves a residue is listed too; a last sweep makes it exact.  Its
-        group K is <gens>, as strong generators are products of generators
-        and each generator was absorbed or sifted to the identity; K is
-        normal, as every conjugate of every generator sifted into K.
+        One chain grows per call: the seeds' group, bounded as below,
+        absorbs each conjugate of a listed generator by a generator of
+        self, lists one that leaves a residue and takes the list as its
+        generators; a last sweep makes it exact.  Its group K is <gens>,
+        as strong generators are products of generators and each
+        generator was absorbed or sifted to the identity; K is normal, as
+        every conjugate of every generator sifted into K.
 
         The bound is |N| for the smallest proper closure already certified
         normal here that holds every seed (so holds <x^G>), else |G|.  A
@@ -775,15 +776,15 @@ class PermGroup:
             return PermGroup([], degree=self.degree)
         bound = next((N.order() for N in self._normal
                       if all(N.contains(x) for x in gens)), self.order())
-        chain = StabilizerChain(self.degree, gens, bound=bound)
+        closure = PermGroup(gens, degree=self.degree, bound=bound)
+        chain = closure.chain
         for x in gens:  # grows while it is walked
             for g in self.generators:
                 c = conjugate(x, g)
                 if chain._absorb(c.images):
                     gens.append(c)
         chain._complete()
-        closure = PermGroup(gens, degree=self.degree)
-        closure._chain = chain
+        closure.generators = tuple(gens)
         if chain.order() < bound:
             self._normal.append(closure)
             self._normal.sort(key=PermGroup.order)

@@ -68,44 +68,45 @@ class SocleDecl:
         G = action.group
         if self.subgroup.degree != G.degree:
             raise ValueError("socle degree does not match the action")
-        join = self.factors[0]
-        prod = self.factors[0].order()
-        for F in self.factors[1:]:
-            join = join.join(F)
-            prod *= F.order()
-        if join.order() != self.subgroup.order() or prod != self.subgroup.order():
-            raise ValueError("declared factors do not decompose the socle")
+        # commuting factors: their join is a quotient of their direct product
         if self.coordinates is None:
             self._check_disjoint_supports()
         else:
             self._check_coordinate_supports(action)
+        prod = math.prod(F.order() for F in self.factors)
+        gens = dict.fromkeys(g for F in self.factors for g in F.generators)
+        join = PermGroup(list(gens), degree=G.degree, bound=prod)
+        if join.order() != self.subgroup.order() or prod != self.subgroup.order():
+            raise ValueError("declared factors do not decompose the socle")
         if not G.is_normal(self.subgroup):
             raise ValueError("declared socle is not normal")
 
     def _check_disjoint_supports(self) -> None:
-        seen: set = set()
-        for F in self.factors:
-            support: set = set()
-            for g in F.generators:
-                support.update(int(p) for p in np.nonzero(g.images != np.arange(g.degree))[0])
-            if support & seen:
-                raise ValueError("declared factors have overlapping supports")
-            seen |= support
+        moved = [np.any([g.images != np.arange(g.degree) for g in F.generators],
+                        axis=0) for F in self.factors]
+        if (np.sum(moved, axis=0) > 1).any():
+            raise ValueError("declared factors have overlapping supports")
 
     def _check_coordinate_supports(self, action: "GroupAction") -> None:
         spec = action.wreath
         if spec is None or spec.flavor != "product":
             raise ValueError("coordinate bookkeeping needs a product wreath action")
-        d, k = spec.base_degree, spec.k
-        digits = _mixed_radix_digits(d, k)
-        for F, i in zip(self.factors, self.coordinates):
+        coords = self.coordinates
+        if len(coords) != len(self.factors) \
+                or len(set(coords) & set(range(spec.k))) != len(coords):
+            raise ValueError("each factor needs a distinct coordinate in range(k)")
+        digits = _mixed_radix_digits(spec.base_degree, spec.k)
+        for F, i in zip(self.factors, coords):
             for g in F.generators:
-                img_digits = digits[g.images]
-                for j in range(k):
-                    if j != i and (img_digits[:, j] != digits[:, j]).any():
-                        raise ValueError(
-                            f"factor declared at coordinate {i} moves coordinate {j}"
-                        )
+                # g must act on coordinate i alone, by a map f of its digit
+                img = digits[g.images]
+                f = np.empty(spec.base_degree, dtype=np.int64)
+                f[digits[:, i]] = img[:, i]
+                want = digits.copy()
+                want[:, i] = f[digits[:, i]]
+                if not np.array_equal(img, want):
+                    raise ValueError(
+                        f"factor declared at coordinate {i} acts beyond it")
 
 
 @dataclass
@@ -484,7 +485,7 @@ def subgroup_search(
                 gens.append(x)
         if not gens:
             continue
-        H = PermGroup(gens, degree=group.degree)
+        H = PermGroup(gens, degree=group.degree, bound=group.order())
         if H.order() != target_order:
             continue
         if wanted is not None and _element_order_set(H, budgets.exhaustive) != wanted:
@@ -580,7 +581,7 @@ def coset_action(
         raise ValueError("H is not a subgroup of G")
     cc = CosetConstruction(group, H, parent_action=parent)
     gen_images = cc._build_table(budgets)
-    image = PermGroup(gen_images, degree=cc.index)
+    image = PermGroup(gen_images, degree=cc.index, bound=group.order())  # a quotient
     faithful = image.order() == group.order()
     if not provenance:
         base = parent.provenance if parent else f"group of order {group.order()}"

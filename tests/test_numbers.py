@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 
 from derangements import natural_action
 from derangements.elusive import is_r_elusive
-from derangements.numbers import (factorize, is_prime, prime_divisors,
-                                  primitive_root_mod, radical)
+from derangements.numbers import (_MR_LIMIT, factorize, is_prime,
+                                  prime_divisors, primitive_root_mod, radical)
 
 from tests.conftest import symmetric
 
@@ -83,3 +83,17 @@ def test_is_prime_rejects_strong_pseudoprimes(n, factor):
 def test_huge_prime_is_not_applicable_to_a_small_group():
     v = is_r_elusive(natural_action(symmetric(3), "S3"), 10**15 + 37)
     assert v.status == "NotApplicable"
+
+
+def test_is_prime_refuses_what_it_cannot_decide():
+    # at and above _MR_LIMIT nothing here tells a prime from a composite in
+    # bounded time, so the answer is refused; a factor among the
+    # Miller-Rabin bases still decides, and so do the elusive entry points'
+    # ValueError for an r that is not known prime
+    for n in (_MR_LIMIT, 2**89 - 1):
+        with pytest.raises(ValueError, match=str(_MR_LIMIT)):
+            is_prime(n)
+    assert not is_prime(2**90)
+    assert not is_prime(41 * _MR_LIMIT)
+    with pytest.raises(ValueError, match=str(_MR_LIMIT)):
+        is_r_elusive(natural_action(symmetric(3), "S3"), 2**89 - 1)

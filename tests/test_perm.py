@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from derangements import (BlockSystem, CertificateError, PermGroup,
-                          Permutation, conjugate, commutator,
-                          derangement_backtrack, m11, parse_cycles,
-                          projective_line_action)
+                          Permutation, WreathSpec, conjugate, commutator,
+                          derangement_backtrack, m11, natural_action,
+                          parse_cycles, projective_line_action, wreath)
 import derangements.perm as perm_module
 from derangements.perm import (StabilizerChain, _inverse_rows,
                                permutation_from_cycles_1indexed)
@@ -598,23 +598,41 @@ def outside_elements(G, rng, count):
 
 
 def test_bounded_chain_agrees_with_full_sweep(corpus, psl2_31_on_96, env):
-    # on M11 wr C2 the random phase falls short of the order, so the bounded
-    # build must still run the sweep
+    # each group with a proven bound on its order, reached in every case:
+    # its own order; the parent's order for a coset image, a quotient of
+    # the parent; the product of the factor orders for a declared socle's
+    # join, as validate builds it.  On M11 wr C2 the random phase falls
+    # short of the order, so the bounded build must still run the sweep
+    cases = [(name, A.group, A.order())
+             for name, A in corpus + [("PSL(2,31) on 96", psl2_31_on_96),
+                                      ("M11 wr C2 on 144", env.wreath144()[1])]]
+    for name, A in (("a384 image", env.a384()), ("M11 on 12 image",
+                                                 env.m11_on_12())):
+        cases.append((name, PermGroup(A.group.generators),
+                      A.parent.parent_group.order()))
+    c2 = PermGroup([Permutation(np.array([1, 0]))])
+    s3_wr_c2 = wreath(WreathSpec(natural_action(symmetric(3), "S3"), 2, c2,
+                                 "product"), declare_socle=True)
+    for name, W in (("S3 wr C2 socle join", s3_wr_c2),
+                    ("M11 wr C2 socle join", env.wreath144()[1])):
+        factors = W.declared_socle.factors
+        join = PermGroup(list(dict.fromkeys(
+            g for F in factors for g in F.generators)), degree=W.degree)
+        cases.append((name, join, math.prod(F.order() for F in factors)))
     rng = np.random.default_rng(6)
-    for name, A in corpus + [("PSL(2,31) on 96", psl2_31_on_96),
-                             ("M11 wr C2 on 144", env.wreath144()[1])]:
-        G = A.group
+    for name, G, bound in cases:
         inside = [G.random_element(rng) for _ in range(50)]
         outside = outside_elements(G, rng, 50)
         for prefix in ([], [G.degree - 1]):
             full = StabilizerChain(G.degree, G.generators, prefix)
             bounded = StabilizerChain(G.degree, G.generators, prefix,
-                                      bound=G.order())
-            assert bounded.order() == full.order() == G.order(), name
+                                      bound=bound)
+            assert bounded.order() == full.order() == bound, name
             # the early stop leaves the chain the full sweep would build
             assert bounded.base == full.base, name
             assert [lvl.points.tolist() for lvl in bounded.levels] == \
                 [lvl.points.tolist() for lvl in full.levels], name
+            assert len(bounded.strong) == len(full.strong), name
             assert all(bounded.contains(x) for x in inside), name
             assert not any(bounded.contains(x) or full.contains(x)
                            for x in outside), name
@@ -629,6 +647,16 @@ def test_bound_below_the_order_raises():
         StabilizerChain(5, G.generators, bound=119)
     with pytest.raises(CertificateError):
         StabilizerChain(7, frobenius21().generators, bound=20)
+
+
+def test_image_bound_below_its_order_raises(env):
+    # half the parent's order is no proven bound on a faithful image; no
+    # partial product of the image's basic orbit lengths equals it, so the
+    # build passes over it and refutes it
+    A = env.m11_on_12()
+    with pytest.raises(CertificateError, match="exceeds the certified bound"):
+        PermGroup(A.group.generators,
+                  bound=A.parent.parent_group.order() // 2).order()
 
 
 def rebuilt_closure(G, seeds):

@@ -193,6 +193,20 @@ def test_no_function_body_reads_the_default_budgets():
     assert found == []
 
 
+def test_only_permgroup_builds_stabilizer_chains():
+    # a proven order bound reaches a chain by one path, PermGroup(bound=):
+    # no other module builds a chain or hands a group one
+    found = [f"{name}:{node.lineno}"
+             for name, tree in _library_trees() if name != "perm.py"
+             for node in ast.walk(tree)
+             if (isinstance(node, ast.Call)
+                 and getattr(node.func, "id", getattr(node.func, "attr", None))
+                 == "StabilizerChain")
+             or (isinstance(node, ast.Attribute) and node.attr == "_chain"
+                 and isinstance(node.ctx, ast.Store))]
+    assert found == []
+
+
 def test_structure_reads_classes_only_through_the_action_route():
     # one route per question: the normal structure reads the classes that
     # `is_r_elusive` reads, never a socle declaration or a route of its own

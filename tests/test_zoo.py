@@ -13,7 +13,7 @@ from derangements import zoo
 from derangements.classes import exhaustive_class_partition
 from derangements.zoo import _is_simple, coordinate_embedding, top_embedding
 
-from tests.conftest import alternating, cyclic, symmetric
+from tests.conftest import alternating, cyclic, klein4, symmetric
 
 
 def test_generator_file_round_trip(tmp_path):
@@ -342,6 +342,74 @@ def test_socle_decl_rejects_bad_factorization():
     bad = SocleDecl(socle.subgroup, [socle.factors[0], socle.factors[0]])
     with pytest.raises(ValueError):
         bad.validate(W)
+
+
+def _product_socle():
+    c2 = PermGroup([Permutation(np.array([1, 0]))])
+    s3 = natural_action(symmetric(3), "S3")
+    W = wreath(WreathSpec(s3, 2, c2, "product"), declare_socle=True)
+    return W, W.declared_socle
+
+
+def test_socle_decl_needs_a_coordinate_per_factor():
+    # a short list used to leave the factors past it unchecked
+    W, socle = _product_socle()
+    short = SocleDecl(socle.subgroup, socle.factors, coordinates=[0])
+    with pytest.raises(ValueError, match="distinct coordinate"):
+        short.validate(W)
+
+
+def test_socle_decl_needs_distinct_coordinates():
+    # V4 x V4 in the product action on 16 points: two commuting factors of
+    # the first coordinate's V4 declared on coordinate 0 alike decompose a
+    # normal subgroup of order 4, but two factors on one coordinate need
+    # not commute, so the join bound has no proof
+    v4 = natural_action(klein4(), "V4")
+    spec = WreathSpec(v4, 2, PermGroup([], degree=2), "product")
+    W = wreath(spec)
+    factors = [PermGroup([coordinate_embedding(spec, 0, a)])
+               for a in v4.group.generators]
+    joined = factors[0].join(factors[1])
+    assert joined.order() == 4 and W.group.is_normal(joined)
+    with pytest.raises(ValueError, match="distinct coordinate"):
+        SocleDecl(joined, factors, coordinates=[0, 0]).validate(W)
+
+
+def test_socle_decl_factor_must_act_on_its_coordinate_alone():
+    # on {0,1}^2, g: (a, b) -> (a + b, b) moves coordinate 0 only, but by
+    # a map that reads coordinate 1, so it does not commute with
+    # h: (a, b) -> (a, b + 1); their join is D8, not of order 2 * 2.  A
+    # bounded join would stop at 4 and pass a V4 socle of that order
+    spec = WreathSpec(natural_action(cyclic(2), "C2"), 2,
+                      PermGroup([], degree=2), "product")
+    g = Permutation.from_cycles(4, [(1, 3)])
+    h = Permutation.from_cycles(4, [(0, 1), (2, 3)])
+    assert PermGroup([g, h]).order() == 8
+    v4 = PermGroup([h, Permutation.from_cycles(4, [(0, 2), (1, 3)])])
+    A = GroupAction(v4, tuple(range(1, 5)), "V4 on {0,1}^2", wreath=spec)
+    decl = SocleDecl(v4, [PermGroup([g]), PermGroup([h])], coordinates=[0, 1])
+    with pytest.raises(ValueError, match="acts beyond it"):
+        decl.validate(A)
+
+
+def test_bounded_builds_take_their_proven_bounds(monkeypatch, env):
+    # a coset image is a quotient of its parent, a search candidate lies
+    # in the group searched, and a declared socle's join is a quotient of
+    # the direct product of its commuting factors
+    A = env.m11_on_12()
+    assert A.group._bound == A.parent.parent_group.order() == 7920
+    assert env.psl211()._bound == 7920
+    bounds = []
+
+    class Recording(PermGroup):
+        def __init__(self, *args, bound=None, **kw):
+            bounds.append(bound)
+            super().__init__(*args, bound=bound, **kw)
+
+    W, socle = _product_socle()
+    monkeypatch.setattr(zoo, "PermGroup", Recording)
+    socle.validate(W)
+    assert bounds == [6 * 6]
 
 
 def test_assemble_stabilizer_orders():
