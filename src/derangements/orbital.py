@@ -13,6 +13,7 @@ explicitly and checks edge-by-edge.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import List, Optional, Tuple
 
@@ -81,24 +82,37 @@ class Graph:
         return sum(len(a) for a in self.adj)
 
 
-@dataclass
-class OrbitalGraph(Graph):
+@dataclass(eq=False)
+class OrbitalGraph:
     """Digraph whose arc set is one orbit of G on ordered point pairs.
 
-    Arc-set invariance under every generator is checked exhaustively at
-    construction; a self-paired orbital has a symmetric arc set and is
-    treated as an undirected graph.
+    heads is the read-only (n, valency) int64 matrix whose row u holds
+    the heads of u in ascending order; adj is its tuple-of-tuples view,
+    built on first read.  Arc-set invariance under every generator is
+    checked exhaustively at construction; a self-paired orbital has a
+    symmetric arc set and is treated as an undirected graph.
     """
 
+    n: int
+    heads: np.ndarray
     self_paired: bool
     valency: int
     action: GroupAction
     base_arc: Tuple[int, int]
 
+    @cached_property
+    def adj(self) -> Tuple[Tuple[int, ...], ...]:
+        return tuple(map(tuple, self.heads.tolist()))
+
     def edge_set(self) -> set:
+        tails, heads = _arcs(self)
         if self.self_paired:
-            return super().edge_set()
-        return {(u, v) for u in range(self.n) for v in self.adj[u]}
+            keep = tails <= heads
+            tails, heads = tails[keep], heads[keep]
+        return set(zip(tails.tolist(), heads.tolist()))
+
+    def arc_count(self) -> int:
+        return self.n * self.valency
 
     def is_complete(self) -> bool:
         return self.self_paired and self.valency == self.n - 1
@@ -153,32 +167,36 @@ def orbital_graph(A: GroupAction, alpha: int, beta: int) -> OrbitalGraph:
                           0)
     if len(found) + 1 != n:
         raise CertificateError("orbital digraph has non-uniform out-valency")
-    adj = np.empty((n, len(suborbit)), dtype=np.int64)
-    adj[alpha] = suborbit
+    heads = np.empty((n, len(suborbit)), dtype=np.int64)
+    heads[alpha] = suborbit
     for q, (p, j) in zip(found, tree):
-        adj[q] = images[j][adj[p]]
-    adj.sort(axis=1)
+        heads[q] = images[j][heads[p]]
+    heads.sort(axis=1)
+    heads.flags.writeable = False
 
     for img in images:
-        if not (np.sort(img[adj], axis=1) == adj[img]).all():
+        if not (np.sort(img[heads], axis=1) == heads[img]).all():
             raise CertificateError(
                 "arc set is not invariant: the suborbit length differs "
                 "from the out-valency of the orbital")
 
-    self_paired = bool((adj[beta] == alpha).any())
+    self_paired = bool((heads[beta] == alpha).any())
     if self_paired:
         tails = np.arange(n, dtype=np.int64)[:, None]
-        arcs = (tails * n + adj).ravel()  # sorted: rows and tails ascend
-        if not np.array_equal(np.sort((adj * n + tails).ravel()), arcs):
+        arcs = (tails * n + heads).ravel()  # sorted: rows and tails ascend
+        if not np.array_equal(np.sort((heads * n + tails).ravel()), arcs):
             raise CertificateError(
                 "self-paired orbital must have a symmetric arc set")
-    return OrbitalGraph(n=n, adj=tuple(map(tuple, adj.tolist())),
-                        self_paired=self_paired, valency=len(suborbit),
-                        action=A, base_arc=(alpha, beta))
+    return OrbitalGraph(n=n, heads=heads, self_paired=self_paired,
+                        valency=len(suborbit), action=A,
+                        base_arc=(alpha, beta))
 
 
 def _arcs(graph) -> tuple:
     """The arcs of a (di)graph as tail and head arrays, tails ascending."""
+    if isinstance(graph, OrbitalGraph):
+        return (np.repeat(np.arange(graph.n, dtype=np.int64), graph.valency),
+                graph.heads.ravel())
     valency = [len(heads) for heads in graph.adj]
     tails = np.repeat(np.arange(graph.n, dtype=np.int64), valency)
     heads = np.fromiter(chain.from_iterable(graph.adj), dtype=np.int64,
@@ -366,16 +384,18 @@ def verify_double_cover_scenario(scn: MersenneScenario,
 
     psi = np.concatenate(
         [iota, cc_full.index_of(cc_half.reps[:, g_mult.images])])
-    if np.unique(psi).size != 2 * n_half:
+    if not np.array_equal(np.sort(psi), np.arange(2 * n_half)):
         raise CertificateError("psi is not a bijection")
 
-    # arcs (u, v) as sorted distinct keys u * n + v
+    # arcs (u, v) as keys u * n + v: the mapped cover's are sorted with
+    # repeats kept, so a repeated arc fails the comparison; gamma's ascend
+    # already, as tails ascend and each row of heads ascends strictly
     n = 2 * n_half
     tails, heads = _arcs(standard_double_cover(sigma))
-    mapped = np.unique(psi[tails] * n + psi[heads])
+    mapped = np.sort(psi[tails] * n + psi[heads])
     gamma = orbital_graph(a_full, *divmod(int(mapped[0]), n))
     tails, heads = _arcs(gamma)
-    gamma_arcs = np.unique(tails * n + heads)
+    gamma_arcs = tails * n + heads
     ok = (np.array_equal(mapped, gamma_arcs) and gamma.self_paired
           and is_connected(gamma))
     return DoubleCoverReport(ok=ok, p=p, s=s, sigma=sigma, gamma=gamma,

@@ -390,6 +390,45 @@ def test_double_cover_with_a_moved_arc_is_refused(env, monkeypatch):
     assert bad.edge_count == good.edge_count == 768 * 127 // 2
 
 
+def scenario127(env):
+    return verify_double_cover_scenario(
+        env.scn127(), budgets=env.budgets,
+        actions={"a_half": env.a384(), "a_full": env.a768(),
+                 "line": env.line127()})
+
+
+def test_double_cover_psi_with_a_repeated_point_is_refused(env, monkeypatch):
+    # the second half of psi sends its last point where its first goes
+    cc_full = env.a768().parent
+    true_index_of = cc_full.index_of
+
+    def repeating_index_of(rows):
+        points = true_index_of(rows).copy()
+        points[-1] = points[0]
+        return points
+
+    monkeypatch.setattr(cc_full, "index_of", repeating_index_of)
+    with pytest.raises(CertificateError, match="psi is not a bijection"):
+        scenario127(env)
+
+
+def test_double_cover_with_an_arc_listed_twice_is_refused(env, monkeypatch):
+    # the last cover vertex lists its first neighbour twice in a row: the
+    # arc set is unchanged, but the arc list is one longer than gamma's
+    def doubled_cover(graph):
+        cover = true_cover(graph)
+        heads = cover.adj[-1]
+        return Graph(n=cover.n, adj=cover.adj[:-1] + ((heads[0],) + heads,))
+
+    good = scenario127(env)
+    true_cover = orbital.standard_double_cover
+    monkeypatch.setattr(orbital, "standard_double_cover", doubled_cover)
+    bad = scenario127(env)
+    assert good.ok and not bad.ok
+    assert bad.psi == good.psi
+    assert bad.edge_count == good.edge_count == 768 * 127 // 2
+
+
 # ---------------------------------------------------------------------------
 # the gathered orbital graph against a pair-BFS oracle
 
@@ -434,3 +473,49 @@ def test_orbital_graph_matches_pair_bfs_on_corpus(corpus):
 def test_orbital_graph_matches_pair_bfs_on_coset_actions(psl2_31_on_96, env):
     check_against_pair_bfs(psl2_31_on_96)
     check_against_pair_bfs(env.m10_on_12())
+
+
+# ---------------------------------------------------------------------------
+# the head matrix of an orbital graph against its tuple view
+
+
+def check_array_form_against_tuple_form(A):
+    for rep, _length in suborbits(A, 0).entries:
+        if rep == 0:
+            continue
+        graph = orbital_graph(A, 0, rep)
+        assert graph.arc_count() == graph.n * graph.valency
+        complete = graph.is_complete()
+        edges = graph.edge_set()
+        assert "adj" not in vars(graph)  # no tuple view built so far
+        plain = Graph(graph.n, graph.adj)
+        for got, want in zip(orbital._arcs(graph), orbital._arcs(plain)):
+            assert np.array_equal(got, want)
+        assert graph.arc_count() == plain.arc_count()
+        assert edges == (plain.edge_set() if graph.self_paired else
+                         {(u, v) for u in range(plain.n) for v in plain.adj[u]})
+        assert complete == (graph.self_paired
+                            and len(edges) == plain.n * (plain.n - 1) // 2)
+        assert is_connected(graph) == is_connected(plain)
+        if graph.self_paired:
+            assert standard_double_cover(graph).adj \
+                == standard_double_cover(plain).adj
+        else:
+            for form in (graph, plain):
+                with pytest.raises(ValueError):
+                    standard_double_cover(form)
+
+
+def test_orbital_graph_array_form_matches_tuple_form_on_corpus(corpus):
+    for _name, A in corpus:
+        check_array_form_against_tuple_form(A)
+
+
+def test_orbital_graph_array_form_matches_tuple_form_on_a384(env):
+    check_array_form_against_tuple_form(env.a384())
+
+
+def test_orbital_graph_heads_are_read_only(env):
+    graph = orbital_graph(natural_action(symmetric(4), "S4"), 0, 1)
+    with pytest.raises(ValueError):
+        graph.heads[0, 0] = 0

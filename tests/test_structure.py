@@ -207,6 +207,19 @@ def test_only_permgroup_builds_stabilizer_chains():
     assert found == []
 
 
+def test_no_library_line_calls_np_unique():
+    """numpy 2's np.unique deduplicates integers through a hash table:
+    on the 97,536 int64 arc keys of the valency-127 graph on 768 points it
+    took 19 ms against 0.66 ms for np.sort (numpy 2.4.6, 2 vCPU).  Keys
+    that must be sorted, or checked to be distinct, go through np.sort."""
+    found = [f"{name}:{node.lineno}"
+             for name, tree in _library_trees()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", None) == "unique"]
+    assert found == []
+
+
 def test_structure_reads_classes_only_through_the_action_route():
     # one route per question: the normal structure reads the classes that
     # `is_r_elusive` reads, never a socle declaration or a route of its own
