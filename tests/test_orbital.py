@@ -515,7 +515,7 @@ def test_orbital_graph_array_form_matches_tuple_form_on_a384(env):
     check_array_form_against_tuple_form(env.a384())
 
 
-def test_orbital_graph_heads_are_read_only(env):
+def test_orbital_graph_heads_are_read_only():
     graph = orbital_graph(natural_action(symmetric(4), "S4"), 0, 1)
     with pytest.raises(ValueError):
         graph.heads[0, 0] = 0
