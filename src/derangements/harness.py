@@ -239,14 +239,6 @@ def _structure(env: ScenarioEnv, A: GroupAction, values: dict, certs: dict):
     return struct
 
 
-def _two_orbit_closure(A: GroupAction, struct) -> PermGroup:
-    """The normal closure of the seed of the smallest two-orbit closure
-    that the structure report records."""
-    two_orbit = min((c for c in struct.closures if c[2] == 2),
-                    key=lambda c: c[1])
-    return A.group.normal_closure([two_orbit[0]])
-
-
 # -- scenario builders --------------------------------------------------------
 
 
@@ -313,8 +305,7 @@ def _build_m10_a5(env: ScenarioEnv):
     struct = _structure(env, A, values, certs)
     values["g_plus_order"] = struct.g_plus.order()
     values["halves"] = sorted(len(h) for h in struct.halves)
-    N = A.group.normal_closure([struct.closures[0][0]])
-    values["nh_order"] = _nh_order(A, N)
+    values["nh_order"] = _nh_order(A, struct.two_orbit)
     b5 = [r for r, l in tab.entries if l == 5][0]
     graph = orbital_graph(A, 0, b5)
     values["five_orbital_self_paired"] = graph.self_paired
@@ -397,7 +388,7 @@ def _build_auta6_s5(env: ScenarioEnv):
     _two_prime(env, A, values, certs)
     struct = _structure(env, A, values, certs)
     values["g_plus_order"] = struct.g_plus.order()
-    values["nh_order"] = _nh_order(A, _two_orbit_closure(A, struct))
+    values["nh_order"] = _nh_order(A, struct.two_orbit)
     return values, certs
 
 
@@ -621,9 +612,8 @@ def _build_pgl2_127_biquasi(env: ScenarioEnv):
     struct = _structure(env, A, values, certs)
     values["g_plus_order"] = struct.g_plus.order()
     values["halves"] = sorted(len(h) for h in struct.halves)
-    N = _two_orbit_closure(A, struct)
-    values["n_order"] = N.order()
-    values["nh_order"] = _nh_order(A, N)
+    values["n_order"] = struct.two_orbit.order()
+    values["nh_order"] = _nh_order(A, struct.two_orbit)
     return values, certs
 
 

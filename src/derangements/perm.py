@@ -14,7 +14,8 @@ words (from a generator seeded with the constant DEFAULT_SEED) for speed,
 followed by a deterministic verification sweep in which every Schreier
 generator of every level is sifted; the result is therefore exact, not
 Monte Carlo.  A built chain can absorb further elements and be swept exact
-again; normal_closure grows one chain per call so (Seress, ch. 4).  Each
+again; normal_closure grows one chain per new closure so (Seress, ch. 4)
+and keeps one object per normal subgroup, which later calls return.  Each
 new strong generator grows the levels it belongs to in place (_grow): a
 level it keeps closed stays the same object, and otherwise the search
 starts from the new points only, keeping the old representatives.  Chains
@@ -32,8 +33,9 @@ product above the bound refutes it (CertificateError).  The bound is the
 order of a group H lies in, of a group H is a quotient of, or of a direct
 product of commuting factors H is the join of.  Only PermGroup hands one
 to a chain: |G| in point_stabilizer, else its own bound= keyword, passed
-by normal_closure (|N| for a certified normal N holding the seeds, else
-|G|), classes._centralizer (|G|/|x^G|), zoo.coset_action (|G|, for the
+by normal_closure (|N| for the smallest kept closure N holding the
+seeds, else |G|; a chain that reaches it returns N or G itself),
+classes._centralizer (|G|/|x^G|), zoo.coset_action (|G|, for the
 image), zoo.subgroup_search (|G|, per candidate) and
 zoo.SocleDecl.validate (the factors' orders, for their join).  A caller
 whose next step checks the order against the bound must not pass it, as a
@@ -664,7 +666,7 @@ class PermGroup:
         self._bound = bound
         self._chain: Optional[StabilizerChain] = None
         self._stab_cache: dict = {}
-        self._normal: list = []  # proper closures certified normal in self
+        self._closures: dict = {}  # seeds' keys -> normal closure in self
         self._class_reps_cache: dict = {}  # r -> ClassInfo list
         self._labels: Optional[np.ndarray] = None  # see _orbit_labels
 
@@ -763,10 +765,11 @@ class PermGroup:
         generator was absorbed or sifted to the identity; K is normal, as
         every conjugate of every generator sifted into K.
 
-        The bound is |N| for the smallest proper closure already certified
-        normal here that holds every seed (so holds <x^G>), else |G|.  A
-        chain reaching it is N (or G) and skips its sweep.  A proper
-        closure of smaller order than its bound joins the certified list.
+        Each normal subgroup is one object: `_closures` keeps every
+        closure under its seeds' keys, so a repeated seed list returns the
+        kept object.  The bound is |N| for the smallest kept closure N
+        that holds every seed (so holds <x^G>), else |G| with N = G.  A
+        chain reaching it is N, skips its sweep and returns N itself.
         """
         for x in elements:
             if not self.contains(x):
@@ -774,9 +777,13 @@ class PermGroup:
         gens = list(dict.fromkeys(x for x in elements if not x.is_identity()))
         if not gens:
             return PermGroup([], degree=self.degree)
-        bound = next((N.order() for N in self._normal
-                      if all(N.contains(x) for x in gens)), self.order())
-        closure = PermGroup(gens, degree=self.degree, bound=bound)
+        key = tuple(x.key() for x in gens)
+        if key in self._closures:
+            return self._closures[key]
+        N = min((N for N in dict.fromkeys(self._closures.values())
+                 if all(N.contains(x) for x in gens)),
+                key=PermGroup.order, default=self)
+        closure = PermGroup(gens, degree=self.degree, bound=N.order())
         chain = closure.chain
         for x in gens:  # grows while it is walked
             for g in self.generators:
@@ -785,9 +792,9 @@ class PermGroup:
                     gens.append(c)
         chain._complete()
         closure.generators = tuple(gens)
-        if chain.order() < bound:
-            self._normal.append(closure)
-            self._normal.sort(key=PermGroup.order)
+        if chain.order() == N.order():
+            closure = N
+        self._closures[key] = closure
         return closure
 
     def derived_subgroup(self) -> "PermGroup":

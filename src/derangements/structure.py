@@ -45,11 +45,14 @@ class NormalStructureReport:
     closures holds one row per prime-order class representative:
     (representative, order of its normal closure, number of orbits of the
     closure on the acted-on set).  The verdict is the finest matching label.
+    A biquasiprimitive report carries two_orbit, the smallest two-orbit
+    closure, whose orbits are the halves that g_plus preserves.
     """
 
     degree: int
     closures: List[Tuple[Permutation, int, int]]
     verdict: str
+    two_orbit: Optional[PermGroup] = None
     g_plus: Optional[PermGroup] = None
     halves: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]] = None
     exact: bool = True
@@ -81,6 +84,13 @@ class NormalStructureReport:
         return d
 
 
+def _prime_order_representatives(A: GroupAction, budgets: Budgets):
+    """The action's prime-order class representatives, prime by prime."""
+    for r in prime_divisors(A.group.order()):
+        for ci in action_prime_order_class_reps(A, r, budgets=budgets):
+            yield ci.representative
+
+
 def normal_structure(A: GroupAction, *, budgets: Budgets = DEFAULT_BUDGETS,
                      seed: int = DEFAULT_SEED) -> NormalStructureReport:
     """Classify a transitive action via closures of prime-order class reps.
@@ -94,8 +104,8 @@ def normal_structure(A: GroupAction, *, budgets: Budgets = DEFAULT_BUDGETS,
       all counts <= 2, some equal to 2  -> biquasiprimitive
       otherwise                         -> neither
 
-    In the biquasiprimitive case the report also carries the index-two
-    subgroup preserving the two orbits of a 2-orbit closure, together with
+    In the biquasiprimitive case the report also carries the smallest
+    2-orbit closure, the index-two subgroup preserving its two orbits and
     the two halves.
 
     No step draws on a caller's seed (stabilizer chains use the fixed
@@ -106,36 +116,30 @@ def normal_structure(A: GroupAction, *, budgets: Budgets = DEFAULT_BUDGETS,
     G = A.group
     if not G.is_transitive():
         raise ValueError("normal_structure requires a transitive action")
-    order = G.order()
     closures = []
-    two_orbit_group = None
-    two_orbit_order = None
-    for r in prime_divisors(order):
-        for ci in action_prime_order_class_reps(A, r, budgets=budgets):
-            rep = ci.representative
-            closure = G.normal_closure([rep])
-            if not G.is_normal(closure):
-                raise CertificateError("normal closure is not normal in G")
-            oc = len(closure.orbits())
-            closures.append((rep, closure.order(), oc))
-            if oc == 2 and (two_orbit_order is None
-                            or closure.order() < two_orbit_order):
-                two_orbit_group = closure
-                two_orbit_order = closure.order()
+    two_orbit = None
+    for rep in _prime_order_representatives(A, budgets):
+        closure = G.normal_closure([rep])
+        if not G.is_normal(closure):
+            raise CertificateError("normal closure is not normal in G")
+        oc = len(closure.orbits())
+        closures.append((rep, closure.order(), oc))
+        if oc == 2 and (two_orbit is None
+                        or closure.order() < two_orbit.order()):
+            two_orbit = closure
 
     counts = [oc for _, _, oc in closures]
     if all(oc == 1 for oc in counts):
         verdict = PRIMITIVE if G.is_primitive() else QUASIPRIMITIVE
-        gp, halves = None, None
     elif all(oc <= 2 for oc in counts) and any(oc == 2 for oc in counts):
-        verdict = BIQUASIPRIMITIVE
-        gp, d1, d2 = g_plus(A, two_orbit_group)
-        halves = (d1, d2)
+        gp, d1, d2 = g_plus(A, two_orbit)
+        return NormalStructureReport(
+            degree=A.degree, closures=closures, verdict=BIQUASIPRIMITIVE,
+            two_orbit=two_orbit, g_plus=gp, halves=(d1, d2))
     else:
         verdict = NEITHER
-        gp, halves = None, None
     return NormalStructureReport(degree=A.degree, closures=closures,
-                                 verdict=verdict, g_plus=gp, halves=halves)
+                                 verdict=verdict)
 
 
 def g_plus(A: GroupAction, N: PermGroup):
@@ -230,15 +234,13 @@ def verify_minimal_normal(A: GroupAction, N: PermGroup,
 
     closure_orders = []
     independent = None
-    for r in prime_divisors(G.order()):
-        for ci in action_prime_order_class_reps(A, r, budgets=budgets):
-            y = ci.representative
-            if N.contains(y):
-                closure_orders.append(G.normal_closure([y]).order())
-            elif independent is None:
-                M = G.normal_closure([y])
-                if M.join(N).order() == M.order() * n_order:
-                    independent = y
+    for y in _prime_order_representatives(A, budgets):
+        if N.contains(y):
+            closure_orders.append(G.normal_closure([y]).order())
+        elif independent is None:
+            M = G.normal_closure([y])
+            if M.join(N).order() == M.order() * n_order:
+                independent = y
 
     return MinimalNormalReport(
         minimal=all(o == n_order for o in closure_orders),

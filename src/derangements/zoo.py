@@ -57,16 +57,21 @@ __all__ = [
 
 @dataclass
 class SocleDecl:
-    """A declared socle: the subgroup, its simple factors, and (for wreath
-    actions) which coordinate each factor lives in."""
+    """A declared socle: its simple factors and (for wreath actions) which
+    coordinate each factor lives in.  `validate` builds the factors' join
+    and keeps it as `subgroup`."""
 
-    subgroup: PermGroup
     factors: list
     coordinates: Optional[list] = None
+    subgroup: Optional[PermGroup] = field(default=None, init=False)
+
+    def __post_init__(self):
+        if not self.factors:
+            raise ValueError("a declared socle needs at least one factor")
 
     def validate(self, action: "GroupAction") -> None:
         G = action.group
-        if self.subgroup.degree != G.degree:
+        if any(F.degree != G.degree for F in self.factors):
             raise ValueError("socle degree does not match the action")
         # commuting factors: their join is a quotient of their direct product
         if self.coordinates is None:
@@ -76,10 +81,11 @@ class SocleDecl:
         prod = math.prod(F.order() for F in self.factors)
         gens = dict.fromkeys(g for F in self.factors for g in F.generators)
         join = PermGroup(list(gens), degree=G.degree, bound=prod)
-        if join.order() != self.subgroup.order() or prod != self.subgroup.order():
+        if join.order() != prod:
             raise ValueError("declared factors do not decompose the socle")
-        if not G.is_normal(self.subgroup):
+        if not G.is_normal(join):
             raise ValueError("declared socle is not normal")
+        self.subgroup = join
 
     def _check_disjoint_supports(self) -> None:
         moved = [np.any([g.images != np.arange(g.degree) for g in F.generators],
@@ -723,16 +729,15 @@ def wreath(
     Generators are the coordinate embeddings of the base generators plus
     the top generators.  When the degree is small enough to chain (at most
     CHAIN_DEGREE), the group order is checked against |L|^k * |K|.
-    declare_socle attaches the base-power subgroup L^k with its coordinate
-    factors, validated whole; above CHAIN_DEGREE that raises BudgetExceeded.
+    declare_socle attaches the coordinate factors of the base power L^k,
+    which share the group's generators; validation joins them once, under
+    |L|^k, and above CHAIN_DEGREE raises BudgetExceeded.
     `budgets` is accepted for callers that pass it and reaches nothing.
     """
-    gens = []
-    for i in range(spec.k):
-        for a in spec.base_group.generators:
-            gens.append(coordinate_embedding(spec, i, a))
-    for pi in spec.top.generators:
-        gens.append(top_embedding(spec, pi))
+    embedded = [[coordinate_embedding(spec, i, a)
+                 for a in spec.base_group.generators] for i in range(spec.k)]
+    gens = [g for row in embedded for g in row]
+    gens += [top_embedding(spec, pi) for pi in spec.top.generators]
     group = PermGroup(gens, degree=spec.degree)
     if spec.degree <= CHAIN_DEGREE and group.order() != spec.order():
         raise CertificateError(
@@ -740,14 +745,8 @@ def wreath(
         )
     socle = None
     if declare_socle:
-        factors = []
-        for i in range(spec.k):
-            fg = [coordinate_embedding(spec, i, a) for a in spec.base_group.generators]
-            factors.append(PermGroup(fg, degree=spec.degree))
-        all_gens = [g for F in factors for g in F.generators]
         socle = SocleDecl(
-            PermGroup(all_gens, degree=spec.degree),
-            factors,
+            [PermGroup(row, degree=spec.degree) for row in embedded],
             coordinates=list(range(spec.k)) if spec.flavor == "product" else None,
         )
     action = GroupAction(

@@ -673,16 +673,30 @@ def rebuilt_closure(G, seeds):
 
 
 def check_closures_against_rebuilt(generators, seeds):
-    """Closures of `seeds`, in order, in one group (which certifies each
-    proper closure for the next) against the rebuild loop per closure."""
+    """Closures of `seeds`, in order, in one group (which keeps each
+    closure to bound the next) against the rebuild loop per closure; a
+    repeated seed, or a closure equal to one kept or to G, returns that
+    same object."""
     G = PermGroup(generators)
+    kept = [G]
     for x in seeds:
         got = G.normal_closure([x])
         want = rebuilt_closure(G, [x])
         assert got.order() == want.order()
         assert got.is_subgroup(want) and want.is_subgroup(got)
         assert G.is_normal(got)
+        assert G.normal_closure([x]) is got
+        same = [N for N in kept
+                if N.order() == got.order() and N.is_subgroup(got)]
+        assert same in ([got], [])
+        kept += [] if same else [got]
     return G
+
+
+def kept_closures(G):
+    """The orders of the distinct closures G keeps, in the order kept; G
+    itself counts when a closure reached |G|."""
+    return [N.order() for N in dict.fromkeys(G._closures.values())]
 
 
 def test_closures_bounded_by_certified_subgroups_m11_wr_c2(env):
@@ -695,7 +709,7 @@ def test_closures_bounded_by_certified_subgroups_m11_wr_c2(env):
     # the top element lies outside it and is bounded by |G|
     G = check_closures_against_rebuilt(
         W.group.generators, [a, b * c, a * a, top])
-    assert [N.order() for N in G._normal] == [socle.subgroup.order()]
+    assert kept_closures(G) == [socle.subgroup.order(), G.order()]
 
 
 def test_closures_bounded_by_certified_subgroups_pgl_to_psl():
@@ -705,16 +719,33 @@ def test_closures_bounded_by_certified_subgroups_pgl_to_psl():
     outside = next(g for g in pgl.generators if not psl.contains(g))
     G = check_closures_against_rebuilt(
         pgl.generators, [x, y, x * y, outside, outside * x])
-    assert [N.order() for N in G._normal] == [psl.order()]
+    assert kept_closures(G) == [psl.order(), G.order()]
 
 
-def test_closures_of_class_representatives_match_rebuilt(corpus):
+def test_closures_of_class_representatives_match_rebuilt(corpus, env):
     from derangements import prime_order_class_reps
     from derangements.numbers import prime_divisors
     for name, A in corpus:
         reps = [ci.representative for r in prime_divisors(A.group.order())
                 for ci in prime_order_class_reps(A.group, r)]
         check_closures_against_rebuilt(A.group.generators, reps)
+    # PSL(2,127) on 384 cosets is simple: every closure is G itself
+    G = env.a384().group
+    G = check_closures_against_rebuilt(
+        G.generators, [*G.generators, G.random_element(np.random.default_rng(12))])
+    assert kept_closures(G) == [G.order()]
+
+
+def test_closure_memo_is_keyed_by_every_seed():
+    # V4 from a double transposition, then A4 once a 3-cycle joins it
+    G = symmetric(4)
+    v = Permutation.from_cycles(4, [(0, 1), (2, 3)])
+    t = Permutation.from_cycles(4, [(0, 1, 2)])
+    assert G.normal_closure([v]).order() == 4
+    assert G.normal_closure([v, t]).order() == 12
+    assert G.normal_closure([t, v]) is G.normal_closure([v, t])
+    assert G.normal_closure([Permutation.from_cycles(4, [(0, 1)])]) is G
+    assert kept_closures(G) == [4, 12, 24]
 
 
 def test_transposition_closure_reaches_its_bound_mid_walk(monkeypatch):

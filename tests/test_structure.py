@@ -109,6 +109,19 @@ def test_m10_on_12_biquasiprimitive(env):
     assert sorted(len(h) for h in rep.halves) == [6, 6]
 
 
+def test_two_orbit_closure_only_on_biquasiprimitive_reports(corpus):
+    # the report's two_orbit is the closure g_plus and halves come from
+    for name, A in corpus + [("C6 regular", natural_action(cyclic(6), "C6"))]:
+        rep = normal_structure(A)
+        if rep.verdict != BIQUASIPRIMITIVE:
+            assert rep.two_orbit is None, name
+            continue
+        assert tuple(map(tuple, rep.two_orbit.orbits())) == rep.halves, name
+        assert rep.two_orbit is A.group.normal_closure(
+            [min((c for c in rep.closures if c[2] == 2),
+                 key=lambda c: c[1])[0]]), name
+
+
 def test_normal_structure_requires_transitive():
     G = PermGroup([Permutation.from_cycles(4, [(0, 1)])])
     with pytest.raises(ValueError):
@@ -204,6 +217,16 @@ def test_only_permgroup_builds_stabilizer_chains():
                  == "StabilizerChain")
              or (isinstance(node, ast.Attribute) and node.attr == "_chain"
                  and isinstance(node.ctx, ast.Store))]
+    assert found == []
+
+
+def test_harness_builds_no_normal_closure():
+    # the structure report carries the closures a scenario reads, so the
+    # harness never builds one again
+    tree = dict(_library_trees())["harness.py"]
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", None) == "normal_closure"]
     assert found == []
 
 

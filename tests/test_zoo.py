@@ -339,7 +339,7 @@ def test_socle_decl_rejects_bad_factorization():
     s3 = natural_action(symmetric(3), "S3")
     W = wreath(WreathSpec(s3, 2, c2, "imprimitive"), declare_socle=True)
     socle = W.declared_socle
-    bad = SocleDecl(socle.subgroup, [socle.factors[0], socle.factors[0]])
+    bad = SocleDecl([socle.factors[0], socle.factors[0]])
     with pytest.raises(ValueError):
         bad.validate(W)
 
@@ -351,10 +351,15 @@ def _product_socle():
     return W, W.declared_socle
 
 
+def test_socle_decl_needs_a_factor():
+    with pytest.raises(ValueError, match="at least one factor"):
+        SocleDecl([])
+
+
 def test_socle_decl_needs_a_coordinate_per_factor():
     # a short list used to leave the factors past it unchecked
     W, socle = _product_socle()
-    short = SocleDecl(socle.subgroup, socle.factors, coordinates=[0])
+    short = SocleDecl(socle.factors, coordinates=[0])
     with pytest.raises(ValueError, match="distinct coordinate"):
         short.validate(W)
 
@@ -372,7 +377,7 @@ def test_socle_decl_needs_distinct_coordinates():
     joined = factors[0].join(factors[1])
     assert joined.order() == 4 and W.group.is_normal(joined)
     with pytest.raises(ValueError, match="distinct coordinate"):
-        SocleDecl(joined, factors, coordinates=[0, 0]).validate(W)
+        SocleDecl(factors, coordinates=[0, 0]).validate(W)
 
 
 def test_socle_decl_factor_must_act_on_its_coordinate_alone():
@@ -387,7 +392,7 @@ def test_socle_decl_factor_must_act_on_its_coordinate_alone():
     assert PermGroup([g, h]).order() == 8
     v4 = PermGroup([h, Permutation.from_cycles(4, [(0, 2), (1, 3)])])
     A = GroupAction(v4, tuple(range(1, 5)), "V4 on {0,1}^2", wreath=spec)
-    decl = SocleDecl(v4, [PermGroup([g]), PermGroup([h])], coordinates=[0, 1])
+    decl = SocleDecl([PermGroup([g]), PermGroup([h])], coordinates=[0, 1])
     with pytest.raises(ValueError, match="acts beyond it"):
         decl.validate(A)
 
@@ -399,17 +404,24 @@ def test_bounded_builds_take_their_proven_bounds(monkeypatch, env):
     A = env.m11_on_12()
     assert A.group._bound == A.parent.parent_group.order() == 7920
     assert env.psl211()._bound == 7920
-    bounds = []
+    built = []  # (generator keys, bound) of every group zoo makes
 
     class Recording(PermGroup):
-        def __init__(self, *args, bound=None, **kw):
-            bounds.append(bound)
-            super().__init__(*args, bound=bound, **kw)
+        def __init__(self, generators, *args, bound=None, **kw):
+            built.append(({g.key() for g in generators}, bound))
+            super().__init__(generators, *args, bound=bound, **kw)
 
     W, socle = _product_socle()
     monkeypatch.setattr(zoo, "PermGroup", Recording)
     socle.validate(W)
-    assert bounds == [6 * 6]
+    assert [bound for _, bound in built] == [6 * 6]
+    # wreath builds its declared socle once: the factors' join, under the
+    # product of their orders
+    built.clear()
+    W, socle = _product_socle()
+    keys = {g.key() for F in socle.factors for g in F.generators}
+    assert [bound for gens, bound in built if gens == keys] == [6 * 6]
+    assert socle.subgroup.order() == 6 * 6
 
 
 def test_assemble_stabilizer_orders():
