@@ -344,6 +344,18 @@ def test_socle_decl_rejects_bad_factorization():
         bad.validate(W)
 
 
+def test_socle_decl_must_be_normal():
+    # one transposition per block of S3 wr C2 on 6 points: disjoint
+    # supports, order 2 * 2, but the join is not normal
+    c2 = PermGroup([Permutation(np.array([1, 0]))])
+    W = wreath(WreathSpec(natural_action(symmetric(3), "S3"), 2, c2,
+                          "imprimitive"))
+    bad = SocleDecl([PermGroup([Permutation.from_cycles(6, [(0, 1)])]),
+                     PermGroup([Permutation.from_cycles(6, [(3, 4)])])])
+    with pytest.raises(ValueError, match="not normal"):
+        bad.validate(W)
+
+
 def _product_socle():
     c2 = PermGroup([Permutation(np.array([1, 0]))])
     s3 = natural_action(symmetric(3), "S3")
