@@ -392,26 +392,15 @@ def _wreath_class_info(rep: WreathElement, r: int, size: int) -> ClassInfo:
 # fixed points of wreath elements without materialization
 
 
-def _as_wreath_element(spec: WreathSpec, x) -> WreathElement:
-    if isinstance(x, WreathElement):
-        if x.spec != spec:
-            raise ValueError("element does not belong to the given wreath spec")
-        return x
-    try:
-        base, top = x
-        return WreathElement(spec, tuple(base), top)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"malformed wreath decomposition: {exc}") from None
-
-
-def wreath_fixed_point_check(spec: WreathSpec, x) -> bool:
+def wreath_fixed_point_check(spec: WreathSpec, w: WreathElement) -> bool:
     """Does (a_1,...,a_k; pi) fix a point, judged from the decomposition?
 
     Product action: a point of Delta^k is fixed iff every cycle of pi has
     a cycle product with a fixed point on Delta.  Imprimitive action: iff
     some fixed coordinate i of pi has a_i fixing a point of Delta.
     """
-    w = _as_wreath_element(spec, x)
+    if w.spec != spec:
+        raise ValueError("element does not belong to the given wreath spec")
     cycles = w.top.cycles(include_fixed=True)
     if spec.flavor == "product":
         return all(w.cycle_product(c).num_fixed() > 0 for c in cycles)

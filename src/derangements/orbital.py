@@ -5,11 +5,12 @@ A transitive action splits the points into orbits of a point stabilizer
 digraph whose arc set is one orbit of the group on ordered pairs.  These
 graphs are the arc-transitive graphs whose automorphism questions drive the
 verification scenarios: connectivity is decided both by the components
-kernel that also computes orbits and block systems and by a generation
-argument (the two must agree), block systems impose divisibility
-constraints on subdegrees, and the valency-127 graphs of the Mersenne-prime
-family are linked by a standard double cover that this module constructs
-explicitly and checks edge-by-edge.
+kernel that also computes orbits and by a generation argument (the two
+must agree; the second reads the overgroups of G_alpha, as block systems
+do), block systems impose divisibility constraints on subdegrees, and the
+valency-127 graphs of the Mersenne-prime family are linked by a standard
+double cover that this module constructs explicitly and checks
+edge-by-edge.
 """
 
 from dataclasses import dataclass
@@ -206,7 +207,7 @@ def _arcs(graph) -> tuple:
 
 def is_connected(graph) -> bool:
     """Weak connectivity of a (di)graph: one component of its arcs
-    (perm._components, the kernel behind orbits and block systems)."""
+    (perm._components, the kernel behind orbits)."""
     n = graph.n
     return n > 0 and not _components(n, *_arcs(graph)).any()
 

@@ -823,6 +823,15 @@ class PermGroup:
 
         None means the pair forces the universal partition (no proper
         nontrivial block contains both points).  Requires transitivity.
+
+        The blocks through alpha are the alpha-orbits of the overgroups of
+        G_alpha (Dixon–Mortimer, Permutation Groups, Thm 1.5A;
+        Holt–Eick–O'Brien ch. 4).  A block holding alpha and beta is fixed
+        by any u with alpha^u = beta, so the least one is the alpha-orbit
+        of <G_alpha, u>, read from its orbit labels with no chain.  The
+        other cells are its images under the generators, walked breadth
+        first; an image that meets a cell without being it refutes the
+        block (CertificateError).
         """
         self._check_point(alpha)
         self._check_point(beta)
@@ -830,28 +839,28 @@ class PermGroup:
             raise ValueError("block systems need a transitive group")
         if alpha == beta:
             raise ValueError("need two distinct points")
-        # Join the partition with its images under the generators, and in
-        # round k under the 2^k-th powers of the generators and of their
-        # product too (a long cycle then takes logarithmically many
-        # rounds), until it is stable.  Then it is invariant, and every
-        # merge was forced.
         n = self.degree
-        gens = np.stack([g.images for g in self.generators])
-        product = gens[0]
-        for g in gens[1:]:
-            product = g[product]
-        powers = np.concatenate([gens, product[None, :]])
-        labels = _components(n, [alpha], [beta])
-        while labels.any():
-            steps = np.concatenate([gens, powers])  # edges p^s -- lab[p]^s
-            joined = _components(
-                n, np.concatenate([np.arange(n)[None, :], steps]),
-                np.concatenate([labels[None, :], steps[:, labels]]))
-            if np.array_equal(joined, labels):
-                return BlockSystem(n, [tuple(c.tolist()) for c in _cells(labels)])
-            labels = joined
-            powers = batch_power(powers, 2)
-        return None
+        u_inv = Permutation._raw(self.transversal_inverse(alpha, beta))
+        over = PermGroup(self.point_stabilizer(alpha).generators + (u_inv,))
+        labels = over._orbit_labels()
+        block = np.flatnonzero(labels == labels[alpha])
+        if block.size == n:
+            return None
+        cell = np.full(n, -1, dtype=np.int64)
+        cell[block] = 0
+        cells = [block]
+        for c in cells:  # grows while it is walked
+            for g in self.generators:
+                image = g.images[c]
+                hit = cell[image]
+                if hit[0] >= 0 and (hit == hit[0]).all():
+                    continue
+                if (hit >= 0).any():
+                    raise CertificateError(
+                        "a block image meets a cell without being it")
+                cell[image] = len(cells)
+                cells.append(image)
+        return BlockSystem(n, [tuple(c.tolist()) for c in cells])
 
     def is_primitive(self) -> bool:
         return self.is_transitive() and self.nontrivial_block_system() is None
@@ -859,11 +868,16 @@ class PermGroup:
     def nontrivial_block_system(self):
         """Some proper nontrivial block system, or None when primitive.
 
-        Scans the minimal systems over pairs (0, beta); any imprimitive
-        transitive group yields one this way.
+        Any imprimitive transitive group has a minimal system through some
+        pair (0, beta).  That system is the same for every beta in one
+        G_0-orbit: h in G_0 maps it to the system through (0, beta^h), and
+        an invariant partition is its own image (Atkinson 1975;
+        Holt–Eick–O'Brien ch. 4).  So one beta per G_0-orbit, its least
+        point, is tried, in ascending order, which finds the system the
+        scan over every beta finds first.
         """
-        for beta in range(1, self.degree):
-            bs = self.minimal_block_system(0, beta)
+        for orbit in self.point_stabilizer(0).orbits()[1:]:
+            bs = self.minimal_block_system(0, orbit[0])
             if bs is not None:
                 return bs
         return None

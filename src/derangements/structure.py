@@ -24,8 +24,6 @@ classes through `elusive.action_prime_order_class_reps`, the one route
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from .config import Budgets, DEFAULT_BUDGETS, DEFAULT_SEED, CertificateError
 from .perm import Permutation, PermGroup
 from .zoo import GroupAction
@@ -148,15 +146,10 @@ def g_plus(A: GroupAction, N: PermGroup):
     N must be normal in G = A.group with exactly two orbits D1, D2 on the
     points.  Returns (Gplus, D1, D2) where Gplus is the kernel of the
     induced action of G on {D1, D2}; D1 is the half containing the smallest
-    point.  Gplus is generated by the Schreier generators relative to the
-    transversal {identity, s} for a generator s swapping the halves:
-
-        g             for preserving generators g
-        g s^-1        for swapping generators g
-        s g s^-1      for preserving generators g
-        s g           for swapping generators g
-
-    The index |G : Gplus| = 2 is verified by an order computation.
+    point, the anchor.  Gplus is the stabilizer of the block D1, so it is
+    the overgroup <N, G_anchor> of G_anchor whose anchor-orbit D1 is (see
+    PermGroup.minimal_block_system).  The index |G : Gplus| = 2 is
+    verified by an order computation.
     """
     G = A.group
     if not G.is_normal(N):
@@ -165,22 +158,11 @@ def g_plus(A: GroupAction, N: PermGroup):
     if len(orbs) != 2:
         raise ValueError("N must have exactly 2 orbits, got %d" % len(orbs))
     o1, o2 = orbs  # ascending, ordered by least point
-    side = np.zeros(A.degree, dtype=np.int64)
-    side[np.array(o2)] = 1
     anchor = o1[0]
-
-    preserving, swapping = [], []
-    for g in G.generators:
-        (swapping if side[g.images[anchor]] == 1 else preserving).append(g)
-    if not swapping:
+    if not any(g.images[anchor] in o2 for g in G.generators):
         raise ValueError("acting group preserves both halves; index is not 2")
-    s = swapping[0]
-    sinv = s.inverse()
-    gens = list(preserving)
-    gens += [g * sinv for g in swapping]
-    gens += [s * g * sinv for g in preserving]
-    gens += [s * g for g in swapping]
-    gp = PermGroup(gens, degree=A.degree)
+    gp = PermGroup(N.generators + G.point_stabilizer(anchor).generators,
+                   degree=A.degree)
     if 2 * gp.order() != G.order():
         raise CertificateError("half-preserving subgroup has wrong index")
     return gp, tuple(o1), tuple(o2)

@@ -81,7 +81,7 @@ class SocleDecl:
         prod = math.prod(F.order() for F in self.factors)
         gens = dict.fromkeys(g for F in self.factors for g in F.generators)
         join = PermGroup(list(gens), degree=G.degree, bound=prod)
-        if join.order() != prod:
+        if join.order() != prod:  # guards the support checks above
             raise ValueError("declared factors do not decompose the socle")
         if not G.is_normal(join):
             raise ValueError("declared socle is not normal")

@@ -224,6 +224,16 @@ def test_wreath_fixed_point_check_vs_materialized():
                 (w.to_permutation().num_fixed() > 0)
 
 
+def test_wreath_fixed_point_check_refuses_another_spec():
+    base = natural_action(symmetric(3), "S3")
+    c2 = cyclic(2)
+    product = WreathSpec(base, 2, c2, "product")
+    w = WreathSpec(base, 2, c2, "imprimitive").element(
+        [Permutation.identity(3)] * 2, Permutation.identity(2))
+    with pytest.raises(ValueError, match="does not belong"):
+        wreath_fixed_point_check(product, w)
+
+
 def test_is_r_elusive_small_groups():
     # C3 regular: the full group is fixed-point-free
     v = is_r_elusive(natural_action(cyclic(3), "C3"), 3)

@@ -217,6 +217,19 @@ def test_connectivity_by_generation_m11(env):
     assert g.is_complete() and is_connected(g)
 
 
+def test_generation_and_block_routes_agree(corpus, env):
+    # a self-paired orbital graph is connected exactly when alpha and beta
+    # share no proper block: both routes read <G_alpha, u> with alpha^u = beta
+    for name, A in corpus + [("a384", env.a384())]:
+        G = A.group
+        stab = G.point_stabilizer(0)
+        for beta, _length in suborbits(A, 0).entries:
+            if beta == 0 or paired_suborbit(A, 0, beta) not in stab.orbit(beta):
+                continue
+            assert connectivity_by_generation(A, 0, beta) == \
+                (G.minimal_block_system(0, beta) is None), (name, beta)
+
+
 def test_connectivity_by_generation_intransitive_group():
     # S3 on {0, 1, 2} fixing 3: <G_0, (0 1)> is all of G, but the orbital
     # graph leaves vertex 3 isolated, so it is not connected

@@ -154,6 +154,50 @@ def test_block_systems():
     assert symmetric(5).nontrivial_block_system() is None
 
 
+def scanned_block_system(G):
+    """The first minimal system over every pair (0, beta): the scan that
+    one beta per G_0-orbit must reproduce."""
+    return next((bs for beta in range(1, G.degree)
+                 if (bs := G.minimal_block_system(0, beta)) is not None),
+                None)
+
+
+def test_one_beta_per_suborbit_finds_the_scanned_block_system(env):
+    cases = [("C6", cyclic(6)), ("D8", dihedral(4)),
+             ("a384", env.a384().group)]
+    for name, G in cases:
+        want = scanned_block_system(G)
+        assert want is not None, name
+        assert G.nontrivial_block_system().cells == want.cells, name
+    # the product action of M11 wr C2 on 144 points is primitive
+    W = env.wreath144()[1].group
+    assert scanned_block_system(W) is None
+    assert W.nontrivial_block_system() is None
+
+
+def test_nontrivial_block_system_tries_one_beta_per_suborbit(env,
+                                                             monkeypatch):
+    G = env.wreath144()[1].group
+    calls = []
+    inner = PermGroup.minimal_block_system
+    monkeypatch.setattr(PermGroup, "minimal_block_system",
+                        lambda self, a, b: calls.append(b) or inner(self, a, b))
+    assert G.is_primitive()
+    # 144 = 1 + 22 + 121: one call per nontrivial G_0-orbit, not 143
+    reps = [orbit[0] for orbit in G.point_stabilizer(0).orbits()[1:]]
+    assert calls == reps and len(calls) == 2
+
+
+def test_block_image_that_overlaps_a_cell_is_refused(monkeypatch):
+    # with G_0 taken as trivial, <u> for alpha^u = 2 is not the block of an
+    # overgroup of G_0, and S4 has no block {0, 2}: the walk must refuse it
+    S4 = symmetric(4)
+    monkeypatch.setattr(PermGroup, "point_stabilizer",
+                        lambda self, point: PermGroup([], degree=self.degree))
+    with pytest.raises(CertificateError, match="meets a cell"):
+        S4.minimal_block_system(0, 2)
+
+
 def test_block_system_points_are_checked():
     # a negative point must not wrap round to the last one, nor a point past
     # the end raise a bare IndexError

@@ -344,6 +344,18 @@ def test_socle_decl_rejects_bad_factorization():
         bad.validate(W)
 
 
+def test_socle_decl_order_check_backs_the_support_checks(monkeypatch):
+    # past the support checks the join is the factors' direct product, so
+    # the order check fires only if a support check lets [F, F] through
+    c2 = PermGroup([Permutation(np.array([1, 0]))])
+    s3 = natural_action(symmetric(3), "S3")
+    W = wreath(WreathSpec(s3, 2, c2, "imprimitive"), declare_socle=True)
+    F = W.declared_socle.factors[0]
+    monkeypatch.setattr(SocleDecl, "_check_disjoint_supports", lambda self: None)
+    with pytest.raises(ValueError, match="do not decompose the socle"):
+        SocleDecl([F, F]).validate(W)
+
+
 def test_socle_decl_must_be_normal():
     # one transposition per block of S3 wr C2 on 6 points: disjoint
     # supports, order 2 * 2, but the join is not normal
