@@ -83,9 +83,8 @@ print("block divisibility:", block_divisibility_check(A384, B, 0, 1))
 # that the valency-127 orbital graph of the PGL-overgroup action on 768
 # points (a biquasiprimitive action) is exactly that cover.  The check
 # constructs both graphs and an explicit isomorphism psi.
-report = verify_double_cover_scenario(
-    scn, actions={"a_half": env.a384(), "a_full": env.a768(),
-                  "line": env.line127()})
+actions = {"a_half": env.a384(), "a_full": env.a768(), "line": env.line127()}
+report = verify_double_cover_scenario(scn, actions=actions)
 print("\ndouble cover verified:", report.ok)
 print("  p = %d, s = %d" % (report.p, report.s))
 print("  sigma: %d vertices; gamma: %d vertices; %d edges"
@@ -99,6 +98,7 @@ print("  cover has", cover.n, "vertices; connected:", is_connected(cover))
 # but the doubling pattern fails for them, and the verifier refuses:
 for s_bad in (63, 42):
     try:
-        verify_double_cover_scenario(mersenne_scenario(127, s_bad))
+        verify_double_cover_scenario(mersenne_scenario(127, s_bad),
+                                     actions=actions)
     except ValueError as e:
         print("  s=%d rejected: %s" % (s_bad, e))

@@ -501,9 +501,7 @@ def _borel_values(env: ScenarioEnv, A: GroupAction, s: int):
     values["exact"] = rep.exact
     # cross-checks on every prime-length suborbit
     agree = True
-    for r, l in tab.prime_entries():
-        if l == 1:
-            continue
+    for r, _ in tab.prime_entries():
         g = orbital_graph(A, 0, r)
         if not g.self_paired:
             continue
@@ -653,10 +651,10 @@ def _expected_pgl2_127_biquasi():
 
 def _build_double_cover(env: ScenarioEnv):
     scn = env.scn127()
-    rep = verify_double_cover_scenario(
-        scn, budgets=env.budgets,
-        actions={"a_half": env.a384(), "a_full": env.a768(),
-                 "line": env.line127()})
+    actions = {"a_half": env.a384(), "a_full": env.a768(),
+               "line": env.line127()}
+    rep = verify_double_cover_scenario(scn, budgets=env.budgets,
+                                       actions=actions)
     values = {
         "ok": rep.ok,
         "p": rep.p,
@@ -670,7 +668,7 @@ def _build_double_cover(env: ScenarioEnv):
     }
     try:
         verify_double_cover_scenario(mersenne_scenario(127, 63),
-                                     budgets=env.budgets)
+                                     budgets=env.budgets, actions=actions)
         values["s63_rejected"] = False
     except ValueError:
         values["s63_rejected"] = True

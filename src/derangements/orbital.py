@@ -16,15 +16,14 @@ edge-by-edge.
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from .config import Budgets, DEFAULT_BUDGETS, CertificateError
 from .numbers import is_prime
 from .perm import BlockSystem, PermGroup, Permutation, _components, _search
-from .zoo import (GroupAction, MersenneScenario, borel_subgroup, coset_action,
-                  projective_line_action)
+from .zoo import GroupAction, MersenneScenario
 
 
 @dataclass
@@ -314,41 +313,29 @@ class DoubleCoverReport:
 
 
 def verify_double_cover_scenario(scn: MersenneScenario,
-                                 budgets: Budgets = DEFAULT_BUDGETS,
-                                 actions: Optional[dict] = None) -> DoubleCoverReport:
+                                 budgets: Budgets = DEFAULT_BUDGETS, *,
+                                 actions: dict) -> DoubleCoverReport:
     """Check that the valency-p graph on (p^2-1)/s points doubles the one on
     (p^2-1)/2s points.
 
-    Builds the coset actions of PSL2(p) and PGL2(p) on the cosets of the
-    same subgroup C_p:C_s of PSL2(p), identifies the PSL cosets inside the
-    PGL coset space through shared canonical representatives, extends the
-    identification to the second half by a normalizing element outside
-    PSL2(p), and verifies that the standard double cover of the PSL orbital
-    graph maps edge-for-edge onto the PGL orbital graph.
-
-    `actions` may supply prebuilt ingredients keyed "a_half", "a_full",
-    "line" to share coset tables with other scenarios.
+    Reads the coset actions of PSL2(p) and PGL2(p) on the cosets of the
+    same subgroup C_p:C_s of PSL2(p), given prebuilt in `actions` under
+    "a_half" and "a_full", with the projective line under "line"; it
+    builds no line, subgroup or coset action of its own.  It identifies
+    the PSL cosets inside the PGL coset space through shared canonical
+    representatives, extends the identification to the second half by a
+    normalizing element outside PSL2(p), and verifies that the standard
+    double cover of the PSL orbital graph maps edge-for-edge onto the PGL
+    orbital graph.  An s out of pattern raises ValueError before
+    `actions` is read.  `budgets` is accepted for callers that pass it
+    and reaches nothing.
     """
     p, s = scn.p, scn.s
     if not s < (p - 1) // 2:
         raise ValueError(
             f"s={s} is out of pattern for a double cover: the PGL coset "
             f"space only doubles the PSL one when s < (p-1)/2")
-    actions = actions or {}
-    if "a_half" in actions:
-        a_half = actions["a_half"]
-        a_full = actions["a_full"]
-        line = actions["line"]
-    else:
-        line = projective_line_action(p, budgets=budgets)
-        psl = line.subgroups["PSL"]
-        pgl = line.subgroups["PGL"]
-        H = borel_subgroup(scn, "psl", s)
-        psl_act = GroupAction(psl, line.point_labels, line.provenance)
-        a_half = coset_action(psl_act, H, budgets=budgets)
-        a_full = coset_action(GroupAction(pgl, line.point_labels,
-                                          line.provenance), H,
-                              budgets=budgets)
+    a_half, a_full, line = actions["a_half"], actions["a_full"], actions["line"]
     n_half = a_half.degree
     if a_full.degree != 2 * n_half:
         raise CertificateError("the PGL coset space does not double the PSL one")

@@ -347,10 +347,6 @@ def parse_cycles(text: str) -> list:
     return cycles
 
 
-def permutation_from_cycles_1indexed(degree: int, cycles: Iterable[Sequence[int]]) -> Permutation:
-    return Permutation.from_cycles(degree, cycles, first=1)
-
-
 # ---------------------------------------------------------------------------
 # stabilizer chains
 

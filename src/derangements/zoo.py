@@ -19,13 +19,7 @@ from .classes import _budget_error, sylow_classes
 from .config import (CHAIN_DEGREE, DEFAULT_BUDGETS, DEFAULT_SEED, MATERIALIZE,
                      Budgets, BudgetExceeded, CertificateError)
 from .numbers import is_prime, prime_divisors, primitive_root_mod, radical
-from .perm import (
-    _BATCH_ENTRIES,
-    Permutation,
-    PermGroup,
-    parse_cycles,
-    permutation_from_cycles_1indexed,
-)
+from .perm import _BATCH_ENTRIES, Permutation, PermGroup, parse_cycles
 
 __all__ = [
     "GroupAction",
@@ -205,7 +199,7 @@ def load_generators(path) -> PermGroup:
                     raise GeneratorFileError(lineno, "gen before degree line")
                 try:
                     cycles = parse_cycles(rest.strip())
-                    gens.append(permutation_from_cycles_1indexed(degree, cycles))
+                    gens.append(Permutation.from_cycles(degree, cycles, first=1))
                 except ValueError as exc:
                     raise GeneratorFileError(lineno, str(exc)) from None
             else:
@@ -229,25 +223,33 @@ def format_generator_file(G: PermGroup, comment: str = "") -> str:
 # projective lines
 
 
-def _f9_tables():
-    """F9 = F3[t]/(t^2+1), element a+bt encoded as a+3b."""
-    enc = lambda a, b: (a % 3) + 3 * (b % 3)
-    add = np.zeros((9, 9), dtype=np.int64)
-    mul = np.zeros((9, 9), dtype=np.int64)
-    for a1 in range(3):
-        for b1 in range(3):
-            for a2 in range(3):
-                for b2 in range(3):
-                    x, y = enc(a1, b1), enc(a2, b2)
-                    add[x, y] = enc(a1 + a2, b1 + b2)
-                    # (a1+b1 t)(a2+b2 t) with t^2 = -1
-                    mul[x, y] = enc(a1 * a2 - b1 * b2, a1 * b2 + a2 * b1)
-    inv = np.zeros(9, dtype=np.int64)
-    for x in range(1, 9):
-        (y,) = [y for y in range(1, 9) if mul[x, y] == 1]
-        inv[x] = y
-    frob = np.array([enc(a, -b) for b in range(3) for a in range(3)], dtype=np.int64)
-    return add, mul, inv, frob
+def _line_maps(q: int) -> tuple:
+    """(t, m, w, frob): the maps x -> x+1, x -> lam*x and x -> 1/x of the
+    projective line over F_q, and for q = 9 the Frobenius x -> x^3 (else
+    None), as Permutations of the field elements 0..q-1 with infinity at
+    q.  q is 9 or a prime.  F_9 is F_3[t]/(t^2+1), a+bt encoded a+3b,
+    with lam = 1+t; for prime q, lam is the least primitive root.
+    m.order() == q-1 certifies that lam generates F_q^*."""
+    x = np.arange(q, dtype=np.int64)
+    if q == 9:
+        a, b = x % 3, x // 3
+        enc = lambda a, b: a % 3 + 3 * (b % 3)
+        # (1+t)(a+bt) = (a-b) + (a+b)t, as t^2 = -1
+        add, mul, frob = enc(a + 1, b), enc(a - b, a + b), enc(a, -b)
+    else:
+        add, mul, frob = (x + 1) % q, primitive_root_mod(q) * x % q, None
+    t, m = Permutation(np.append(add, q)), Permutation(np.append(mul, q))
+    if m.order() != q - 1:
+        raise CertificateError(f"the multiplier should generate F{q}*")
+    # lam^k for k = 0..q-2, walking x -> lam*x from 1; 1/lam^k = lam^-k
+    powers = [1]
+    while len(powers) < q - 1:
+        powers.append(int(mul[powers[-1]]))
+    inv = np.empty(q + 1, dtype=np.int64)
+    inv[powers] = np.array(powers)[-np.arange(q - 1) % (q - 1)]
+    inv[0], inv[q] = q, 0
+    return (t, m, Permutation(inv),
+            None if frob is None else Permutation(np.append(frob, q)))
 
 
 def _element_order_set(G: PermGroup, budget: int) -> frozenset:
@@ -264,93 +266,66 @@ def projective_line_action(q: int, budgets: Budgets = DEFAULT_BUDGETS) -> GroupA
     """The projective line over F_q with its full semilinear group.
 
     Points are 0..q-1 (field elements; for q=9, a+bt is encoded a+3b) and
-    infinity at index q.  For prime q the group is PGL2(q) and the
-    distinguished subgroups are PSL and PGL; for q=9 the group is
-    PGammaL2(9) = Aut(A6) and the subgroups dict also carries the three
+    infinity at index q.  One path serves every q: PGL2(q) = <t, m, w>
+    from the line's maps (`_line_maps`), its order checked against
+    q(q^2-1), and PSL2(q) its derived subgroup, of half that order.  For
+    prime q the group is PGL2(q) and the distinguished subgroups are PSL
+    and PGL; for q=9 the Frobenius is added, the group is PGammaL2(9) =
+    Aut(A6) of order 1440, and the subgroups dict also carries the three
     index-2 overgroups of PSL2(9) = A6, told apart by element-order
     fingerprints (order 10 only in PGL2(9), order 6 only in S6, M10 has
     element orders {1,2,3,4,5,8}).
     """
-    if q == 9:
-        add, mul, inv, frob = _f9_tables()
-        n = 10
-        infinity = 9
-        lam = 4  # 1+t, a generator of F9*
-        ordl = 1
-        x = lam
-        while x != 1:
-            x = int(mul[x, lam])
-            ordl += 1
-        if ordl != 8:
-            raise CertificateError("1+t should generate the units of F9")
-        trans = np.array([int(add[x, 1]) for x in range(9)] + [infinity])
-        scale = np.array([int(mul[lam, x]) for x in range(9)] + [infinity])
-        invm = np.array([infinity] + [int(inv[x]) for x in range(1, 9)] + [0])
-        phi = np.array([int(frob[x]) for x in range(9)] + [infinity])
-        t, m, w = (Permutation(v) for v in (trans, scale, invm))
-        frobp = Permutation(phi)
-        pgl = PermGroup([t, m, w], degree=n)
-        full = PermGroup([t, m, w, frobp], degree=n)
-        if pgl.order() != 720 or full.order() != 1440:
-            raise CertificateError("PGL2(9)/PGammaL2(9) orders came out wrong")
-        psl = pgl.derived_subgroup()
-        if psl.order() != 360:
-            raise CertificateError("PSL2(9) order came out wrong")
-        if pgl.contains(frobp):
-            raise CertificateError("the field automorphism should lie outside PGL2(9)")
-        overgroups = {
-            "PGL2(9)": pgl,
-            "S6": PermGroup([*psl.generators, frobp], degree=n),
-            "M10": PermGroup([*psl.generators, m * frobp], degree=n),
-        }
-        fingerprints = {}
-        for name, H in overgroups.items():
-            if H.order() != 720:
-                raise CertificateError(f"index-2 overgroup {name} has order {H.order()}")
-            fingerprints[name] = _element_order_set(H, budgets.exhaustive)
-        expected = {
-            "PGL2(9)": lambda s: 10 in s,
-            "S6": lambda s: 6 in s,
-            "M10": lambda s: s == frozenset({1, 2, 3, 4, 5, 8}),
-        }
-        for name, pred in expected.items():
-            hits = [k for k, s in fingerprints.items() if pred(s)]
-            if hits != [name]:
-                raise CertificateError(f"fingerprint for {name} matched {hits}")
-        labels = tuple(
-            f"{a}+{b}t" if b else str(a)
-            for b in range(3)
-            for a in range(3)
-        ) + ("inf",)
-        subgroups = {"PSL": psl, "A6": psl, "PGL": pgl, "Aut(A6)": full}
-        subgroups.update(overgroups)
+    if q != 9 and (not is_prime(q) or q < 5):
+        raise ValueError(f"q={q} unsupported: need an odd prime >= 5 or q = 9")
+    t, m, w, frob = _line_maps(q)
+    pgl = PermGroup([t, m, w], degree=q + 1)
+    if pgl.order() != q * (q - 1) * (q + 1):
+        raise CertificateError(f"PGL2({q}) order came out wrong")
+    psl = pgl.derived_subgroup()
+    if psl.order() != q * (q - 1) * (q + 1) // 2:
+        raise CertificateError(f"PSL2({q}) order came out wrong")
+    if frob is None:
+        labels = tuple(str(x) for x in range(q)) + ("inf",)
         return GroupAction(
-            full, labels, "PGammaL2(9) on the projective line over F9",
-            faithful=True, subgroups=subgroups,
+            pgl, labels, f"PGL2({q}) on the projective line over F{q}",
+            faithful=True, subgroups={"PSL": psl, "PGL": pgl},
         )
 
-    if not is_prime(q) or q < 5:
-        raise ValueError(f"q={q} unsupported: need an odd prime >= 5 or q = 9")
-    p = q
-    n = p + 1
-    infinity = p
-    g = primitive_root_mod(p)
-    xs = np.arange(p, dtype=np.int64)
-    trans = np.concatenate([(xs + 1) % p, [infinity]])
-    scale = np.concatenate([(g * xs) % p, [infinity]])
-    inv_field = np.array([0] + [pow(int(x), p - 2, p) for x in range(1, p)], dtype=np.int64)
-    invm = np.concatenate([[infinity], inv_field[1:], [0]])
-    t, m, w = (Permutation(v) for v in (trans, scale, invm))
-    pgl = PermGroup([t, m, w], degree=n)
-    if pgl.order() != p * (p - 1) * (p + 1):
-        raise CertificateError(f"PGL2({p}) order came out wrong")
-    psl = pgl.derived_subgroup()
-    if psl.order() != p * (p - 1) * (p + 1) // 2:
-        raise CertificateError(f"PSL2({p}) order came out wrong")
-    labels = tuple(str(x) for x in range(p)) + ("inf",)
+    full = PermGroup([t, m, w, frob], degree=10)
+    if full.order() != 1440:
+        raise CertificateError("PGammaL2(9) order came out wrong")
+    if pgl.contains(frob):
+        raise CertificateError("the field automorphism should lie outside PGL2(9)")
+    overgroups = {
+        "PGL2(9)": pgl,
+        "S6": PermGroup([*psl.generators, frob], degree=10),
+        "M10": PermGroup([*psl.generators, m * frob], degree=10),
+    }
+    fingerprints = {}
+    for name, H in overgroups.items():
+        if H.order() != 720:
+            raise CertificateError(f"index-2 overgroup {name} has order {H.order()}")
+        fingerprints[name] = _element_order_set(H, budgets.exhaustive)
+    expected = {
+        "PGL2(9)": lambda s: 10 in s,
+        "S6": lambda s: 6 in s,
+        "M10": lambda s: s == frozenset({1, 2, 3, 4, 5, 8}),
+    }
+    for name, pred in expected.items():
+        hits = [k for k, s in fingerprints.items() if pred(s)]
+        if hits != [name]:
+            raise CertificateError(f"fingerprint for {name} matched {hits}")
+    labels = tuple(
+        f"{a}+{b}t" if b else str(a)
+        for b in range(3)
+        for a in range(3)
+    ) + ("inf",)
+    subgroups = {"PSL": psl, "A6": psl, "PGL": pgl, "Aut(A6)": full}
+    subgroups.update(overgroups)
     return GroupAction(
-        pgl, labels, f"PGL2({p}) on the projective line over F{p}",
-        faithful=True, subgroups={"PSL": psl, "PGL": pgl},
+        full, labels, "PGammaL2(9) on the projective line over F9",
+        faithful=True, subgroups=subgroups,
     )
 
 
@@ -388,8 +363,10 @@ def mersenne_scenario(p: int, s: Optional[int] = None) -> MersenneScenario:
 
 def borel_subgroup(scn: MersenneScenario, flavor: str, t: int) -> PermGroup:
     """The subgroup {x -> ax+b : a in the order-t subgroup of F_p*} of
-    PGL2(p) on the projective line, of order p*t.  flavor 'psl' requires
-    t | (p-1)/2 (so the subgroup lies in PSL2(p)); 'pgl' allows t | p-1.
+    PGL2(p) on the projective line, of order p*t: <t, m^((p-1)/t)> from
+    the maps of `projective_line_action` (`_line_maps`).  flavor 'psl'
+    requires t | (p-1)/2 (so the subgroup lies in PSL2(p)); 'pgl' allows
+    t | p-1.
     """
     p = scn.p
     if flavor == "psl":
@@ -400,14 +377,8 @@ def borel_subgroup(scn: MersenneScenario, flavor: str, t: int) -> PermGroup:
             raise ValueError(f"t={t} does not divide p-1 = {p - 1}")
     else:
         raise ValueError(f"flavor must be 'psl' or 'pgl', got {flavor!r}")
-    n = p + 1
-    infinity = p
-    g = primitive_root_mod(p)
-    c = pow(g, (p - 1) // t, p)
-    xs = np.arange(p, dtype=np.int64)
-    trans = Permutation(np.concatenate([(xs + 1) % p, [infinity]]))
-    scale = Permutation(np.concatenate([(c * xs) % p, [infinity]]))
-    H = PermGroup([trans, scale], degree=n)
+    shift, m, _w, _frob = _line_maps(p)
+    H = PermGroup([shift, m ** ((p - 1) // t)], degree=p + 1)
     if H.order() != p * t:
         raise CertificateError(f"Borel subgroup order {H.order()}, expected {p * t}")
     return H

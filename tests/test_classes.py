@@ -22,7 +22,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from derangements import classes, natural_action
+from derangements import (classes, m11, natural_action,
+                          projective_line_action)
 from derangements.classes import (_walk_rows, batch_power,
                                   exhaustive_class_partition, order_r_rows,
                                   partition_rows_by_conjugacy)
@@ -417,3 +418,34 @@ def test_walk_passing_its_limit_overshoots_by_at_most_one_chunk(env, limit):
     else:
         assert walker.walk(x).size == 16256
         assert walker.seen.peak == 16256
+
+
+@pytest.mark.parametrize("name", ["PSL(2,31) line", "M11", "PGammaL(2,9)"])
+@pytest.mark.parametrize("r", [2, 3, 5])
+def test_byte_keys_agree_with_int_keys(env, monkeypatch, name, r):
+    """A walker keys an element by its base images packed into an int64,
+    or by their bytes when degree^|base| reaches 2^63.  No shipped group
+    is that large, so the byte keys are forced here: the classes found
+    (least row, size, fixed-point range) and the centralizer orders of
+    their least rows must not change."""
+    G = {"PSL(2,31) line": lambda: projective_line_action(31).subgroups["PSL"],
+         "M11": lambda: m11().group,
+         "PGammaL(2,9)": lambda: env.line9().group}[name]()
+
+    def found():
+        rows = classes.sylow_classes(G, r)
+        return ([(row.tolist(), size, fixed) for row, size, fixed in rows],
+                [classes.centralizer(G, row.astype(np.int64)).order()
+                 for row, _size, _fixed in rows])
+
+    int_keys = found()
+    init = classes._ClassWalker.__init__
+
+    def byte_keys(self, *args, **kw):
+        init(self, *args, **kw)
+        self.weights = None
+
+    monkeypatch.setattr(classes._ClassWalker, "__init__", byte_keys)
+    assert isinstance(classes._ClassWalker(G).key(np.arange(G.degree)), bytes)
+    assert found() == int_keys
+    assert int_keys[0]

@@ -3,8 +3,9 @@ import contextlib
 import numpy as np
 import pytest
 
-from derangements import (DEFAULT_BUDGETS, Budgets, BudgetExceeded, PermGroup,
-                          Permutation, WreathSpec,
+from derangements import (DEFAULT_BUDGETS, Budgets, BudgetExceeded,
+                          ElusivityVerdict, PermGroup, Permutation,
+                          WreathElement, WreathSpec,
                           action_prime_order_class_reps,
                           count_order_r_elements, is_2prime_elusive,
                           is_elusive, is_r_elusive, natural_action,
@@ -337,6 +338,25 @@ def test_structural_wreath_positive_and_negative():
     neg2 = structural_wreath_elusivity(
         WreathSpec(a4, 3, c3, "imprimitive"), 3)
     assert neg2.status == "NotElusive"
+
+
+def test_wreath_witness_past_the_materialize_limit_stays_decomposed():
+    # S3 wr C13 in the product action has degree 3^13 = 1,594,323, above
+    # MATERIALIZE, so its witness stays a WreathElement and is checked
+    # and printed from its decomposition
+    spec = WreathSpec(natural_action(symmetric(3), "S3"), 13, cyclic(13),
+                      "product")
+    v = structural_wreath_elusivity(spec, 3)
+    assert v.status == "NotElusive"
+    assert isinstance(v.witness, WreathElement)
+    assert v.to_dict()["witness_cycles"] == repr(v.witness)
+    # the 3-cycle (0 1 2) of coordinates over identity components has
+    # order 3 but fixes every constant point
+    ident = Permutation.identity(3)
+    fixing = spec.element([ident] * 13,
+                          Permutation.from_cycles(13, [(0, 1, 2)]))
+    with pytest.raises(ValueError, match="witness fixes a point"):
+        ElusivityVerdict(3, "NotElusive", witness=fixing)
 
 
 def test_structural_checker_rejects_r2():

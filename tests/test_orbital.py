@@ -357,10 +357,12 @@ def test_double_cover_matches_list_builder(env):
 # the valency-127 double cover
 
 
-def test_double_cover_scenario_rejects_top_parameter():
+def test_double_cover_scenario_rejects_top_parameter(env):
     scn = mersenne_scenario(127, s=63)
     with pytest.raises(ValueError):
-        verify_double_cover_scenario(scn)
+        verify_double_cover_scenario(
+            scn, actions={"a_half": env.a384(), "a_full": env.a768(),
+                          "line": env.line127()})
 
 
 def test_double_cover_at_127(env):

@@ -9,8 +9,7 @@ from derangements import (BlockSystem, CertificateError, PermGroup,
                           derangement_backtrack, m11, natural_action,
                           parse_cycles, projective_line_action, wreath)
 import derangements.perm as perm_module
-from derangements.perm import (StabilizerChain, _inverse_rows,
-                               permutation_from_cycles_1indexed)
+from derangements.perm import StabilizerChain, _inverse_rows
 
 from tests.conftest import (alternating, cyclic, dihedral,
                             enumerate_elements, frobenius21, klein4,
@@ -48,7 +47,7 @@ def test_cycles_and_cycle_string():
 def test_parse_cycles_round_trip():
     cycles = parse_cycles("(1 2 3)(4 5)")
     assert [list(c) for c in cycles] == [[1, 2, 3], [4, 5]]
-    g = permutation_from_cycles_1indexed(7, cycles)
+    g = Permutation.from_cycles(7, cycles, first=1)
     assert g.cycle_string() == "(1,2,3)(4,5)"
     assert [list(c) for c in parse_cycles("(1,2,3)")] == [[1, 2, 3]]
     assert parse_cycles("()") == []

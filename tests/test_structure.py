@@ -243,6 +243,23 @@ def test_no_library_line_calls_np_unique():
     assert found == []
 
 
+def test_orbital_builds_no_line_or_coset_action():
+    # the double-cover check reads the actions it is given; a second build
+    # of the line, its Borel subgroup or a coset action would not be shared
+    builders = {"projective_line_action", "coset_action", "borel_subgroup"}
+    tree = dict(_library_trees())["orbital.py"]
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Call):
+            names = [getattr(node.func, "id", getattr(node.func, "attr", None))]
+        else:
+            continue
+        found += [f"{node.lineno}:{name}" for name in names if name in builders]
+    assert found == []
+
+
 def test_structure_reads_classes_only_through_the_action_route():
     # one route per question: the normal structure reads the classes that
     # `is_r_elusive` reads, never a socle declaration or a route of its own

@@ -121,6 +121,19 @@ def test_borel_subgroup_orders():
         borel_subgroup(scn, "nope", 15)
 
 
+@pytest.mark.parametrize("p", [7, 31, 127])
+def test_borel_subgroup_comes_from_the_line(env, p):
+    # C_p:C_t is <t, m^((p-1)/t)> for the line's translation t and
+    # multiplier m, at every admissible t of both flavors
+    line = env.line127() if p == 127 else projective_line_action(p)
+    shift, m, _w = line.subgroups["PGL"].generators
+    scn = mersenne_scenario(p)
+    for flavor, top in (("psl", (p - 1) // 2), ("pgl", p - 1)):
+        for t in (d for d in range(1, top + 1) if top % d == 0):
+            H = borel_subgroup(scn, flavor, t)
+            assert H.generators == (shift, m ** ((p - 1) // t))
+
+
 def test_subgroup_search_finds_psl2_11():
     a = m11()
     H = subgroup_search(a, 660, require_simple=True)
