@@ -488,7 +488,7 @@ def _expected_psl2_31():
     )
 
 
-def _borel_values(env: ScenarioEnv, A: GroupAction, s: int):
+def _borel_values(env: ScenarioEnv, A: GroupAction):
     values: dict = {"degree": A.degree, "order": A.group.order(),
                     "stabilizer_order": A.group.point_stabilizer(0).order()}
     certs: dict = {}
@@ -501,11 +501,11 @@ def _borel_values(env: ScenarioEnv, A: GroupAction, s: int):
     values["exact"] = rep.exact
     # cross-checks on every prime-length suborbit
     agree = True
-    for r, _ in tab.prime_entries():
-        g = orbital_graph(A, 0, r)
+    for beta, _ in tab.prime_entries():
+        g = orbital_graph(A, 0, beta)
         if not g.self_paired:
             continue
-        if is_connected(g) != connectivity_by_generation(A, 0, r):
+        if is_connected(g) != connectivity_by_generation(A, 0, beta):
             agree = False
     values["connectivity_methods_agree"] = agree
     return values, certs, tab
@@ -513,7 +513,7 @@ def _borel_values(env: ScenarioEnv, A: GroupAction, s: int):
 
 def _build_psl2_127_borel21(env: ScenarioEnv):
     A = env.a384()
-    values, certs, tab = _borel_values(env, A, 21)
+    values, certs, tab = _borel_values(env, A)
     _structure(env, A, values, certs)
     bs = A.group.nontrivial_block_system()
     values["has_nontrivial_blocks"] = bs is not None
@@ -574,7 +574,7 @@ def _expected_psl2_127_borel21():
 
 def _build_pgl2_127_borel42(env: ScenarioEnv):
     A = env.a384_pgl()
-    values, certs, _tab = _borel_values(env, A, 42)
+    values, certs, _tab = _borel_values(env, A)
     return values, certs
 
 
@@ -606,7 +606,7 @@ def _expected_pgl2_127_borel42():
 
 def _build_pgl2_127_biquasi(env: ScenarioEnv):
     A = env.a768()
-    values, certs, _tab = _borel_values(env, A, 21)
+    values, certs, _tab = _borel_values(env, A)
     struct = _structure(env, A, values, certs)
     values["g_plus_order"] = struct.g_plus.order()
     values["halves"] = sorted(len(h) for h in struct.halves)

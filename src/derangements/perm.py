@@ -37,10 +37,10 @@ by normal_closure (|N| for the smallest kept closure N holding the
 seeds, else |G|; a chain that reaches it returns N or G itself),
 classes._centralizer (|G|/|x^G|), zoo.coset_action (|G|, for the
 image), zoo.subgroup_search (|G|, per candidate) and
-zoo.SocleDecl.validate (the factors' orders, for their join).  A caller
-whose next step checks the order against the bound must not pass it, as a
-build that reaches the bound skips the sweep; one that falls short sweeps
-as without one.
+zoo.SocleDecl.validate (the product of the orders of factors checked
+to commute, for their join).  A caller whose next step checks the order
+against the bound must not pass it, as a build that reaches the bound
+skips the sweep; one that falls short sweeps as without one.
 
 The chain alone decides the transversal format (see _Orbit): per level, an
 int64 matrix of inverse representative rows u^-1, one per orbit point in

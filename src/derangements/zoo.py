@@ -51,12 +51,11 @@ __all__ = [
 
 @dataclass
 class SocleDecl:
-    """A declared socle: its simple factors and (for wreath actions) which
-    coordinate each factor lives in.  `validate` builds the factors' join
-    and keeps it as `subgroup`."""
+    """A declared socle: simple factors that commute with each other.
+    `validate` checks that they do, builds their join and keeps it as
+    `subgroup`."""
 
     factors: list
-    coordinates: Optional[list] = None
     subgroup: Optional[PermGroup] = field(default=None, init=False)
 
     def __post_init__(self):
@@ -68,45 +67,25 @@ class SocleDecl:
         if any(F.degree != G.degree for F in self.factors):
             raise ValueError("socle degree does not match the action")
         # commuting factors: their join is a quotient of their direct product
-        if self.coordinates is None:
-            self._check_disjoint_supports()
-        else:
-            self._check_coordinate_supports(action)
+        self._check_commuting()
         prod = math.prod(F.order() for F in self.factors)
         gens = dict.fromkeys(g for F in self.factors for g in F.generators)
         join = PermGroup(list(gens), degree=G.degree, bound=prod)
-        if join.order() != prod:  # guards the support checks above
+        if join.order() != prod:  # a proper quotient: not a direct product
             raise ValueError("declared factors do not decompose the socle")
         if not G.is_normal(join):
             raise ValueError("declared socle is not normal")
         self.subgroup = join
 
-    def _check_disjoint_supports(self) -> None:
-        moved = [np.any([g.images != np.arange(g.degree) for g in F.generators],
-                        axis=0) for F in self.factors]
-        if (np.sum(moved, axis=0) > 1).any():
-            raise ValueError("declared factors have overlapping supports")
-
-    def _check_coordinate_supports(self, action: "GroupAction") -> None:
-        spec = action.wreath
-        if spec is None or spec.flavor != "product":
-            raise ValueError("coordinate bookkeeping needs a product wreath action")
-        coords = self.coordinates
-        if len(coords) != len(self.factors) \
-                or len(set(coords) & set(range(spec.k))) != len(coords):
-            raise ValueError("each factor needs a distinct coordinate in range(k)")
-        digits = _mixed_radix_digits(spec.base_degree, spec.k)
-        for F, i in zip(self.factors, coords):
-            for g in F.generators:
-                # g must act on coordinate i alone, by a map f of its digit
-                img = digits[g.images]
-                f = np.empty(spec.base_degree, dtype=np.int64)
-                f[digits[:, i]] = img[:, i]
-                want = digits.copy()
-                want[:, i] = f[digits[:, i]]
-                if not np.array_equal(img, want):
-                    raise ValueError(
-                        f"factor declared at coordinate {i} acts beyond it")
+    def _check_commuting(self) -> None:
+        """Every generator of a factor commutes with every generator of
+        every other factor: g h = h[g] against h g = g[h], one comparison
+        per pair of factors."""
+        rows = [np.stack([g.images for g in F.generators]) for F in self.factors]
+        for i, a in enumerate(rows):
+            for b in rows[i + 1:]:
+                if not np.array_equal(b[:, a].swapaxes(0, 1), a[:, b]):
+                    raise ValueError("declared factors do not commute")
 
 
 @dataclass
@@ -140,8 +119,8 @@ class GroupAction:
         return f"GroupAction({self.provenance!r}, degree={self.degree})"
 
 
-def natural_action(group: PermGroup, provenance: str, **kw) -> GroupAction:
-    return GroupAction(group, tuple(range(1, group.degree + 1)), provenance, **kw)
+def natural_action(group: PermGroup, provenance: str) -> GroupAction:
+    return GroupAction(group, tuple(range(1, group.degree + 1)), provenance)
 
 
 def _as_group(G) -> PermGroup:
@@ -541,7 +520,6 @@ def coset_action(
     H: PermGroup,
     provenance: str = "",
     budgets: Budgets = DEFAULT_BUDGETS,
-    **kw,
 ) -> GroupAction:
     """The action of G on the right cosets of H, as a GroupAction.
 
@@ -563,10 +541,8 @@ def coset_action(
     if not provenance:
         base = parent.provenance if parent else f"group of order {group.order()}"
         provenance = f"{base}, on the {cc.index} cosets of a subgroup of order {H.order()}"
-    return GroupAction(
-        image, tuple(range(1, cc.index + 1)), provenance, parent=cc,
-        faithful=faithful, **kw
-    )
+    return GroupAction(image, tuple(range(1, cc.index + 1)), provenance,
+                       parent=cc, faithful=faithful)
 
 
 # ---------------------------------------------------------------------------
@@ -701,8 +677,8 @@ def wreath(
     the top generators.  When the degree is small enough to chain (at most
     CHAIN_DEGREE), the group order is checked against |L|^k * |K|.
     declare_socle attaches the coordinate factors of the base power L^k,
-    which share the group's generators; validation joins them once, under
-    |L|^k, and above CHAIN_DEGREE raises BudgetExceeded.
+    which share the group's generators; validation checks they commute,
+    joins them once under |L|^k and above CHAIN_DEGREE raises BudgetExceeded.
     `budgets` is accepted for callers that pass it and reaches nothing.
     """
     embedded = [[coordinate_embedding(spec, i, a)
@@ -716,10 +692,8 @@ def wreath(
         )
     socle = None
     if declare_socle:
-        socle = SocleDecl(
-            [PermGroup(row, degree=spec.degree) for row in embedded],
-            coordinates=list(range(spec.k)) if spec.flavor == "product" else None,
-        )
+        socle = SocleDecl([PermGroup(row, degree=spec.degree)
+                           for row in embedded])
     action = GroupAction(
         group,
         tuple(range(1, spec.degree + 1)),

@@ -243,6 +243,17 @@ def test_no_library_line_calls_np_unique():
     assert found == []
 
 
+def test_no_library_function_takes_var_keywords():
+    # a **kw pass-through accepts a misspelled option without a word; every
+    # option a library function takes is named in its signature
+    found = [f"{name}:{node.lineno}:{node.name}"
+             for name, tree in _library_trees()
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and node.args.kwarg is not None]
+    assert found == []
+
+
 def test_orbital_builds_no_line_or_coset_action():
     # the double-cover check reads the actions it is given; a second build
     # of the line, its Borel subgroup or a coset action would not be shared

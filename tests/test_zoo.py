@@ -358,13 +358,14 @@ def test_socle_decl_rejects_bad_factorization():
 
 
 def test_socle_decl_order_check_backs_the_support_checks(monkeypatch):
-    # past the support checks the join is the factors' direct product, so
-    # the order check fires only if a support check lets [F, F] through
+    # past the commutation check the join is a quotient of the factors'
+    # direct product; with that check off, [F, F] for a nonabelian F still
+    # fails the order check, as its join is F alone
     c2 = PermGroup([Permutation(np.array([1, 0]))])
     s3 = natural_action(symmetric(3), "S3")
     W = wreath(WreathSpec(s3, 2, c2, "imprimitive"), declare_socle=True)
     F = W.declared_socle.factors[0]
-    monkeypatch.setattr(SocleDecl, "_check_disjoint_supports", lambda self: None)
+    monkeypatch.setattr(SocleDecl, "_check_commuting", lambda self: None)
     with pytest.raises(ValueError, match="do not decompose the socle"):
         SocleDecl([F, F]).validate(W)
 
@@ -393,28 +394,29 @@ def test_socle_decl_needs_a_factor():
         SocleDecl([])
 
 
-def test_socle_decl_needs_a_coordinate_per_factor():
-    # a short list used to leave the factors past it unchecked
-    W, socle = _product_socle()
-    short = SocleDecl(socle.factors, coordinates=[0])
-    with pytest.raises(ValueError, match="distinct coordinate"):
-        short.validate(W)
-
-
 def test_socle_decl_needs_distinct_coordinates():
-    # V4 x V4 in the product action on 16 points: two commuting factors of
-    # the first coordinate's V4 declared on coordinate 0 alike decompose a
-    # normal subgroup of order 4, but two factors on one coordinate need
-    # not commute, so the join bound has no proof
+    # factors on one coordinate are refused when they do not commute, and
+    # accepted when they do.  S3 wr C2 in the product action on 9 points:
+    # the embedded (0 1 2) and (0 1) of coordinate 0 do not commute.  V4 x
+    # V4 in the product action on 16 points: the two commuting factors of
+    # the first coordinate's V4 join to their direct product, of order
+    # 2 * 2, and it is normal
+    W, _ = _product_socle()
+    s3 = W.wreath.base_group
+    factors = [PermGroup([coordinate_embedding(W.wreath, 0, a)])
+               for a in s3.generators]
+    assert s3.order() == 6 and len(factors) == 2
+    with pytest.raises(ValueError, match="do not commute"):
+        SocleDecl(factors).validate(W)
+
     v4 = natural_action(klein4(), "V4")
     spec = WreathSpec(v4, 2, PermGroup([], degree=2), "product")
     W = wreath(spec)
     factors = [PermGroup([coordinate_embedding(spec, 0, a)])
                for a in v4.group.generators]
-    joined = factors[0].join(factors[1])
-    assert joined.order() == 4 and W.group.is_normal(joined)
-    with pytest.raises(ValueError, match="distinct coordinate"):
-        SocleDecl(factors, coordinates=[0, 0]).validate(W)
+    decl = SocleDecl(factors)
+    decl.validate(W)
+    assert decl.subgroup.order() == 4 and W.group.is_normal(decl.subgroup)
 
 
 def test_socle_decl_factor_must_act_on_its_coordinate_alone():
@@ -422,16 +424,38 @@ def test_socle_decl_factor_must_act_on_its_coordinate_alone():
     # a map that reads coordinate 1, so it does not commute with
     # h: (a, b) -> (a, b + 1); their join is D8, not of order 2 * 2.  A
     # bounded join would stop at 4 and pass a V4 socle of that order
-    spec = WreathSpec(natural_action(cyclic(2), "C2"), 2,
-                      PermGroup([], degree=2), "product")
     g = Permutation.from_cycles(4, [(1, 3)])
     h = Permutation.from_cycles(4, [(0, 1), (2, 3)])
     assert PermGroup([g, h]).order() == 8
     v4 = PermGroup([h, Permutation.from_cycles(4, [(0, 2), (1, 3)])])
-    A = GroupAction(v4, tuple(range(1, 5)), "V4 on {0,1}^2", wreath=spec)
-    decl = SocleDecl([PermGroup([g]), PermGroup([h])], coordinates=[0, 1])
-    with pytest.raises(ValueError, match="acts beyond it"):
+    A = GroupAction(v4, tuple(range(1, 5)), "V4 on {0,1}^2")
+    decl = SocleDecl([PermGroup([g]), PermGroup([h])])
+    with pytest.raises(ValueError, match="do not commute"):
         decl.validate(A)
+
+
+@pytest.mark.parametrize("name", ["S3 imprimitive", "S3 product",
+                                  "M11 on 22", "M11 on 144"])
+def test_wreath_socle_join_is_the_product_of_its_factors(env, name):
+    # each coordinate factor's generators are its base generators embedded
+    # in that coordinate, and the join is generated by all of them in
+    # coordinate order, of order |L|^k
+    if name.startswith("S3"):
+        spec = WreathSpec(natural_action(symmetric(3), "S3"), 2, cyclic(2),
+                          name.split()[1])
+        W = wreath(spec, declare_socle=True)
+    elif name == "M11 on 22":
+        spec = WreathSpec(env.m11_action(), 2, env.top2(), "imprimitive")
+        W = env.get("w22", lambda: wreath(spec, declare_socle=True))
+    else:
+        spec, W = env.wreath144()
+    socle = W.declared_socle
+    embedded = [[coordinate_embedding(spec, i, a)
+                 for a in spec.base_group.generators] for i in range(spec.k)]
+    assert [list(F.generators) for F in socle.factors] == embedded
+    assert list(socle.subgroup.generators) == [g for row in embedded
+                                               for g in row]
+    assert socle.subgroup.order() == spec.base_group.order() ** spec.k
 
 
 def test_bounded_builds_take_their_proven_bounds(monkeypatch, env):
