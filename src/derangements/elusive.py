@@ -608,8 +608,6 @@ def semiregular_search(
     for p in primes:
         if transitive:
             w = is_r_elusive(A, p, budgets).witness
-            if isinstance(w, WreathElement):
-                w = w.to_permutation()
         else:
             w = _backtrack(G, p, budgets)
         if w is not None:

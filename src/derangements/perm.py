@@ -32,15 +32,17 @@ the chain is complete, the random phase ends and the sweep is skipped; a
 product above the bound refutes it (CertificateError).  The bound is the
 order of a group H lies in, of a group H is a quotient of, or of a direct
 product of commuting factors H is the join of.  Only PermGroup hands one
-to a chain: |G| in point_stabilizer, else its own bound= keyword, passed
-by normal_closure (|N| for the smallest kept closure N holding the
-seeds, else |G|; a chain that reaches it returns N or G itself),
-classes._centralizer (|G|/|x^G|), zoo.coset_action (|G|, for the
-image), zoo.subgroup_search (|G|, per candidate) and
-zoo.SocleDecl.validate (the product of the orders of factors checked
-to commute, for their join).  A caller whose next step checks the order
-against the bound must not pass it, as a build that reaches the bound
-skips the sweep; one that falls short sweeps as without one.
+to a chain: point_stabilizer passes |G| and then |G|/|alpha^G| for
+G_alpha, and its own bound= keyword is passed by normal_closure (|N| for
+the smallest kept closure N holding the seeds, else |G|; a chain that
+reaches it returns N or G itself), classes._centralizer (|G|/|x^G|),
+zoo.coset_action (|G|, for the image), zoo.subgroup_search (|G|, per
+candidate), zoo.SocleDecl.validate (the product of the orders of factors
+checked to commute, for their join) and structure.g_plus (|G|/2).  A
+bound must be proven before the build.  A build that reaches it skips
+the sweep and one that falls short sweeps as without one, so a later
+order check still catches a shortfall; zoo.wreath, whose order only its
+own check would establish, passes none.
 
 The chain alone decides the transversal format (see _Orbit): per level, an
 int64 matrix of inverse representative rows u^-1, one per orbit point in
@@ -742,7 +744,8 @@ class PermGroup:
             chain = StabilizerChain(self.degree, self.generators,
                                     base_prefix=[point], bound=self.order())
             sub = PermGroup([Permutation._raw(g) for g, depth in chain.strong
-                             if depth >= 1], degree=self.degree)
+                             if depth >= 1], degree=self.degree,
+                            bound=chain.order() // len(chain.levels[0].points))
             # orbit-stabilizer cross-check comes for free
             if chain.order() != sub.order() * len(chain.levels[0].points):
                 raise CertificateError(
@@ -804,13 +807,6 @@ class PermGroup:
             return False
         return all(sub.contains(conjugate(x, g))
                    for x in sub.generators for g in self.generators)
-
-    def join(self, other: "PermGroup") -> "PermGroup":
-        """The subgroup generated by both groups' generators."""
-        if other.degree != self.degree:
-            raise ValueError("degree mismatch")
-        return PermGroup(list(dict.fromkeys(self.generators + other.generators)),
-                         degree=self.degree)
 
     # -- blocks -------------------------------------------------------------
 

@@ -15,10 +15,10 @@ so does every nontrivial normal subgroup.
 
 `verify_minimal_normal` rests on the same reduction.  A normal subgroup N
 is a union of G-classes, so its prime-order elements are the G-conjugates
-of the prime-order class representatives that lie in N, and N is minimal
-normal exactly when each of those has <y^G> = N.  Both functions read the
-classes through `elusive.action_prime_order_class_reps`, the one route
-`is_r_elusive` follows too.
+of the prime-order class representatives that lie in N.  N is minimal
+normal exactly when each of those has <y^G> = N, and a normal M meets N
+exactly when it holds one.  Both read the classes through
+`elusive.action_prime_order_class_reps`, as `is_r_elusive` does.
 """
 
 from dataclasses import dataclass, field
@@ -148,8 +148,8 @@ def g_plus(A: GroupAction, N: PermGroup):
     induced action of G on {D1, D2}; D1 is the half containing the smallest
     point, the anchor.  Gplus is the stabilizer of the block D1, so it is
     the overgroup <N, G_anchor> of G_anchor whose anchor-orbit D1 is (see
-    PermGroup.minimal_block_system).  The index |G : Gplus| = 2 is
-    verified by an order computation.
+    PermGroup.minimal_block_system).  Some generator moves D1, so |G|/2
+    bounds the build, and an order check refutes a shortfall.
     """
     G = A.group
     if not G.is_normal(N):
@@ -162,7 +162,7 @@ def g_plus(A: GroupAction, N: PermGroup):
     if not any(g.images[anchor] in o2 for g in G.generators):
         raise ValueError("acting group preserves both halves; index is not 2")
     gp = PermGroup(N.generators + G.point_stabilizer(anchor).generators,
-                   degree=A.degree)
+                   degree=A.degree, bound=G.order() // 2)
     if 2 * gp.order() != G.order():
         raise CertificateError("half-preserving subgroup has wrong index")
     return gp, tuple(o1), tuple(o2)
@@ -174,10 +174,9 @@ class MinimalNormalReport:
     off the action's prime-order class representatives y of G.
 
     minimal: every y inside N has <y^G> = N (closure_orders lists |<y^G>|
-    for those y, prime by prime).  unique: no y outside N generates a
-    normal closure meeting N trivially (decided by |<M, N>| = |M| * |N| on
-    the join); independent_witness is the first that does.  Truthiness is
-    minimality.
+    for those y, prime by prime).  unique: each y outside N has a normal
+    closure holding some y inside N, so meeting N; independent_witness is
+    the first whose closure holds none.  Truthiness is minimality.
     """
 
     minimal: bool
@@ -196,14 +195,14 @@ def verify_minimal_normal(A: GroupAction, N: PermGroup,
                           seed: int = DEFAULT_SEED) -> MinimalNormalReport:
     """Certify minimality (and uniqueness) of a normal subgroup N of G.
 
-    One pass over the prime-order class representatives y of G from
-    `action_prime_order_class_reps`.  For y in N, the normal closure
-    <y^G> lies in N, so the order comparison decides <y^G> = N; N is
-    minimal when every such closure is N, since each nontrivial normal
+    The prime-order class representatives y of G from
+    `action_prime_order_class_reps` are split by membership in N.  For y
+    in N, <y^G> lies in N, so the order comparison decides <y^G> = N; N
+    is minimal when every such closure is N, since each nontrivial normal
     subgroup inside N contains one of them.  Until the first witness, each
-    y outside N has its closure M = <y^G> tested: |<M, N>| = |M| * |N|
-    means M meets N trivially, so M contains a minimal normal subgroup
-    different from N.
+    y outside N has its closure M = <y^G> tested with no join: the normal
+    M ∩ N, if nontrivial, holds some y inside N (a conjugate, so y itself).
+    A closure holding none has a minimal normal subgroup other than N.
 
     As in `normal_structure`, ``seed`` is accepted but reaches nothing.
     """
@@ -214,15 +213,13 @@ def verify_minimal_normal(A: GroupAction, N: PermGroup,
     if n_order == 1:
         raise ValueError("N must be nontrivial")
 
-    closure_orders = []
-    independent = None
+    inside, outside = [], []
     for y in _prime_order_representatives(A, budgets):
-        if N.contains(y):
-            closure_orders.append(G.normal_closure([y]).order())
-        elif independent is None:
-            M = G.normal_closure([y])
-            if M.join(N).order() == M.order() * n_order:
-                independent = y
+        (inside if N.contains(y) else outside).append(y)
+    closure_orders = [G.normal_closure([y]).order() for y in inside]
+    independent = next((y for y in outside
+                        if not any(G.normal_closure([y]).contains(z)
+                                   for z in inside)), None)
 
     return MinimalNormalReport(
         minimal=all(o == n_order for o in closure_orders),

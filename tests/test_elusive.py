@@ -359,6 +359,16 @@ def test_wreath_witness_past_the_materialize_limit_stays_decomposed():
         ElusivityVerdict(3, "NotElusive", witness=fixing)
 
 
+def test_structural_checker_not_applicable_off_both_orders():
+    # |S3| = 6 and |C2| = 2: no element of S3 wr C2 has order 5
+    s3 = natural_action(symmetric(3), "S3")
+    v = structural_wreath_elusivity(WreathSpec(s3, 2, cyclic(2), "product"),
+                                    5)
+    assert v.status == "NotApplicable"
+    assert v.reason == "5 divides neither the base nor the top order"
+    assert v.witness is None
+
+
 def test_structural_checker_rejects_r2():
     s3 = natural_action(symmetric(3), "S3")
     with pytest.raises(ValueError):

@@ -35,7 +35,7 @@ def test_registry_contents():
         assert s.expected, sid
         for e in s.expected:
             assert e.citation.strip(), (sid, e.key)
-    optional = [sid for sid, s in SCENARIOS.items() if s.optional]
+    optional = [sid for sid, s in SCENARIOS.items() if "optional" in s.tags]
     assert optional == ["tf42-table"]
 
 

@@ -112,6 +112,24 @@ def test_orbit_stabilizer():
     assert all(g.images[0] == 0 for g in H.generators)
 
 
+def test_bounded_point_stabilizer_matches_unbounded(corpus, env):
+    # point_stabilizer builds G_alpha under |G|/|alpha^G|; the same
+    # generators without a bound must give the same group
+    rng = np.random.default_rng(11)
+    for name, A in corpus + [("a384", env.a384())]:
+        G = A.group
+        for alpha in (0, G.degree - 1):
+            H = G.point_stabilizer(alpha)
+            U = PermGroup(H.generators, degree=G.degree)
+            assert H.order() == U.order() \
+                == G.order() // len(G.orbit(alpha)), (name, alpha)
+            xs = [G.random_element(rng) for _ in range(25)] + \
+                [U.random_element(rng) for _ in range(25)]
+            for x in xs:
+                fixes = bool(x.images[alpha] == alpha)
+                assert H.contains(x) == U.contains(x) == fixes, (name, alpha)
+
+
 def test_orbits_partition():
     g = Permutation.from_cycles(6, [(0, 1), (2, 3, 4)])
     G = PermGroup([g])
@@ -130,12 +148,6 @@ def test_normal_closure_and_derived():
     assert S4.derived_subgroup().order() == 12  # A4
     A4 = alternating(4)
     assert A4.derived_subgroup().order() == 4  # V4
-
-
-def test_join():
-    a = PermGroup([Permutation.from_cycles(4, [(0, 1)])])
-    b = PermGroup([Permutation.from_cycles(4, [(0, 1, 2, 3)])])
-    assert a.join(b).order() == 24
 
 
 def test_block_systems():

@@ -148,6 +148,15 @@ def test_wrong_g_plus_index_raises(monkeypatch):
         normal_structure(natural_action(cyclic(4), "C4"))
 
 
+def test_g_plus_above_its_index_raises(monkeypatch):
+    # with G_anchor replaced by G, <N, G_anchor> is all of C4, which
+    # overshoots the bound |G|/2 its build is given
+    monkeypatch.setattr(PermGroup, "point_stabilizer",
+                        lambda self, point: self)
+    with pytest.raises(CertificateError, match="exceeds the certified bound"):
+        normal_structure(natural_action(cyclic(4), "C4"))
+
+
 OPTIMIZED_RUN = textwrap.dedent("""
     from derangements import (CertificateError, PermGroup, Permutation,
                               natural_action, normal_structure)
@@ -389,7 +398,8 @@ def test_klein_regular_minimal_but_not_unique():
     w = rep.independent_witness
     assert w is not None and not N.contains(w)
     M = A.group.normal_closure([w])
-    assert M.join(N).order() == M.order() * N.order()
+    assert PermGroup(M.generators + N.generators).order() \
+        == M.order() * N.order()
 
 
 def test_minimal_normal_guards():
@@ -444,7 +454,8 @@ def reference_minimal_normal(A, N):
         rows, _ = bfs_transversal(G, x.images)
         seen |= {Permutation._raw(row).key() for row in rows}
         M = G.normal_closure([x])
-        unique = unique and M.join(N).order() != M.order() * N.order()
+        MN = PermGroup(M.generators + N.generators)
+        unique = unique and MN.order() != M.order() * N.order()
     return orders == {N.order()}, unique, orders
 
 
@@ -471,6 +482,16 @@ def _s4_with(make_n):
                           PermGroup([Permutation.from_cycles(
                               4, [(0, 2), (1, 3)])])), id="D8-center"),
     pytest.param(_a5_wr_c2_socle, id="A5wrC2-socle"),
+    # N = C6 is not minimal, and the closure S3 of a transposition meets
+    # it in A3, neither trivially nor in all of N
+    pytest.param(lambda: (
+        natural_action(PermGroup([
+            Permutation.from_cycles(5, [(0, 1, 2)]),
+            Permutation.from_cycles(5, [(0, 1)]),
+            Permutation.from_cycles(5, [(3, 4)])]), "S3 x C2"),
+        PermGroup([Permutation.from_cycles(5, [(0, 1, 2)]),
+                   Permutation.from_cycles(5, [(3, 4)])])),
+        id="S3xC2-C6"),
 ])
 def test_minimal_normal_agrees_with_the_subgroup_class_reference(case):
     A, N = case()
