@@ -37,10 +37,14 @@ prime to r; else G.  |G|_r dividing |H| is checked.  C_G(x) comes from
 the Schreier generators of the walk of x's class, on a chain bounded by
 |G|/|x^G|.  Its walks count against a budget, past which H = G.  By
 Sylow's theorem every element of order r is conjugate into H
-(Holt-Eick-O'Brien, ch. 4), so `sylow_classes`, the G-classes of H's
-order-r elements, are all of them, and the backtrack route of
-`elusive.is_r_elusive` searches H alone.  `centralizer` gives C_G(x) for
-one element by the same walk, for the top group of a wreath product.
+(Holt-Eick-O'Brien, ch. 4).  So `sylow_classes`, the G-classes of H's
+order-r elements, are all of them; `elusive.is_r_elusive` reads an
+Elusive verdict off H's order-r rows with no class walk, and its
+backtrack route searches H alone.  `sylow_stage` is the search with H's
+order-r rows; it stays on G until `sylow_classes` walks from it, so a
+verdict followed by the classes searches and scans once.  `centralizer`
+gives C_G(x) for one element by the same walk, for the top group of a
+wreath product.
 """
 
 from __future__ import annotations
@@ -400,15 +404,30 @@ def sylow_subgroup(G, r: int,
     return H, walker, walks
 
 
+def sylow_stage(G, r: int,
+                budget: int = DEFAULT_BUDGETS.exhaustive) -> tuple:
+    """(H, walker, walks, rows): `sylow_subgroup(G, r, budget)` and H's
+    order-r rows, `order_r_rows(H, r, budget)`, r a prime dividing |G|.
+    The stage is kept on G under (r, budget) until `sylow_classes` takes
+    it, so a verdict read off H's rows and the classes walked after it
+    search and scan once."""
+    stages = G._sylow_stages
+    if (r, budget) not in stages:
+        H, walker, walks = sylow_subgroup(G, r, budget)
+        stages[r, budget] = (H, walker, walks, order_r_rows(H, r, budget))
+    return stages[r, budget]
+
+
 def sylow_classes(G, r: int,
                   budget: int = DEFAULT_BUDGETS.exhaustive) -> list:
     """(least row, size, (least, greatest) fixed-point count) of each class
     of elements of order r in G, sorted by least row: the G-classes of the
-    order-r elements of the subgroup H of `sylow_subgroup`, whose walks it
-    reuses, enumerated by `order_r_rows` under `budget`."""
+    order-r rows of the subgroup H of `sylow_stage`, whose walks it
+    reuses, under `budget`.  It takes the stage off G."""
     if G.order() % r:
         return []
-    H, walker, walks = sylow_subgroup(G, r, budget)
-    walks += walker.walk_rows(order_r_rows(H, r, budget))
+    _, walker, walks, rows = sylow_stage(G, r, budget)
+    del G._sylow_stages[r, budget]
+    walks = walks + walker.walk_rows(rows)
     return sorted(((w.least, w.size, w.fixed) for w in walks),
                   key=lambda t: tuple(t[0]))

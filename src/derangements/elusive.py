@@ -13,6 +13,15 @@ from the action where those classes come from; `is_r_elusive` maps its
 route to a method and `action_prime_order_class_reps`, which `structure`
 reads, follows it too, so both read the same classes of one action.
 
+An Elusive verdict needs no class at all.  Every order-r element of the
+group P whose classes a route reads is conjugate into the subgroup H of
+`classes.sylow_stage`, which holds a Sylow r-subgroup, so when each
+order-r row of H, pushed to the action's points, fixes a point, the
+action is r-elusive, and `is_r_elusive` says so without walking P's
+classes.  Otherwise the walk names the least witness.  The stage stays
+on P for the walk that `sylow_classes` may make next, so H is searched
+for and scanned once.
+
 `prime_order_class_reps` is the one route to those classes, for every
 group: `classes.sylow_classes`, the G-classes of the order-r elements of
 a subgroup holding a Sylow r-subgroup, each walked whole, so sizes, least
@@ -35,6 +44,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from . import classes
 from .classes import (_budget_error, centralizer, sylow_classes,
                       sylow_subgroup)
 from .config import (DEFAULT_BUDGETS, MATERIALIZE, Budgets, BudgetExceeded,
@@ -92,11 +102,13 @@ class ClassInfo:
 class ElusivityVerdict:
     """The r-elusivity of a transitive action and the method behind it.
 
-    An `exhaustive-enumeration` verdict reads every order-r class of the
-    acting group, each walked whole, so every order-r element is
-    enumerated; its witness is the lexicographically least order-r
-    derangement, the least representative of the least fixed-point-free
-    class.
+    An `exhaustive-enumeration` or `class-coverage` verdict covers every
+    order-r element of the group whose classes its route reads, the
+    acting group or a coset parent.  An Elusive one reads the order-r
+    rows of a subgroup holding a Sylow r-subgroup, into which every such
+    element is conjugated.  A NotElusive one reads every order-r class,
+    each walked whole; its witness is the least representative of the
+    least fixed-point-free class, on the action's points.
     """
 
     prime: int
@@ -443,6 +455,8 @@ def is_r_elusive(
     wreath criterion, or, with no route, the backtrack search over a
     subgroup holding a Sylow r-subgroup (`_backtrack`).  Fixed-point
     counts are class functions, so one representative per class decides.
+    On a class route, an Elusive verdict may come from the order-r rows of
+    such a subgroup alone, with no class walk (`_sylow_rows_fix_points`).
     """
     if not is_prime(r):
         raise ValueError(f"r={r} is not prime")
@@ -461,8 +475,39 @@ def is_r_elusive(
     if method is None:
         w = _backtrack(A.group, r, budgets)
         return _verdict(r, METHOD_BACKTRACK, budgets, w)
+    if _sylow_rows_fix_points(A, r, method, budgets):
+        return _verdict(r, method, budgets)
     infos = action_prime_order_class_reps(A, r, budgets=budgets)
     return _coverage(r, infos, method, budgets)
+
+
+def _sylow_rows_fix_points(A: GroupAction, r: int, method: str,
+                           budgets: Budgets) -> bool:
+    """True when every order-r row of the subgroup H of
+    `classes.sylow_stage` fixes a point of A.  H is taken in the group P
+    whose classes the route reads: A's own, or a coset parent's not built
+    as a wreath product, whose rows are pushed through the coset table
+    until one fixes no point.  Every order-r element of P is
+    conjugate into H and fixed points are a class invariant, so True means
+    A is r-elusive, with no class walk.  False, also when P's classes at r
+    are cached or the parent is wreath-built, leaves the verdict and its
+    least witness to the classes."""
+    if method == METHOD_ENUM:
+        P, cc = A.group, None
+    elif getattr(A.parent.parent_action, "wreath", None) is None:
+        P, cc = A.parent.parent_group, A.parent
+    else:
+        return False
+    if r in P._class_reps_cache:
+        return False
+    rows = classes.sylow_stage(P, r, budgets.exhaustive)[3]
+    ident = np.arange(A.degree)
+    if cc is None:
+        return bool((rows == ident).any(axis=1).all())
+    # point i of A goes to the coset of reps[i] * x; pushing a row per call
+    # keeps the block canonicalized, and the peak memory, those of `push`
+    return all((cc.index_of(x.astype(np.int64)[cc.reps]) == ident).any()
+               for x in rows)
 
 
 def _backtrack(G: PermGroup, r: int, budgets: Budgets) -> Optional[Permutation]:

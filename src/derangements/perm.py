@@ -666,6 +666,7 @@ class PermGroup:
         self._stab_cache: dict = {}
         self._closures: dict = {}  # seeds' keys -> normal closure in self
         self._class_reps_cache: dict = {}  # r -> ClassInfo list
+        self._sylow_stages: dict = {}  # (r, budget) -> classes.sylow_stage
         self._labels: Optional[np.ndarray] = None  # see _orbit_labels
 
     # -- chain -------------------------------------------------------------

@@ -13,14 +13,16 @@ from derangements import (DEFAULT_BUDGETS, Budgets, BudgetExceeded,
                           structural_wreath_elusivity, wreath,
                           wreath_fixed_point_check,
                           wreath_prime_order_class_reps)
-from derangements import (assemble_stabilizer, classes, coset_action,
-                          derangement_backtrack, normal_structure)
+from derangements import (GroupAction, assemble_stabilizer,
+                          borel_subgroup, classes, coset_action,
+                          derangement_backtrack, mersenne_scenario,
+                          normal_structure, projective_line_action)
 from derangements.classes import (_walk_rows, order_r_rows, sylow_classes,
                                   sylow_subgroup)
 from derangements.numbers import is_prime, prime_divisors
-from derangements.elusive import ClassInfo
+from derangements.elusive import ClassInfo, _class_route, _coverage
 from derangements.perm import _order_r_filter
-from derangements.harness import ScenarioEnv
+from derangements.harness import ScenarioEnv, all_passed, run_all
 
 from tests.conftest import (alternating, cyclic, dihedral,
                             enumerate_elements, symmetric)
@@ -747,6 +749,9 @@ def test_sylow_route_rules(env, line127_scanned, group, r, h_order):
     G = group(env)
     scanned = {id(H): sc for H, sc in line127_scanned.values()}.get(id(G))
     want = scanned[r] if scanned else scan_reference(G, r)
+    # a stage that an Elusive verdict left on the shared group would be
+    # walked with no search or scan
+    G._sylow_stages.clear()
     with recorded_scans() as scans:
         got = sylow_classes(G, r)
     assert scans == [(h_order, DEFAULT_BUDGETS.exhaustive)]
@@ -764,6 +769,139 @@ def test_class_discovery_on_psl127_scans_nothing():
     assert scans and all(size < 1_024_128 for size, _ in scans)
     assert A.parent.parent_group.order() == 1_024_128
     assert 3 in A.parent.parent_group._class_reps_cache
+
+
+# ---------------------------------------------------------------------------
+# verdicts read off the order-r rows of a subgroup holding a Sylow subgroup
+
+
+def class_group(A, method):
+    """The group whose classes a class route reads, or None for a
+    coset parent built as a wreath product."""
+    if method == "exhaustive-enumeration":
+        return A.group
+    if getattr(A.parent.parent_action, "wreath", None) is None:
+        return A.parent.parent_group
+    return None
+
+
+@pytest.fixture(scope="module")
+def scenario_verdicts():
+    """(action, prime, budgets) of every `is_r_elusive` call the shipped
+    scenarios make, once each, from one run of them all in a fresh
+    environment."""
+    calls = {}
+    real = is_r_elusive
+
+    def recording(A, r, budgets=DEFAULT_BUDGETS):
+        calls.setdefault((id(A), r, budgets), (A, r, budgets))
+        return real(A, r, budgets)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("derangements.elusive.is_r_elusive", recording)
+        mp.setattr("derangements.harness.is_r_elusive", recording)
+        assert all_passed(run_all(env=ScenarioEnv()))
+    return list(calls.values())
+
+
+def test_walk_free_verdicts_agree_with_the_class_walk(scenario_verdicts):
+    """At every shipped scenario prime whose route reads the classes of a
+    group, the action's own or a coset parent's not built as a wreath
+    product, the verdict with that group's classes cold (read off the
+    order-r rows of `classes.sylow_stage`) is the coverage of the walked
+    classes: status, method and witness."""
+    checked = []
+    for A, r, budgets in scenario_verdicts:
+        method = _class_route(A, budgets)
+        if method not in ("exhaustive-enumeration", "class-coverage") \
+                or A.group.order() % r:
+            continue
+        P = class_group(A, method)
+        if P is None:
+            continue
+        want = _coverage(r, action_prime_order_class_reps(A, r,
+                                                          budgets=budgets),
+                         method, budgets)
+        del P._class_reps_cache[r]
+        got = is_r_elusive(A, r, budgets)
+        assert (got.status, got.method, got.witness) == \
+            (want.status, want.method, want.witness), (A.provenance, r)
+        checked.append((A.degree, r, got.status))
+    assert sorted(checked) == [
+        (12, 2, "Elusive"), (12, 3, "Elusive"), (12, 3, "Elusive"),
+        (12, 3, "Elusive"), (24, 3, "Elusive"), (96, 3, "NotElusive"),
+        (384, 3, "Elusive"), (384, 3, "Elusive"), (768, 3, "Elusive")]
+
+
+def refuse_class_walks(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a class walk ran")
+
+    monkeypatch.setattr(classes._ClassWalker, "walk", refuse)
+
+
+def test_elusive_class_coverage_verdict_walks_no_class(monkeypatch):
+    """PGL(2,127) on the 384 cosets of C127:C42 at r = 3: the Sylow
+    3-subgroup C9 is cyclic, so `sylow_subgroup` takes no walk, and both
+    order-3 rows of it fix a coset once pushed.  The verdict is Elusive
+    with no class walk, and PGL(2,127)'s classes stay uncomputed."""
+    A = ScenarioEnv().a384_pgl()  # fresh: PGL(2,127)'s classes are cold
+    refuse_class_walks(monkeypatch)
+    with recorded_scans() as scans:
+        v = is_r_elusive(A, 3)
+    assert (v.status, v.method, v.witness) == \
+        ("Elusive", "class-coverage", None)
+    assert scans == [(9, DEFAULT_BUDGETS.exhaustive)]
+    assert 3 not in A.parent.parent_group._class_reps_cache
+
+
+def test_classes_after_a_verdict_take_its_stage():
+    """M11 on 12 points at r = 3: the Elusive verdict searches for
+    H = C_G(x) (order 18) and scans it; the classes read next walk from
+    that stage, with no second search or scan, and take it off G."""
+    G = ScenarioEnv().m11_on_12().group
+    budget = DEFAULT_BUDGETS.exhaustive
+    searches = []
+
+    def recording(G, r, budget):
+        searches.append(r)
+        return sylow_subgroup(G, r, budget)
+
+    with recorded_scans() as scans, pytest.MonkeyPatch.context() as mp:
+        mp.setattr("derangements.classes.sylow_subgroup", recording)
+        v = is_r_elusive(natural_action(G, "M11 on 12"), 3)
+        assert list(G._sylow_stages) == [(3, budget)]
+        got = public_records(G, 3)
+    assert (v.status, v.method) == ("Elusive", "exhaustive-enumeration")
+    assert (searches, scans) == ([3], [(18, budget)])
+    assert G._sylow_stages == {}
+    assert got == scan_reference(G, 3)
+
+
+@pytest.mark.parametrize("t,method", [(5, "exhaustive-enumeration"),
+                                      (7, "class-coverage")],
+                         ids=["PSL(2,31) on 96", "PSL(2,127) on 1152"])
+def test_not_elusive_verdict_names_the_least_witness(t, method,
+                                                     monkeypatch):
+    """PSL(2,q) on the cosets of C_q:C_t with 3 not dividing t: no
+    order-3 element fixes a coset, although each fixes two points of the
+    line.  A row of the stage deranges the action, so the verdict falls
+    through to the walk, whose least fixed-point-free representative is
+    the witness.  Read on the line's points instead of pushed, the rows of
+    the 1152-point action would all fix points and give Elusive."""
+    q = 31 if t == 5 else 127
+    line = projective_line_action(q)
+    psl = line.subgroups["PSL"]
+    A = coset_action(GroupAction(psl, line.point_labels, line.provenance),
+                     borel_subgroup(mersenne_scenario(q), "psl", t))
+    v = is_r_elusive(A, 3)
+    assert (v.status, v.method) == ("NotElusive", method)
+    free = [ci.representative for ci in action_prime_order_class_reps(A, 3)
+            if ci.min_fixed_points == 0]
+    assert v.witness == min(free, key=lambda p: tuple(p.images))
+    # the classes are cached now, so the verdict reads them with no walk
+    refuse_class_walks(monkeypatch)
+    assert is_r_elusive(A, 3).witness == v.witness
 
 
 def test_elusivity_needs_two_points():
