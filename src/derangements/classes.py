@@ -14,7 +14,7 @@ count that is a positive multiple of r, the trajectory of the first moved
 point under x^r, and the exact x^r = 1 on the survivors.  The kept rows
 are returned compact, as enumerated.
 
-Classes are formed one way only: `_ClassWalker` walks a class x^G whole,
+Classes are found by one kernel: `_ClassWalker` walks a class x^G whole,
 breadth first under conjugation by G's generators, one gather per
 generator and chunk of a level, each level held in chunks of at most
 `perm._BATCH_ENTRIES` entries (the orbit algorithm of Holt-Eick-O'Brien,
@@ -23,7 +23,10 @@ chain's base points, which determine it, so the walk dedupes exactly
 without keeping its rows, and it reads off the least row and the
 fixed-point counts as it goes.  A walk that needs its transversal keeps a
 Schreier vector instead, each element's parent and generator (HEO ch. 4),
-and a row t with x^t = element i is traced back from it on demand.
+and a row t with x^t = element i is traced back from it on demand.  A
+walk asked to keep its rows returns its level chunks: `sylow_classes`
+keeps them to read the other classes of a power family, A^e for e prime
+to r, off the walked class A with no walk.
 `partition_rows_by_conjugacy` and `exhaustive_class_partition` walk the
 class of every given row not covered yet, then check that the walks cover
 exactly the rows given.  No library route calls them or their `_walk_rows`
@@ -38,17 +41,19 @@ the Schreier generators of the walk of x's class, on a chain bounded by
 |G|/|x^G|.  Its walks count against a budget, past which H = G.  By
 Sylow's theorem every element of order r is conjugate into H
 (Holt-Eick-O'Brien, ch. 4).  So `sylow_classes`, the G-classes of H's
-order-r elements, are all of them; `elusive.is_r_elusive` reads an
-Elusive verdict off H's order-r rows with no class walk, and its
-backtrack route searches H alone.  `sylow_stage` is the search with H's
-order-r rows; it stays on G until `sylow_classes` walks from it, so a
-verdict followed by the classes searches and scans once.  `centralizer`
+order-r elements, are all of them, one walked per power family and the
+rest read off its rows; `elusive.is_r_elusive` reads an Elusive verdict
+off H's order-r rows with no class walk, and its backtrack route
+searches H alone.  `sylow_stage` is the search with H's order-r rows; it
+stays on G until `sylow_classes` walks from it, so a verdict followed by
+the classes searches and scans once.  `centralizer`
 gives C_G(x) for one element by the same walk, for the top group of a
 wreath product.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import NamedTuple, Optional
 
@@ -110,7 +115,8 @@ class _Walk(NamedTuple):
     for element i > 0 in walk order, parent[i], the element it was reached
     from, and via[i], the generator that conjugated it there.  So t_0 = 1
     and t_i = t_parent[i] * g_via[i] give x^(t_i) = element i
-    (`_ClassWalker.transversal`).
+    (`_ClassWalker.transversal`).  A walk asked to keep its rows holds its
+    level chunks in `rows`.
     """
 
     least: np.ndarray
@@ -119,6 +125,7 @@ class _Walk(NamedTuple):
     start: int
     parent: Optional[np.ndarray] = None
     via: Optional[np.ndarray] = None
+    rows: Optional[list] = None
 
 
 def _least_row(rows: np.ndarray) -> np.ndarray:
@@ -163,7 +170,8 @@ class _ClassWalker:
     def key(self, x: np.ndarray):
         return self.keys(x[self.base][None])[0]
 
-    def walk(self, x: np.ndarray, transversal: bool = False) -> _Walk:
+    def walk(self, x: np.ndarray, transversal: bool = False,
+             keep: bool = False) -> _Walk:
         """Walk the class of the compact row x, not walked before.
 
         A level is a list of chunks of at most _BATCH_ENTRIES entries.  Per
@@ -172,7 +180,8 @@ class _ClassWalker:
         the full rows of the new ones, merged into the next level's chunks
         in walk order.  The limit is checked after each chunk, so a walk
         overshoots it by at most one chunk; on passing it the walk's
-        elements leave the table again before BudgetExceeded is raised."""
+        elements leave the table again before BudgetExceeded is raised.
+        Asked to `keep` its rows, the walk returns its level chunks."""
         seen, n = self.seen, x.size
         cap = max(1, _BATCH_ENTRIES // n)
         ident = np.arange(n, dtype=self.dtype)
@@ -181,7 +190,10 @@ class _ClassWalker:
         level, first = [x[None].astype(self.dtype)], 0
         least, lo, hi = None, n, 0
         parent, via = [np.array([-1])], [np.array([-1])]
+        kept = [] if keep else None
         while level:
+            if keep:
+                kept.extend(level)
             leasts = [] if least is None else [least]
             for chunk in level:
                 counts = (chunk == ident).sum(axis=1)
@@ -218,15 +230,9 @@ class _ClassWalker:
             level = nxt
         size = len(seen) - start
         if not transversal:
-            return _Walk(least, size, (lo, hi), start)
+            return _Walk(least, size, (lo, hi), start, rows=kept)
         return _Walk(least, size, (lo, hi), start, np.concatenate(parent),
-                     np.concatenate(via))
-
-    def walk_rows(self, rows: np.ndarray) -> list:
-        """The walks of the classes of the compact rows not walked yet, in
-        row order."""
-        return [self.walk(y) for y, k in zip(rows, self.keys(rows[:, self.base]))
-                if k not in self.seen]
+                     np.concatenate(via), kept)
 
     def transversal(self, walk: _Walk, idx) -> np.ndarray:
         """The rows t_i of the walk's elements idx, each traced back along
@@ -253,8 +259,9 @@ def _walk_rows(G, rows: np.ndarray) -> tuple:
     rows are closed under G-conjugation."""
     walker = _ClassWalker(G)
     compact = rows.astype(walker.dtype)
-    walks = walker.walk_rows(compact)
     keys = walker.keys(compact[:, walker.base])
+    walks = [walker.walk(y) for y, k in zip(compact, keys)
+             if k not in walker.seen]
     if sum(w.size for w in walks) != len(set(keys)):
         raise CertificateError("the class walks do not cover exactly the given rows")
     found = np.array([walker.seen[k] for k in keys], dtype=np.int64)
@@ -418,16 +425,100 @@ def sylow_stage(G, r: int,
     return stages[r, budget]
 
 
+def _exponent(j: int, r: int) -> int:
+    """The e with (y^j)^e = y for y of prime order r: j^-1 mod r."""
+    return pow(j, -1, r)
+
+
+def _power_source(walker: _ClassWalker, sources: list, first: int,
+                  y: np.ndarray, r: int):
+    """(A, j) for the least j in 2..r-1 with y^j in a class A of `sources`,
+    the walks with rows kept, whose table entries start at index `first`;
+    else None.  Only the base images of the powers are taken, one gather
+    per power."""
+    traj = np.empty((r - 1, len(walker.base)), dtype=walker.dtype)
+    images = walker.base
+    for j in range(r - 1):
+        images = traj[j] = y[images]  # y^(j+1) on the base
+    starts = [A.start for A in sources]
+    for j, k in enumerate(walker.keys(traj[1:]), start=2):
+        i = walker.seen.get(k, -1)
+        if i >= first:
+            return sources[bisect.bisect_right(starts, i) - 1], j
+    return None
+
+
+_FEW = 8  # rows left by `_least_power`'s narrowing for the full power
+
+
+def _least_power(chunks: list, e: int) -> np.ndarray:
+    """The lexicographically least of the e-th powers of the rows in
+    `chunks`.  The rows are narrowed column by column, column p by the
+    trajectories p, z(p), ..., z^e(p), down to at most _FEW; only those
+    are raised to the e-th power whole."""
+    for p in range(chunks[0].shape[1]):
+        values = []
+        for c in chunks:
+            flat, offsets = c.ravel(), np.arange(0, c.size, c.shape[1])
+            v = c[:, p].astype(np.int64)
+            for _ in range(e - 1):
+                v = flat[offsets + v]
+            values.append(v)
+        low = min(v.min() for v in values)
+        chunks = [c[v == low] for c, v in zip(chunks, values) if low in v]
+        if sum(map(len, chunks)) <= _FEW:
+            break
+    return _least_row(batch_power(np.concatenate(chunks), e))
+
+
 def sylow_classes(G, r: int,
                   budget: int = DEFAULT_BUDGETS.exhaustive) -> list:
     """(least row, size, (least, greatest) fixed-point count) of each class
     of elements of order r in G, sorted by least row: the G-classes of the
     order-r rows of the subgroup H of `sylow_stage`, whose walks it
-    reuses, under `budget`.  It takes the stage off G."""
+    reuses, under `budget`.  It takes the stage off G.
+
+    One class per power family is walked.  For a row y not covered yet,
+    if a power y^j lies in a class A walked here (stage walks keep no rows
+    and are never a source), y's class is A^e with e = j^-1 mod r; else
+    y's class is walked, its rows kept.  This is exact: for e prime to r,
+    z -> z^e is a bijection on the elements of order r that commutes with
+    conjugation, (z^g)^e = (z^e)^g, so A^e is one G-class of |A| elements;
+    z^e fixes exactly the points z fixes; and y = (y^j)^e lies in A^e.
+    A^e's least row is read off A's rows (`_least_power`), and the rows
+    of H whose j-th power lies in A, those of A^e, are dropped.  Raises
+    CertificateError when y is not among them, or when the least row's
+    fixed-point count is not A's."""
     if G.order() % r:
         return []
     _, walker, walks, rows = sylow_stage(G, r, budget)
     del G._sylow_stages[r, budget]
-    walks = walks + walker.walk_rows(rows)
-    return sorted(((w.least, w.size, w.fixed) for w in walks),
-                  key=lambda t: tuple(t[0]))
+    found = [(w.least, w.size, w.fixed) for w in walks]
+    first, sources = len(walker.seen), []
+    ident = np.arange(G.degree)
+    live = np.ones(len(rows), dtype=bool)
+    for i, k in enumerate(walker.keys(rows[:, walker.base])):
+        if not live[i] or k in walker.seen:
+            continue
+        source = _power_source(walker, sources, first, rows[i], r)
+        if source is None:
+            w = walker.walk(rows[i], keep=True)
+            sources.append(w)
+            found.append((w.least, w.size, w.fixed))
+            continue
+        A, j = source
+        e = _exponent(j, r)
+        least = _least_power(A.rows, e).astype(walker.dtype)
+        if ((least == ident).sum(),) * 2 != A.fixed:
+            raise CertificateError("a power class's least row has a fixed-point "
+                                   "count other than its source's")
+        pending = np.flatnonzero(live)
+        power = batch_power(rows[pending], pow(e, -1, r))  # z^(e^-1) in A
+        at = [walker.seen.get(k, -1) for k in
+              walker.keys(power[:, walker.base].astype(walker.dtype))]
+        live[pending[[A.start <= a < A.start + A.size for a in at]]] = False
+        if live[i]:
+            raise CertificateError("an order-r row is missing from the power "
+                                   "class assigned to it")
+        found.append((least, A.size, A.fixed))
+    return sorted(found, key=lambda t: tuple(t[0]))

@@ -387,6 +387,24 @@ def test_walk_and_centralizer_keep_no_dense_transversal(env):
     assert peak < 16 * 2 ** 20
 
 
+def test_power_classes_keep_one_walk_of_rows(env):
+    """`sylow_classes` of PSL(2,127) on its line at r = 7 walks one of the
+    three order-7 classes (16,256 elements on 128 points), keeping its
+    rows, and reads the other two off them: below 6 MB of traced peak
+    past the Sylow stage.  Walking all three, each into the walker's
+    table, peaked at 7.5 MB."""
+    G = walk_group(env, "PSL(2,127)")
+    classes.sylow_stage(G, 7)
+    tracemalloc.start()
+    try:
+        got = classes.sylow_classes(G, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [size for _, size, _ in got] == [16256] * 3
+    assert peak < 6 * 2 ** 20
+
+
 class PeakTable(dict):
     """A walker's table that records the most entries it ever held."""
 

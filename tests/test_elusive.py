@@ -19,6 +19,7 @@ from derangements import (GroupAction, assemble_stabilizer,
                           normal_structure, projective_line_action)
 from derangements.classes import (_walk_rows, order_r_rows, sylow_classes,
                                   sylow_subgroup)
+from derangements.config import CertificateError
 from derangements.numbers import is_prime, prime_divisors
 from derangements.elusive import ClassInfo, _class_route, _coverage
 from derangements.perm import _order_r_filter
@@ -41,6 +42,23 @@ def recorded_scans():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("derangements.classes.order_r_rows", recording)
+        yield calls
+
+
+@contextlib.contextmanager
+def recorded_walks():
+    """(size, whether its rows were kept) of every class walk made inside
+    the block, in order."""
+    calls = []
+    real = classes._ClassWalker.walk
+
+    def recording(self, *args, **kwargs):
+        walk = real(self, *args, **kwargs)
+        calls.append((walk.size, walk.rows is not None))
+        return walk
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classes._ClassWalker, "walk", recording)
         yield calls
 
 
@@ -757,6 +775,65 @@ def test_sylow_route_rules(env, line127_scanned, group, r, h_order):
     assert scans == [(h_order, DEFAULT_BUDGETS.exhaustive)]
     assert records(got) == want
     assert public_records(fresh(G), r) == want
+
+
+def test_one_class_walk_per_power_family(env, line127_scanned):
+    """PSL(2,127) on its line: the three order-7 classes are those of x,
+    x^2 and x^3, and the two order-127 classes those of y and y^-1, so one
+    walk of each family (its rows kept) gives the others.  At r = 2 the
+    search's walk (no rows kept) is the one class; at r = 3 the one class
+    is walked.  M11 at r = 11: 11B is the square of 11A, one walk."""
+    G, scanned = line127_scanned["PSL"]
+    G._sylow_stages.clear()
+    walks = {}
+    for r, want in scanned.items():
+        with recorded_walks() as walks[r]:
+            assert records(sylow_classes(G, r)) == want, r
+    assert walks == {2: [(8001, False)], 3: [(16256, True)],
+                     7: [(16256, True)], 127: [(8064, True)]}
+    M = env.m11_action().group
+    M._sylow_stages.clear()
+    with recorded_walks() as calls:
+        got = sylow_classes(M, 11)
+    assert calls == [(720, True)]
+    assert [size for _, size, _ in got] == [720, 720]
+    assert records(got) == scan_reference(M, 11)
+
+
+def test_a_stage_walk_is_no_power_source():
+    """C7 x C7 on 14 points at r = 7 is abelian, so each class is one
+    element.  The Sylow search walks the class of its first sample x
+    (size 1, prime to 7, so H = C_G(x) = G) and keeps no rows, so a row
+    whose power is x is walked: one kept walk per subgroup of order 7,
+    eight in all, and the other 40 classes are read off them."""
+    G = PermGroup([Permutation.from_cycles(14, [tuple(range(7))]),
+                   Permutation.from_cycles(14, [tuple(range(7, 14))])],
+                  degree=14)
+    with recorded_walks() as calls:
+        got = sylow_classes(G, 7)
+    assert calls == [(1, False)] + [(1, True)] * 8
+    assert len(got) == 48
+    assert records(got) == scan_reference(G, 7)
+
+
+@pytest.mark.parametrize("mutation,message", [
+    ("exponent", "missing from the power class"),
+    ("least row", "fixed-point count"),
+])
+def test_power_class_certificates_refuse_a_wrong_class(env, monkeypatch,
+                                                       mutation, message):
+    """PSL(2,127) on its line at r = 7: an order-7 class read off the
+    walked class A as A^j, for y^j in A, in place of A^e with e = j^-1
+    mod 7, misses y; a least row fixing every point is not A's count of
+    two."""
+    G = env.line127().subgroups["PSL"]
+    if mutation == "exponent":
+        monkeypatch.setattr(classes, "_exponent", lambda j, r: j)
+    else:
+        monkeypatch.setattr(classes, "_least_power",
+                            lambda chunks, e: np.arange(chunks[0].shape[1]))
+    with pytest.raises(CertificateError, match=message):
+        sylow_classes(G, 7)
 
 
 def test_class_discovery_on_psl127_scans_nothing():
