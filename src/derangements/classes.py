@@ -481,10 +481,11 @@ def sylow_classes(G, r: int,
     One class per power family is walked.  For a row y not covered yet,
     if a power y^j lies in a class A walked here (stage walks keep no rows
     and are never a source), y's class is A^e with e = j^-1 mod r; else
-    y's class is walked, its rows kept.  This is exact: for e prime to r,
-    z -> z^e is a bijection on the elements of order r that commutes with
-    conjugation, (z^g)^e = (z^e)^g, so A^e is one G-class of |A| elements;
-    z^e fixes exactly the points z fixes; and y = (y^j)^e lies in A^e.
+    y's class is walked, its rows kept when r > 2 (an involution is its
+    own only power).  This is exact: for e prime to r, z -> z^e is a
+    bijection on the elements of order r that commutes with conjugation,
+    (z^g)^e = (z^e)^g, so A^e is one G-class of |A| elements; z^e fixes
+    exactly the points z fixes; and y = (y^j)^e lies in A^e.
     A^e's least row is read off A's rows (`_least_power`), and the rows
     of H whose j-th power lies in A, those of A^e, are dropped.  Raises
     CertificateError when y is not among them, or when the least row's
@@ -502,7 +503,7 @@ def sylow_classes(G, r: int,
             continue
         source = _power_source(walker, sources, first, rows[i], r)
         if source is None:
-            w = walker.walk(rows[i], keep=True)
+            w = walker.walk(rows[i], keep=r > 2)
             sources.append(w)
             found.append((w.least, w.size, w.fixed))
             continue

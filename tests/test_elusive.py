@@ -805,7 +805,7 @@ def test_a_stage_walk_is_no_power_source():
     element.  The Sylow search walks the class of its first sample x
     (size 1, prime to 7, so H = C_G(x) = G) and keeps no rows, so a row
     whose power is x is walked: one kept walk per subgroup of order 7,
-    eight in all, and the other 40 classes are read off them."""
+    eight in all, and the other 39 classes are read off them."""
     G = PermGroup([Permutation.from_cycles(14, [tuple(range(7))]),
                    Permutation.from_cycles(14, [tuple(range(7, 14))])],
                   degree=14)
