@@ -11,15 +11,21 @@ formats and reports.
 
 Groups carry a lazily built stabilizer chain.  Construction sifts random
 words (from a generator seeded with the constant DEFAULT_SEED) for speed,
-followed by a deterministic verification sweep in which every Schreier
-generator of every level is sifted; the result is therefore exact, not
-Monte Carlo.  A built chain can absorb further elements and be swept exact
-again; normal_closure grows one chain per new closure so (Seress, ch. 4)
-and keeps one object per normal subgroup, which later calls return.  Each
-new strong generator grows the levels it belongs to in place (_grow): a
-level it keeps closed stays the same object, and otherwise the search
-starts from the new points only, keeping the old representatives.  Chains
-are refused above config.CHAIN_DEGREE points.
+followed by a deterministic verification sweep, bottom up, in which the
+Schreier generators of every level are sifted; the result is therefore
+exact, not Monte Carlo.  Level i >= 1 forms them from the strong
+generators of depth >= i, level 0 from the chain's input generators
+alone: these generate the group, and levels 1 and up are
+verified when the sweep reaches level 0, so by Schreier's lemma (Seress,
+section 4.1) their Schreier generators generate the stabilizer of the
+first base point.  A built chain can absorb further elements and be swept
+exact again; normal_closure grows one chain per new closure so (Seress,
+ch. 4), with everything it absorbed as the input, and keeps one object
+per normal subgroup, which later calls return.  Each new strong generator
+grows the levels it belongs to in place (_grow): a level it keeps closed
+stays the same object, and otherwise the search starts from the new
+points only, keeping the old representatives.  Chains are refused above
+config.CHAIN_DEGREE points.
 The chain supplies order, membership, uniform random elements, canonical
 right-coset representatives and the one element scan, element_batches,
 which the derangement search (derangement_backtrack) and the class scan
@@ -472,6 +478,11 @@ class StabilizerChain:
     An order above the bound raises CertificateError.
     ``_absorb`` grows a built chain by an element and ``_complete`` makes
     it exact again, both under the same bound.
+
+    ``_input`` holds the nonidentity input rows, which generate the group;
+    level 0's Schreier sweep runs over them alone (module docstring).  A
+    caller that absorbs elements outside the input's group sets it to a
+    list generating the grown group before ``_complete``.
     """
 
     def __init__(self, degree: int, generators: Sequence[Permutation],
@@ -489,6 +500,7 @@ class StabilizerChain:
         self._bound = bound
         self._swept = False  # True while no absorption follows the last sweep
         gens = [g.images for g in generators if not g.is_identity()]
+        self._input = gens  # generates the group: level 0's Schreier sweep
         self._build(gens, list(base_prefix))
 
     # -- construction ------------------------------------------------------
@@ -587,9 +599,10 @@ class StabilizerChain:
     def _schreier_residue(self, i: int):
         """The residue of the first Schreier generator u * s * u2^-1 of
         level i, points in discovered order, that does not sift to the
-        identity; None when all do."""
+        identity; None when all do.  s runs over the input generators at
+        level 0 and over the strong generators of depth >= i at i > 0."""
         lvl = self.levels[i]
-        gens = self._level_gens(i)
+        gens = self._input if i == 0 else self._level_gens(i)
         for pt in lvl.discovered.tolist():
             u = _inverse_row(lvl.inverse[lvl.index[pt]])
             for s in gens:
@@ -760,16 +773,21 @@ class PermGroup:
         One chain grows per call: the seeds' group, bounded as below,
         absorbs each conjugate of a listed generator by a generator of
         self, lists one that leaves a residue and takes the list as its
-        generators; a last sweep makes it exact.  Its group K is <gens>,
-        as strong generators are products of generators and each
-        generator was absorbed or sifted to the identity; K is normal, as
-        every conjugate of every generator sifted into K.
+        generators and as the input its level-0 sweep runs over; a last
+        sweep makes it exact.  Its group K is <gens>, as strong generators
+        are products of generators and each generator was absorbed or
+        sifted to the identity; K is normal, as every conjugate of every
+        generator sifted into K.  The walk stops once K reaches the bound
+        |N|: then K <= <x^G> <= N has K = N, and every later conjugate
+        would sift to the identity.
 
         Each normal subgroup is one object: `_closures` keeps every
         closure under its seeds' keys, so a repeated seed list returns the
         kept object.  The bound is |N| for the smallest kept closure N
         that holds every seed (so holds <x^G>), else |G| with N = G.  A
         chain reaching it is N, skips its sweep and returns N itself.
+        zoo.SocleDecl.validate keeps a declared socle here once it is
+        proven normal, so it bounds the closures of its elements.
         """
         for x in elements:
             if not self.contains(x):
@@ -786,10 +804,13 @@ class PermGroup:
         closure = PermGroup(gens, degree=self.degree, bound=N.order())
         chain = closure.chain
         for x in gens:  # grows while it is walked
+            if chain._reached_bound():  # later conjugates would sift
+                break
             for g in self.generators:
                 c = conjugate(x, g)
                 if chain._absorb(c.images):
                     gens.append(c)
+        chain._input = [x.images for x in gens]
         chain._complete()
         closure.generators = tuple(gens)
         if chain.order() == N.order():

@@ -94,8 +94,10 @@ def normal_structure(A: GroupAction, *, budgets: Budgets = DEFAULT_BUDGETS,
     """Classify a transitive action via closures of prime-order class reps.
 
     For each prime r dividing |G| and each class representative x of order
-    r, computes <x^G>, verifies it is normal, and counts its orbits.  The
-    verdict is read off the multiset of orbit counts:
+    r, computes <x^G>, verifies it is normal, and counts its orbits.
+    normal_closure returns one object per normal subgroup, so each object
+    is verified once.  The verdict is read off the multiset of orbit
+    counts:
 
       all counts 1                      -> quasiprimitive (primitive if the
                                            action is primitive)
@@ -115,11 +117,14 @@ def normal_structure(A: GroupAction, *, budgets: Budgets = DEFAULT_BUDGETS,
     if not G.is_transitive():
         raise ValueError("normal_structure requires a transitive action")
     closures = []
+    checked = set()  # ids of closures proven normal; one object per subgroup
     two_orbit = None
     for rep in _prime_order_representatives(A, budgets):
         closure = G.normal_closure([rep])
-        if not G.is_normal(closure):
-            raise CertificateError("normal closure is not normal in G")
+        if id(closure) not in checked:
+            if not G.is_normal(closure):
+                raise CertificateError("normal closure is not normal in G")
+            checked.add(id(closure))
         oc = len(closure.orbits())
         closures.append((rep, closure.order(), oc))
         if oc == 2 and (two_orbit is None

@@ -53,7 +53,9 @@ __all__ = [
 class SocleDecl:
     """A declared socle: simple factors that commute with each other.
     `validate` checks that they do, builds their join and keeps it as
-    `subgroup`."""
+    `subgroup`; once the join is proven normal it also enters the group's
+    normal-closure memo, so that the closure of a socle element is
+    bounded by the socle's order and returns `subgroup` itself."""
 
     factors: list
     subgroup: Optional[PermGroup] = field(default=None, init=False)
@@ -75,6 +77,7 @@ class SocleDecl:
             raise ValueError("declared factors do not decompose the socle")
         if not G.is_normal(join):
             raise ValueError("declared socle is not normal")
+        G._closures[tuple(g.key() for g in join.generators)] = join
         self.subgroup = join
 
     def _check_commuting(self) -> None:

@@ -821,3 +821,67 @@ def test_transposition_closure_reaches_its_bound_mid_walk(monkeypatch):
     assert sum(absorbed for absorbed, _ in walk) >= 2
     reached = [k for k, (_, full) in enumerate(walk) if full]
     assert reached and reached[0] < len(walk) - 1
+
+
+def test_closure_walk_stops_at_its_bound(monkeypatch):
+    # the closure of (0 1) in S6 reaches |S6| while the conjugates of
+    # (3 4) are walked; (4 5), absorbed then, is never walked
+    walked = []  # x of each conjugate(x, g) the walk makes
+    log = []  # per conjugate passed to _absorb: (x, chain at its bound)
+    conj, absorb = perm_module.conjugate, StabilizerChain._absorb
+
+    def logged_conjugate(x, g):
+        walked.append(x)
+        return conj(x, g)
+
+    def logged_absorb(self, g):
+        if len(walked) > len(log):  # a conjugate, not a random word
+            log.append((walked[-1], self.order() == self._bound))
+        return absorb(self, g)
+    monkeypatch.setattr(perm_module, "conjugate", logged_conjugate)
+    monkeypatch.setattr(StabilizerChain, "_absorb", logged_absorb)
+    G = symmetric(6)
+    t = Permutation.from_cycles(6, [(0, 1)])
+    assert G.normal_closure([t]) is G
+    xs = list(dict.fromkeys(x for x, _ in log))
+    assert xs == [Permutation.from_cycles(6, [(k, k + 1)]) for k in range(4)]
+    # once at the bound, only the current entry finishes its conjugates
+    full = [x for x, at_bound in log if at_bound]
+    assert full and set(full) == {xs[-1]}
+
+
+def test_level_zero_sweep_over_the_input_changes_no_chain(corpus, env,
+                                                          monkeypatch):
+    # Schreier's lemma over the input generators (Seress, section 4.1)
+    # against the sweep over every strong generator at level 0
+    def full_sweep(self, i):
+        lvl, gens = self.levels[i], self._level_gens(i)
+        for pt in lvl.discovered.tolist():
+            u = perm_module._inverse_row(lvl.inverse[lvl.index[pt]])
+            for s in gens:
+                residue = self._sift(lvl.inverse[lvl.index[s[pt]]][s[u]], i + 1)
+                if not (residue == self._identity).all():
+                    return residue
+        return None
+    def build(G, seed):
+        # a chain of G, and one of the closure of seed in a fresh copy of
+        # G, whose sweeps run over the conjugates it absorbed
+        closure = PermGroup(G.generators).normal_closure([seed])
+        return StabilizerChain(G.degree, G.generators), closure.chain
+    line = projective_line_action(31)
+    groups = [(name, A.group, A.group.generators[0]) for name, A in corpus]
+    groups += [("a384", env.a384().group, env.a384().group.generators[0]),
+               ("PSL(2,31) in PGL(2,31)", line.subgroups["PGL"],
+                line.subgroups["PSL"].generators[0])]
+    rng = np.random.default_rng(41)
+    for name, G, seed in groups:
+        shipped = build(G, seed)
+        with monkeypatch.context() as m:
+            m.setattr(StabilizerChain, "_schreier_residue", full_sweep)
+            full = build(G, seed)
+        for a, b in zip(shipped, full):
+            assert a.order() == b.order(), name
+            xs = [b.random_element(rng) for _ in range(25)] + \
+                [Permutation(rng.permutation(G.degree)) for _ in range(25)]
+            assert [a.contains(x) for x in xs] == [b.contains(x) for x in xs], name
+        assert shipped[0].order() == G.order(), name

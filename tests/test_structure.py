@@ -19,10 +19,12 @@ from derangements import (BIQUASIPRIMITIVE, NEITHER, PRIMITIVE,
                           QUASIPRIMITIVE, CertificateError,
                           DEFAULT_BUDGETS,
                           PermGroup, Permutation, WreathSpec, coset_action,
-                          g_plus, natural_action, normal_structure,
-                          prime_order_class_reps, verify_minimal_normal,
+                          g_plus, is_elusive, m11, natural_action,
+                          normal_structure, prime_order_class_reps,
+                          subgroup_search, suborbits, verify_minimal_normal,
                           wreath)
 from derangements import classes
+from derangements.perm import StabilizerChain
 
 from derangements.numbers import is_prime, prime_divisors
 
@@ -126,6 +128,55 @@ def test_normal_structure_requires_transitive():
     G = PermGroup([Permutation.from_cycles(4, [(0, 1)])])
     with pytest.raises(ValueError):
         normal_structure(natural_action(G, "C2 x fix"))
+
+
+def test_each_closure_object_is_proven_normal_once(monkeypatch):
+    # the closures of A5's four prime-order classes (one each at r = 2
+    # and 3, two at r = 5) are all A5 itself, one object
+    checked = []
+    is_normal = PermGroup.is_normal
+
+    def logged(self, sub):
+        checked.append(sub)
+        return is_normal(self, sub)
+    monkeypatch.setattr(PermGroup, "is_normal", logged)
+    A = natural_action(alternating(5), "A5")
+    rep = normal_structure(A)
+    assert len(rep.closures) == 4
+    assert checked == [A.group]
+
+
+def test_normal_structure_on_m11_wr_c2_sifts_few_schreier_generators(
+        monkeypatch):
+    # the closures of socle elements are bounded by the declared socle,
+    # and level 0 sweeps only a chain's input generators, so one
+    # normal_structure in the wreath-m11 query order (after is_elusive and
+    # suborbits) sifts 95 Schreier generators; it sifted 2,809 with the
+    # socle outside the closure memo and every strong generator swept.
+    # Everything is built here, as cached classes would change the count
+    M = m11()
+    A = coset_action(M, subgroup_search(M, 660, require_simple=True, seed=1))
+    W = wreath(WreathSpec(A, 2, cyclic(2), "product"), declare_socle=True)
+    is_elusive(W)
+    suborbits(W, 0)
+    sweeping, sifted = [], []  # levels being swept; sifts made meanwhile
+    sift, residue = StabilizerChain._sift, StabilizerChain._schreier_residue
+
+    def counted_residue(self, i):
+        sweeping.append(i)
+        try:
+            return residue(self, i)
+        finally:
+            sweeping.pop()
+
+    def counted_sift(self, g, from_level=0):
+        if sweeping:
+            sifted.append(sweeping[-1])
+        return sift(self, g, from_level)
+    monkeypatch.setattr(StabilizerChain, "_schreier_residue", counted_residue)
+    monkeypatch.setattr(StabilizerChain, "_sift", counted_sift)
+    assert normal_structure(W).verdict == PRIMITIVE
+    assert len(sifted) == 95
 
 
 # ---------------------------------------------------------------------------

@@ -380,6 +380,21 @@ def test_socle_decl_must_be_normal():
                      PermGroup([Permutation.from_cycles(6, [(3, 4)])])])
     with pytest.raises(ValueError, match="not normal"):
         bad.validate(W)
+    assert not W.group._closures  # only a proven socle bounds closures
+
+
+def test_validated_socle_bounds_the_closures_of_its_elements(env):
+    # validate keeps the join in the group's closure memo, so the closure
+    # of a socle element is bounded by |L|^k, not |G|, and returns the
+    # socle itself once its chain reaches that order
+    W = wreath(WreathSpec(env.m11_on_12(), 2, env.top2(), "product"),
+               declare_socle=True)
+    G, socle = W.group, W.declared_socle
+    assert list(G._closures.values()) == [socle.subgroup]
+    a = socle.factors[0].generators[0]
+    c = socle.factors[1].generators[1]
+    for x in (a, a * c):
+        assert G.normal_closure([x]) is socle.subgroup
 
 
 def _product_socle():
