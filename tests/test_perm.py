@@ -859,10 +859,12 @@ def test_level_zero_sweep_over_the_input_changes_no_chain(corpus, env,
         for pt in lvl.discovered.tolist():
             u = perm_module._inverse_row(lvl.inverse[lvl.index[pt]])
             for s in gens:
-                residue = self._sift(lvl.inverse[lvl.index[s[pt]]][s[u]], i + 1)
+                v = lvl.inverse[lvl.index[s[pt]]][s[u]]  # u * s * u2^-1
+                residue = self._sift(v, i + 1)
                 if not (residue == self._identity).all():
                     return residue
         return None
+
     def build(G, seed):
         # a chain of G, and one of the closure of seed in a fresh copy of
         # G, whose sweeps run over the conjugates it absorbed
@@ -883,5 +885,6 @@ def test_level_zero_sweep_over_the_input_changes_no_chain(corpus, env,
             assert a.order() == b.order(), name
             xs = [b.random_element(rng) for _ in range(25)] + \
                 [Permutation(rng.permutation(G.degree)) for _ in range(25)]
-            assert [a.contains(x) for x in xs] == [b.contains(x) for x in xs], name
+            assert [a.contains(x) for x in xs] == \
+                [b.contains(x) for x in xs], name
         assert shipped[0].order() == G.order(), name
